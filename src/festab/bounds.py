@@ -2,11 +2,12 @@
 
 For the P1 diffusion system, the largest permissible explicit step of an
 s-stage first-order Chebyshev scheme is tau_max = 2 s^2 / lambda_max.
-This module computes lambda_max exactly (dense) or iteratively (Lanczos,
-power method) and evaluates the computable surrogates: the diagonal-ratio
-bracket with its sharp constant C*, the patch-geometry upper bound, the
-metric-matching bound, and the comparison estimates based on face volumes
-(with and without lumped-mass weighting).
+This module computes lambda_max exactly (sparse shift-invert, certified by
+Sylvester inertia) or iteratively (Lanczos, power method) and evaluates the
+computable surrogates: the diagonal-ratio bracket with its sharp constant
+C*, the patch-geometry upper bound, the metric-matching bound, and the
+comparison estimates based on face volumes (with and without lumped-mass
+weighting).
 """
 
 from __future__ import annotations
@@ -28,8 +29,14 @@ from .fields import InverseOf
 from .mesh import build_patches
 from .quality import element_averages, is_nonobtuse_wrt, mesh_quality_summary
 
-DENSE_LIMIT = 20000
 LANCZOS_MAX_STEPS = 50
+SHIFT_LANCZOS_STEPS = 10      # Lanczos steps behind the first shift
+SHIFT_START = 1.02            # first shift = SHIFT_START * Ritz value
+SHIFT_GROWTH = 1.1            # shift growth until sigma Mt - A is SPD
+EIGSH_TOL = 1e-10
+CERT_RTOL = 1e-10             # certified: (1 + CERT_RTOL) rho > lambda_max
+CERT_ATTEMPTS = 4
+EXHAUSTED_N = 20              # up to this n, Lanczos spans the whole space
 
 
 def c_grad(d):
@@ -60,9 +67,16 @@ def c_star(d, lumped, nonobtuse):
 
 @dataclass(frozen=True)
 class EigEstimate:
+    """An eigenvalue with its provenance.  `shift`, `solves` and
+    `certified` describe the certified sparse solve (shift-invert shift,
+    linear solves with it, inertia certificate); estimates leave them at
+    None, 0 and False."""
     value: float
     method: str
     residual: float
+    shift: float | None = None
+    solves: int = 0
+    certified: bool = False
 
     def __float__(self):
         return self.value
@@ -70,6 +84,10 @@ class EigEstimate:
 
 def _lam_value(lam):
     return lam.value if isinstance(lam, EigEstimate) else float(lam)
+
+
+# ----------------------------------------------------------------------
+# Exact and iterative eigenvalue computation
 
 
 def _mass_solver(Mtilde):
@@ -83,51 +101,37 @@ def _mass_solver(Mtilde):
     return lu.solve
 
 
-# ----------------------------------------------------------------------
-# Exact and iterative eigenvalue computation
+def _spd_factor(K):
+    """Sparse LU of the symmetric matrix K, or None if K is not SPD.
+
+    The factorization pivots on the diagonal only (symmetric ordering,
+    zero pivot threshold), so U's diagonal holds the pivots of an LDL^T
+    factorization and, by Sylvester's law of inertia, K is positive
+    definite exactly when no off-diagonal pivot was taken and every pivot
+    is positive.
+    """
+    try:
+        lu = spla.splu(K.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                       diag_pivot_thresh=0.0,
+                       options={"SymmetricMode": True})
+    except RuntimeError:                 # exactly singular
+        return None
+    except MemoryError as exc:
+        raise ValueError(f"sparse factorization of an n = {K.shape[0]} "
+                         "matrix ran out of memory") from exc
+    if np.array_equal(lu.perm_r, lu.perm_c) and (lu.U.diagonal() > 0.0).all():
+        return lu
+    return None
 
 
-def lambda_max_exact(Mtilde, A):
-    """Largest eigenvalue of the pencil (A, Mtilde) by dense solve.
+def _lanczos(Mtilde, A, solve, steps, seed):
+    """Top Ritz pair of `steps` Lanczos iterations in the Mtilde inner
+    product, with full reorthogonalization from a seeded random start.
 
-    Reduces to a symmetric standard problem via Cholesky of Mtilde and
-    asserts that the whole spectrum is positive.  Guarded to n <= 20000.
+    Returns (theta, ritz vector, residual estimate, steps taken).
+    Premature breakdown restarts with a fresh seed, at most 3 times.
     """
     n = A.n
-    if n != Mtilde.n:
-        raise ValueError("dimension mismatch")
-    if n > DENSE_LIMIT:
-        raise ValueError(f"n = {n} too large for the dense path "
-                         f"(limit {DENSE_LIMIT}); use lambda_max_lanczos")
-    evals = sla.eigh(A.toarray(), Mtilde.toarray(), eigvals_only=True)
-    if evals[0] <= 0.0:
-        raise ValueError(f"pencil has a nonpositive eigenvalue {evals[0]:g}; "
-                         "inputs are not SPD")
-    return EigEstimate(value=float(evals[-1]), method="dense", residual=0.0)
-
-
-def max_eigvec_exact(Mtilde, A):
-    """(lambda_max, eigenvector) of the pencil by the dense path."""
-    evals, evecs = sla.eigh(A.toarray(), Mtilde.toarray())
-    return float(evals[-1]), evecs[:, -1].copy()
-
-
-def lambda_max_lanczos(Mtilde, A, steps=5, seed=2, security=1.1):
-    """Lanczos estimate of lambda_max with a multiplicative security factor.
-
-    Runs `steps` iterations in the Mtilde inner product with full
-    reorthogonalization from a seeded random start, then multiplies the
-    top Ritz value by `security` (i.e. the induced time step is divided
-    by it).  Breakdown restarts with a fresh seed, at most 3 times.
-    """
-    if steps < 1:
-        raise ValueError("need at least one step")
-    if steps > LANCZOS_MAX_STEPS:
-        raise ValueError(f"at most {LANCZOS_MAX_STEPS} steps supported")
-    n = A.n
-    solve = _mass_solver(Mtilde)
-    steps = min(steps, n)
-
     for restart in range(4):
         rng = np.random.default_rng(seed + 1000 * restart)
         q = rng.standard_normal(n)
@@ -165,17 +169,156 @@ def lambda_max_lanczos(Mtilde, A, steps=5, seed=2, security=1.1):
             # premature breakdown: an invariant subspace was hit before the
             # requested step count; try a different start vector
             continue
-        tvals, tvecs = sla.eigh_tridiagonal(
-            np.array(alphas), np.array(betas[:len(alphas) - 1]))
+        k = len(alphas)
+        tvals, tvecs = sla.eigh_tridiagonal(np.array(alphas),
+                                            np.array(betas[:k - 1]))
         theta = float(tvals[-1])
-        beta_last = betas[-1] if len(betas) >= len(alphas) else 0.0
+        beta_last = betas[-1] if len(betas) >= k else 0.0
         resid = abs(beta_last * tvecs[-1, -1]) / max(abs(theta), 1e-300)
-        method = (f"lanczos(steps={len(alphas)},seed={seed},"
-                  f"security={security:g})")
-        return EigEstimate(value=security * theta, method=method,
-                           residual=resid)
+        x = np.column_stack(Q[:k]) @ tvecs[:, -1]
+        return theta, x, resid, k
     raise ValueError("Lanczos broke down on every restart "
                      "(zero Krylov vectors)")
+
+
+def _rayleigh(Mtilde, A, x):
+    """(rho, x, residual) with x scaled to unit Mtilde-norm and the relative
+    residual ||A x - rho Mt x|| / (rho ||Mt x||)."""
+    mx = Mtilde.matvec(x)
+    nrm = math.sqrt(x @ mx)
+    x, mx = x / nrm, mx / nrm
+    ax = A.matvec(x)
+    rho = float(x @ ax)
+    resid = float(np.linalg.norm(ax - rho * mx)
+                  / (abs(rho) * np.linalg.norm(mx)))
+    return rho, x, resid
+
+
+def _certified(Mtilde, A, rho):
+    """True when rho (1 + CERT_RTOL) Mt - A is SPD, i.e. rho is within
+    CERT_RTOL of the top of the spectrum from below."""
+    sigma = rho * (1.0 + CERT_RTOL)
+    return _spd_factor(sigma * Mtilde.to_scipy() - A.to_scipy()) is not None
+
+
+def _shift_invert(Mtilde, A, sigma, seed):
+    """One shift-invert ARPACK solve from a shift raised until sigma Mt - A
+    is SPD (so above lambda_max); returns (sigma, x, solves), with x None
+    when ARPACK fails."""
+    Ms, As = Mtilde.to_scipy(), A.to_scipy()
+    # terminates: Mt is SPD, so sigma Mt - A is SPD once sigma > lambda_max
+    lu = _spd_factor(sigma * Ms - As)
+    while lu is None:
+        sigma *= SHIFT_GROWTH
+        lu = _spd_factor(sigma * Ms - As)
+
+    solves = 0
+
+    def op_inv(b):
+        nonlocal solves
+        solves += 1
+        return -lu.solve(b)
+
+    n = A.n
+    v0 = np.random.default_rng(seed).standard_normal(n)
+    opinv = spla.LinearOperator((n, n), matvec=op_inv, dtype=float)
+    try:
+        _, vecs = spla.eigsh(As, k=1, M=Ms, sigma=sigma, which="LM",
+                             OPinv=opinv, tol=EIGSH_TOL, v0=v0)
+    except spla.ArpackError:              # no convergence included
+        return sigma, None, solves
+    return sigma, vecs[:, 0], solves
+
+
+def _top_eigpair(Mtilde, A):
+    """Certified top eigenpair of the pencil (A, Mtilde).
+
+    Checks that Mtilde and A are SPD by their inertia, then runs ARPACK in
+    shift-invert mode at a shift above lambda_max (a Lanczos Ritz value,
+    raised until sigma Mt - A is SPD; n <= EXHAUSTED_N uses Lanczos on the
+    whole space instead).  The returned Rayleigh quotient rho is a lower
+    bound for lambda_max; it is certified by the inertia of
+    rho (1 + CERT_RTOL) Mt - A.  Failed certificates retry with a new start
+    vector and a tighter shift; the last failure raises ValueError.
+    """
+    n = A.n
+    if n != Mtilde.n:
+        raise ValueError("dimension mismatch")
+    if Mtilde.is_diagonal():
+        solve = _mass_solver(Mtilde)
+    else:
+        lu_m = _spd_factor(Mtilde.to_scipy())
+        if lu_m is None:
+            raise ValueError("mass matrix has a nonpositive eigenvalue")
+        solve = lu_m.solve
+    if _spd_factor(A.to_scipy()) is None:
+        raise ValueError("pencil has a nonpositive eigenvalue; "
+                         "A is not positive definite")
+
+    solves = 0
+    sigma = None
+    if n > EXHAUSTED_N:
+        theta = _lanczos(Mtilde, A, solve, SHIFT_LANCZOS_STEPS, 0)[0]
+        sigma = SHIFT_START * theta
+    for seed in range(CERT_ATTEMPTS):
+        if sigma is None:
+            x = _lanczos(Mtilde, A, solve, n, seed)[1]
+        else:
+            sigma, x, used = _shift_invert(Mtilde, A, sigma, seed)
+            solves += used
+            if x is None:
+                continue
+        rho, x, resid = _rayleigh(Mtilde, A, x)
+        if _certified(Mtilde, A, rho):
+            break
+        if sigma is not None:
+            # a shift nearer rho separates the top eigenvalue better; it is
+            # raised again if it fell below lambda_max
+            sigma = rho + 0.25 * (sigma - rho)
+    else:
+        raise ValueError(f"no certified lambda_max after {CERT_ATTEMPTS} "
+                         "attempts")
+    if sigma is None:
+        method = f"lanczos-exhausted(steps={n},certified)"
+    else:
+        method = (f"shift-invert(shift={sigma:.6g},solves={solves},"
+                  "certified)")
+    est = EigEstimate(value=rho, method=method, residual=resid, shift=sigma,
+                      solves=solves, certified=True)
+    return est, x
+
+
+def lambda_max_exact(Mtilde, A):
+    """Largest eigenvalue of the pencil (A, Mtilde), inertia-certified.
+
+    Sparse shift-invert solve; see `_top_eigpair`.  Raises ValueError when
+    the pencil is not SPD or no certificate is found.
+    """
+    return _top_eigpair(Mtilde, A)[0]
+
+
+def max_eigvec_exact(Mtilde, A):
+    """(lambda_max, eigenvector scaled to unit Mtilde-norm), certified."""
+    est, x = _top_eigpair(Mtilde, A)
+    return est.value, x
+
+
+def lambda_max_lanczos(Mtilde, A, steps=5, seed=2, security=1.1):
+    """Lanczos estimate of lambda_max with a multiplicative security factor.
+
+    Runs `steps` iterations in the Mtilde inner product with full
+    reorthogonalization from a seeded random start, then multiplies the
+    top Ritz value by `security` (i.e. the induced time step is divided
+    by it).  Breakdown restarts with a fresh seed, at most 3 times.
+    """
+    if steps < 1:
+        raise ValueError("need at least one step")
+    if steps > LANCZOS_MAX_STEPS:
+        raise ValueError(f"at most {LANCZOS_MAX_STEPS} steps supported")
+    theta, _, resid, taken = _lanczos(Mtilde, A, _mass_solver(Mtilde),
+                                      min(steps, A.n), seed)
+    method = f"lanczos(steps={taken},seed={seed},security={security:g})"
+    return EigEstimate(value=security * theta, method=method, residual=resid)
 
 
 def lambda_max_power(Mtilde, A, tol=1e-10, warm_start=None, seed=0,
@@ -564,14 +707,15 @@ def _mass_tilde(mesh, mass_kind, dof, M):
 
 
 def stability_report(mesh, field, mass_kind="full", s=1, quad_order=4,
-                     method="dense", lanczos_steps=5, seed=2, security=1.1,
+                     method="exact", lanczos_steps=5, seed=2, security=1.1,
                      include=("diag", "geo", "zhudu", "shewchuk"),
                      mesh_id=""):
     """Assemble, solve and bound one configuration; returns StabilityReport.
 
     `mass_kind` selects the surrogate mass: "full", "lumped" (full-space
     row sums) or "lumped_rowsum" (row sums of the eliminated mass matrix).
-    `method` selects the eigenvalue computation: dense, lanczos or power.
+    `method` selects the eigenvalue computation: exact (the certified
+    sparse solve; "dense" is accepted as an alias), lanczos or power.
     """
     dof = DofMap(mesh)
     M = assemble_mass(mesh, dof)
@@ -582,7 +726,7 @@ def stability_report(mesh, field, mass_kind="full", s=1, quad_order=4,
     nonobtuse = is_nonobtuse_wrt(mesh, field, A)
     cst = c_star(mesh.dim, lumped, nonobtuse)
 
-    if method == "dense":
+    if method in ("exact", "dense"):
         est = lambda_max_exact(Mt, A)
     elif method == "lanczos":
         est = lambda_max_lanczos(Mt, A, steps=lanczos_steps, seed=seed,

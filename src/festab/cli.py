@@ -296,8 +296,10 @@ def _build_parser():
     p_an.add_argument("--mass", choices=("full", "lumped", "lumped-rowsum"),
                       default="full")
     p_an.add_argument("--quad-order", type=int, choices=(1, 2, 4), default=4)
-    p_an.add_argument("--eig", choices=("dense", "lanczos", "power"),
-                      default="dense")
+    p_an.add_argument("--eig", choices=("exact", "dense", "lanczos", "power"),
+                      default="exact",
+                      help="eigenvalue method: certified sparse solve "
+                           "(exact; dense is an alias), lanczos or power")
     p_an.add_argument("--lanczos", type=_positive_int, metavar="STEPS",
                       default=None, help="Lanczos step count (implies "
                                          "--eig lanczos)")

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 import festab as fs
 
@@ -79,6 +80,17 @@ def jittered_mesh_3d(rng, n=3, amount=0.2):
     nodes[interior] += amount / n * rng.uniform(-1.0, 1.0,
                                                 (int(interior.sum()), 3))
     return fs.SimplicialMesh(nodes, base.elements, base.node_markers)
+
+
+def dense_pencil_eigvals(Mt, A):
+    """Oracle: every eigenvalue of the pencil (A, Mt), ascending, by the
+    dense generalized symmetric eigensolver (small n only)."""
+    return sla.eigh(A.toarray(), Mt.toarray(), eigvals_only=True)
+
+
+def dense_lambda_max(Mt, A):
+    """Oracle: largest eigenvalue of the pencil (A, Mt)."""
+    return float(dense_pencil_eigvals(Mt, A)[-1])
 
 
 def fields_for_dim(d):

@@ -155,10 +155,11 @@ def test_dense_pencil_guards():
     I3 = fs.SparseSymMatrix.from_diagonal(np.ones(3))
     with pytest.raises(ValueError, match="mismatch"):
         fs.lambda_max_exact(I2, I3)
-    big = fs.SparseSymMatrix.from_diagonal(
-        np.ones(bounds_mod.DENSE_LIMIT + 1))
-    with pytest.raises(ValueError, match="dense"):
-        fs.lambda_max_exact(big, big)
+    # past the size the dense path refused (20000): sparse and certified
+    big = fs.SparseSymMatrix.from_diagonal(np.ones(20001))
+    est = fs.lambda_max_exact(big, big)
+    assert est.value == pytest.approx(1.0, rel=1e-12)
+    assert est.certified
 
 
 def test_max_eigvec_solves_the_pencil():

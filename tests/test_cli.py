@@ -156,6 +156,29 @@ def test_integrate_usage_guards(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--grid", "6x6"],
+    ["integrate", "--grid", "6x6", "--steps", "5"],
+])
+@pytest.mark.parametrize("fault", ["certificate", "memory"])
+def test_eigen_failures_exit_2_with_one_line(monkeypatch, capsys, argv,
+                                             fault):
+    from festab import bounds as bounds_mod
+    if fault == "certificate":
+        monkeypatch.setattr(bounds_mod, "_certified", lambda *args: False)
+    else:
+        def no_memory(*args, **kwargs):
+            raise MemoryError
+        monkeypatch.setattr(bounds_mod.spla, "splu", no_memory)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert ("no certified" if fault == "certificate" else "out of memory") \
+        in err[0]
+
+
 # ---------------------------------------------------------------------------
 # experiment
 # ---------------------------------------------------------------------------

@@ -1,0 +1,173 @@
+"""The certified sparse lambda_max engine against the dense oracle.
+
+Property tests draw jittered and graded meshes in 1D, 2D and 3D (some with
+a Neumann side), constant and piecewise SPD fields and all three mass
+kinds; fixed regressions cover the cases where a shift-invert solve goes
+wrong without a certificate.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+import festab as fs
+from festab import bounds as bounds_mod
+from conftest import dense_lambda_max, dense_pencil_eigvals
+
+ORACLE_RTOL = 1e-12
+RESIDUAL_MAX = 1e-10
+
+settings.register_profile(
+    "eigen-engine", derandomize=True, max_examples=100, deadline=None,
+    suppress_health_check=[HealthCheck.too_slow])
+
+
+def pencil(mesh, field, kind):
+    dof = fs.DofMap(mesh)
+    M = fs.assemble_mass(mesh, dof)
+    return (bounds_mod._mass_tilde(mesh, kind, dof, M),
+            fs.assemble_stiffness(mesh, field, 4, dof))
+
+
+def _grid(dim, cells):
+    if dim == 1:
+        return fs.gen_uniform_1d(cells)
+    if dim == 2:
+        return fs.gen_structured_2d(cells, cells, diagonal="alternating")
+    return fs.gen_structured_3d(cells, cells, cells)
+
+
+def _random_spd(rng, dim, kappa):
+    """Random rotation of diag(1, ..., kappa) times a random scale."""
+    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    ev = np.geomspace(1.0, kappa, dim)
+    return rng.uniform(0.1, 10.0) * (q * ev) @ q.T
+
+
+@st.composite
+def problems(draw):
+    """(mesh, field, mass kind) for one engine-vs-oracle comparison."""
+    dim = draw(st.sampled_from([1, 2, 3]))
+    cells = draw(st.integers(*{1: (8, 400), 2: (4, 20), 3: (2, 6)}[dim]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    base = _grid(dim, cells)
+    nodes = base.nodes.copy()
+    free = base.node_markers != fs.DIRICHLET
+    if draw(st.sampled_from(["jittered", "graded"])) == "jittered":
+        amount = draw(st.floats(0.0, 0.3))
+        nodes[free] += amount / cells * rng.uniform(-1.0, 1.0,
+                                                    (int(free.sum()), dim))
+    else:
+        # monotone map per coordinate: cells shrink towards the origin
+        nodes = nodes ** draw(st.floats(1.0, 2.0))
+    markers = base.node_markers.copy()
+    if draw(st.booleans()):
+        side = nodes[:, 0] == 0.0
+        if dim > 1:
+            side &= (nodes[:, 1:] > 0.0).all(axis=1) \
+                & (nodes[:, 1:] < 1.0).all(axis=1)
+        markers[side] = fs.NEUMANN
+    tags = rng.integers(0, 3, base.num_elements)
+    mesh = fs.SimplicialMesh(nodes, base.elements, markers, region_tags=tags)
+    kappa = draw(st.sampled_from([1.0, 10.0, 1000.0]))
+    if draw(st.sampled_from(["constant", "piecewise"])) == "constant":
+        field = fs.Constant(_random_spd(rng, dim, kappa))
+    else:
+        field = fs.PiecewiseConstantPerElement(
+            {t: _random_spd(rng, dim, kappa) for t in range(3)})
+    kind = draw(st.sampled_from(fs.MASS_KINDS))
+    return mesh, field, kind
+
+
+@settings(settings.get_profile("eigen-engine"))
+@given(problems())
+def test_engine_matches_dense_oracle(problem):
+    mesh, field, kind = problem
+    Mt, A = pencil(mesh, field, kind)
+    want = dense_lambda_max(Mt, A)
+    est = fs.lambda_max_exact(Mt, A)
+    assert abs(est.value - want) <= ORACLE_RTOL * want
+    assert est.certified and est.method.endswith(",certified)")
+    assert est.residual <= RESIDUAL_MAX
+    lam, vec = fs.max_eigvec_exact(Mt, A)
+    assert lam == est.value
+    assert vec @ Mt.matvec(vec) == pytest.approx(1.0, rel=1e-12)
+    assert np.linalg.norm(A.matvec(vec) - lam * Mt.matvec(vec)) \
+        <= RESIDUAL_MAX * lam * np.linalg.norm(Mt.matvec(vec))
+
+
+def test_groundwater_full_mass_returns_the_top_of_a_close_pair(monkeypatch):
+    # mirror-symmetric problem (no strips): a symmetric start vector (all
+    # ones) misses the top mode and converges to 1.60818597, not 1.60818922;
+    # the certificate catches that, but the first solve should not need it
+    mesh, field = fs.gen_groundwater_like(contrast=1.0)
+    Mt, A = pencil(mesh, field, "full")
+    evals = dense_pencil_eigvals(Mt, A)
+    assert evals[-1] - evals[-2] > 1e-6 * evals[-1]
+    real = bounds_mod._certified
+    verdicts = []
+
+    def spy(*args):
+        verdicts.append(real(*args))
+        return verdicts[-1]
+
+    monkeypatch.setattr(bounds_mod, "_certified", spy)
+    est = fs.lambda_max_exact(Mt, A)
+    assert abs(est.value - evals[-1]) <= ORACLE_RTOL * evals[-1]
+    assert est.certified and verdicts == [True]
+
+
+def test_per1d_uniform_512_full_mass_near_degenerate_top_pair():
+    # the top pair is nearly degenerate; a loose shift or tol=0 made ARPACK
+    # take tens of thousands of solves here
+    mesh = fs.gen_uniform_1d(512)
+    Mt, A = pencil(mesh, fs.per1d(2.0 ** -4), "full")
+    evals = dense_pencil_eigvals(Mt, A)
+    assert evals[-1] - evals[-2] < 1e-3 * evals[-1]
+    est = fs.lambda_max_exact(Mt, A)
+    assert abs(est.value - evals[-1]) <= ORACLE_RTOL * evals[-1]
+    assert est.certified and est.solves <= 500
+    assert est.shift > evals[-1]
+
+
+@pytest.mark.parametrize("kind", fs.MASS_KINDS)
+def test_inertia_flips_across_lambda_max(kind):
+    rng = np.random.default_rng(7)
+    base = fs.gen_structured_2d(9, 7, diagonal="alternating")
+    nodes = base.nodes.copy()
+    free = base.node_markers != fs.DIRICHLET
+    nodes[free] += 0.02 * rng.uniform(-1.0, 1.0, (int(free.sum()), 2))
+    mesh = fs.SimplicialMesh(nodes, base.elements, base.node_markers)
+    Mt, A = pencil(mesh, fs.aniso2d(100.0), kind)
+    lam = dense_lambda_max(Mt, A)
+    Ms, As = Mt.to_scipy(), A.to_scipy()
+    assert bounds_mod._spd_factor(lam * (1.0 + 1e-8) * Ms - As) is not None
+    assert bounds_mod._spd_factor(lam * (1.0 - 1e-8) * Ms - As) is None
+    assert bounds_mod._spd_factor(Ms) is not None
+    assert bounds_mod._spd_factor(-As) is None
+
+
+def test_failed_certificate_retries(monkeypatch):
+    mesh = fs.gen_structured_2d(8, 8)
+    Mt, A = pencil(mesh, fs.identity(2), "full")
+    want = dense_lambda_max(Mt, A)
+    real = bounds_mod._certified
+    calls = []
+
+    def fail_first(*args):
+        calls.append(args)
+        return len(calls) > 1 and real(*args)
+
+    monkeypatch.setattr(bounds_mod, "_certified", fail_first)
+    est = fs.lambda_max_exact(Mt, A)
+    assert len(calls) == 2
+    assert abs(est.value - want) <= ORACLE_RTOL * want
+
+
+def test_report_names_the_certified_solve():
+    mesh = fs.gen_structured_2d(8, 8)
+    rep = fs.stability_report(mesh, fs.aniso2d(100.0))
+    assert rep.method.startswith("shift-invert(shift=")
+    assert rep.method.endswith(",certified)")
+    alias = fs.stability_report(mesh, fs.aniso2d(100.0), method="dense")
+    assert alias.lambda_exact == rep.lambda_exact
