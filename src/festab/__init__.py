@@ -21,7 +21,7 @@ from .quality import (simplex_rule, conical_product_rule, element_averages,
                       mesh_quality_summary, element_quality,
                       inscribed_diameter_metric, is_nonobtuse_wrt,
                       export_quality_csv)
-from .assembly import (DofMap, SparseSymMatrix, assemble_mass,
+from .assembly import (DofMap, ProblemContext, SparseSymMatrix, assemble_mass,
                        assemble_lumped, row_sum_lumping, assemble_stiffness,
                        export_matrix_market, diag_of)
 from .bounds import (c_grad, c_sharp, c_star, EigEstimate, lambda_max_exact,
@@ -54,9 +54,9 @@ __all__ = [
     "average_tensor", "ElementQuality", "MeshQualitySummary",
     "mesh_quality_summary", "element_quality", "inscribed_diameter_metric",
     "is_nonobtuse_wrt", "export_quality_csv",
-    "DofMap", "SparseSymMatrix", "assemble_mass", "assemble_lumped",
-    "row_sum_lumping", "assemble_stiffness", "export_matrix_market",
-    "diag_of",
+    "DofMap", "ProblemContext", "SparseSymMatrix", "assemble_mass",
+    "assemble_lumped", "row_sum_lumping", "assemble_stiffness",
+    "export_matrix_market", "diag_of",
     "c_grad", "c_sharp", "c_star", "EigEstimate", "lambda_max_exact",
     "max_eigvec_exact", "lambda_max_lanczos", "lambda_max_power",
     "DiagRatioBound", "diag_ratio_bound", "TauValues", "tau_values",

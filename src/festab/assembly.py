@@ -4,17 +4,22 @@ Dirichlet conditions are imposed by deleting the corresponding rows and
 columns, so the assembled operators act on the interior-plus-Neumann
 unknowns and keep the exact eigenstructure the step-size theory addresses.
 Matrices are stored as the upper triangle in CSR form behind a thin
-symmetric wrapper.
+symmetric wrapper.  A `ProblemContext` holds the per-element quantities
+that assembly, bounds and quality measures of one problem share.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 import scipy.io
 import scipy.sparse as sp
 
-from .mesh import DIRICHLET
-from .quality import element_averages
+from .fields import InverseOf
+from .mesh import DIRICHLET, build_patches
+from .quality import (_reference_map_inverses, element_averages,
+                      mesh_quality_summary)
 
 
 class DofMap:
@@ -187,24 +192,105 @@ def row_sum_lumping(M):
     return SparseSymMatrix.from_diagonal(sums)
 
 
-def assemble_stiffness(mesh, field, quad_order=4, dofmap=None):
+def assemble_stiffness(mesh, field, quad_order=4, dofmap=None, context=None):
     """Anisotropic P1 stiffness on free nodes.
 
     Element contribution |K| grad(phi_i)^T D_K grad(phi_j) with the
     element average D_K; exact for P1 since the gradients are constant.
+    `context` is an optional `ProblemContext` of (mesh, field, quad_order).
     """
-    dof = dofmap or DofMap(mesh)
+    ctx = _problem_context(mesh, field, quad_order, context)
+    dof = dofmap or ctx.dofmap
     d = mesh.dim
-    Dk = element_averages(field, mesh, quad_order)
     E = mesh.element_matrices()
     Einv = np.linalg.inv(E)
     # unit-simplex shape gradients: rows of [-1...-1; I] mapped through E^-1
     Gh = np.vstack([-np.ones(d), np.eye(d)])
     grads = np.einsum("ab,nbc->nac", Gh, Einv)
     vols = mesh.volumes()
-    local = np.einsum("n,nid,nde,nje->nij", vols, grads, Dk, grads)
+    local = np.einsum("n,nid,nde,nje->nij", vols, grads, ctx.Dk, grads)
     return SparseSymMatrix.from_triplets(
         dof.n_free, *_scatter(mesh, dof, local))
+
+
+class ProblemContext:
+    """The per-element quantities of one (mesh, field, quad_order) problem.
+
+    Assembly, the bounds and the quality measures all read the element
+    averages D_K and D^-1_K, the reference maps, the patches and the
+    operators M and A.  A context computes each on first use and keeps it
+    for its own lifetime, so build one per call (one report, one CLI
+    command) and let it go with the call; the field is evaluated at most
+    once per context.
+    """
+
+    def __init__(self, mesh, field, quad_order=4):
+        self.mesh = mesh
+        self.field = field
+        self.quad_order = quad_order
+
+    def check(self, mesh, field, quad_order):
+        """Self, after checking it was built for (mesh, field, quad_order)."""
+        if (mesh is not self.mesh or field is not self.field
+                or quad_order != self.quad_order):
+            raise ValueError("context built for another mesh, field or "
+                             "quad_order")
+        return self
+
+    @cached_property
+    def dofmap(self):
+        return DofMap(self.mesh)
+
+    @cached_property
+    def reference_map_inverses(self):
+        return _reference_map_inverses(self.mesh)
+
+    @cached_property
+    def _averages(self):
+        """Element averages of the field and of its pointwise inverse."""
+        return element_averages(self.field, self.mesh, self.quad_order,
+                                with_inverse=True)
+
+    @property
+    def Dk(self):
+        """(ne, d, d) element averages of the field."""
+        return self._averages[0]
+
+    @cached_property
+    def patches(self):
+        return build_patches(self.mesh)
+
+    @cached_property
+    def M(self):
+        return assemble_mass(self.mesh, self.dofmap)
+
+    @cached_property
+    def A(self):
+        return assemble_stiffness(self.mesh, self.field, self.quad_order,
+                                  self.dofmap, context=self)
+
+    @cached_property
+    def quality(self):
+        """Quality summary of the mesh with the field as the metric."""
+        return mesh_quality_summary(self.mesh, self.field, self.quad_order,
+                                    context=self)
+
+    @cached_property
+    def inverse(self):
+        """Context of the pointwise inverse field on the same mesh: the two
+        averages swap and the reference maps are shared."""
+        inv = ProblemContext(self.mesh, InverseOf(self.field),
+                             self.quad_order)
+        inv._averages = self._averages[::-1]
+        inv.reference_map_inverses = self.reference_map_inverses
+        return inv
+
+
+def _problem_context(mesh, field, quad_order=4, context=None):
+    """`context` checked against (mesh, field, quad_order), or a new one."""
+    if context is None:
+        return ProblemContext(mesh, field, quad_order)
+    return context.check(mesh, field, quad_order)
 
 
 def export_matrix_market(matrix, path, comment=""):

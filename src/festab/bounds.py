@@ -22,12 +22,9 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 
-from .assembly import (DofMap, SparseSymMatrix, assemble_lumped,
-                       assemble_mass, assemble_stiffness, diag_of,
-                       row_sum_lumping)
-from .fields import InverseOf
-from .mesh import build_patches
-from .quality import element_averages, is_nonobtuse_wrt, mesh_quality_summary
+from .assembly import (SparseSymMatrix, _problem_context, assemble_lumped,
+                       diag_of, row_sum_lumping)
+from .quality import is_nonobtuse_wrt
 
 LANCZOS_MAX_STEPS = 50
 SHIFT_LANCZOS_STEPS = 10      # Lanczos steps behind the first shift
@@ -422,18 +419,15 @@ def _patch_average(mesh, patches, per_element):
     return num / patches.volumes
 
 
-def _alignment_norms(mesh, Dk):
+def _alignment_norms(ctx):
     """Per-element ||F'^-1 D_K F'^-T||_2 with the unit-volume reference."""
-    from .mesh import reference_edge_matrix
-    E = mesh.element_matrices()
-    Fp = E @ np.linalg.inv(reference_edge_matrix(mesh.dim))
-    Finv = np.linalg.inv(Fp)
-    S = Finv @ Dk @ np.swapaxes(Finv, 1, 2)
+    Finv = ctx.reference_map_inverses
+    S = Finv @ ctx.Dk @ np.swapaxes(Finv, 1, 2)
     return np.linalg.eigvalsh(0.5 * (S + np.swapaxes(S, 1, 2)))[:, -1]
 
 
 def geometric_bound(mesh, field, lumped=False, quad_order=4, nonobtuse=None,
-                    patches=None, dofmap=None, A=None):
+                    A=None, context=None):
     """Patch-geometry upper bound on lambda_max.
 
     lambda_max <= C* C# max over free i of
@@ -441,17 +435,16 @@ def geometric_bound(mesh, field, lumped=False, quad_order=4, nonobtuse=None,
     with C# = c_grad (d+1)(d+2)/2.  The same number can be written through
     the quality measure Q_D(K) = h_{D^-1}^2 ||F'^-1 D_K F'^-T||_2 as
     C* C# h^-2 max_i sum (|K|/|omega_i|) Q_D(K); both forms are returned
-    and agree to rounding.
+    and agree to rounding.  `context` is an optional `ProblemContext` of
+    (mesh, field, quad_order); A defaults to its stiffness matrix.
     """
     d = mesh.dim
-    dof = dofmap or DofMap(mesh)
+    ctx = _problem_context(mesh, field, quad_order, context)
+    dof = ctx.dofmap
     if nonobtuse is None:
-        if A is None:
-            A = assemble_stiffness(mesh, field, quad_order, dof)
-        nonobtuse = is_nonobtuse_wrt(mesh, field, A)
-    Dk = element_averages(field, mesh, quad_order)
-    norms = _alignment_norms(mesh, Dk)
-    patches = patches or build_patches(mesh)
+        nonobtuse = is_nonobtuse_wrt(mesh, field, ctx.A if A is None else A)
+    norms = _alignment_norms(ctx)
+    patches = ctx.patches
 
     per_node = _patch_average(mesh, patches, norms)
     free_vals = per_node[dof.free]
@@ -459,7 +452,7 @@ def geometric_bound(mesh, field, lumped=False, quad_order=4, nonobtuse=None,
     cst = c_star(d, lumped, nonobtuse)
     value = cst * c_sharp(d) * float(free_vals[j])
 
-    h = mesh_quality_summary(mesh, InverseOf(field), quad_order).h_global
+    h = ctx.inverse.quality.h_global
     qd_per_node = _patch_average(mesh, patches, h * h * norms)
     value_qd = cst * c_sharp(d) / (h * h) * float(qd_per_node[dof.free].max())
 
@@ -468,30 +461,28 @@ def geometric_bound(mesh, field, lumped=False, quad_order=4, nonobtuse=None,
 
 
 def muniform_bound(mesh, metric, field, lumped=False, quad_order=4,
-                   nonobtuse=None, patches=None, dofmap=None, A=None):
+                   nonobtuse=None, A=None, context=None):
     """Metric-matching upper bound on lambda_max.
 
     lambda_max <= C* C# h_M^-2 max over free i of
     sum_{K in omega_i} (|K|/|omega_i|) ||M_K D_K||_2 (spectral radius of
     the product, via the Cholesky similarity L^T D L).  Valid as an upper
     bound when the mesh is uniform for the metric M; max_q_m is reported
-    as the validity indicator.
+    as the validity indicator.  `context` is an optional `ProblemContext`
+    of (mesh, field, quad_order).
     """
     d = mesh.dim
-    dof = dofmap or DofMap(mesh)
+    ctx = _problem_context(mesh, field, quad_order, context)
+    dof = ctx.dofmap
     if nonobtuse is None:
-        if A is None:
-            A = assemble_stiffness(mesh, field, quad_order, dof)
-        nonobtuse = is_nonobtuse_wrt(mesh, field, A)
-    Mk = element_averages(metric, mesh, quad_order)
-    Dk = element_averages(field, mesh, quad_order)
-    L = np.linalg.cholesky(Mk)
-    B = np.swapaxes(L, 1, 2) @ Dk @ L
+        nonobtuse = is_nonobtuse_wrt(mesh, field, ctx.A if A is None else A)
+    metric_ctx = _problem_context(mesh, metric, quad_order)
+    L = np.linalg.cholesky(metric_ctx.Dk)
+    B = np.swapaxes(L, 1, 2) @ ctx.Dk @ L
     prod_norm = np.linalg.eigvalsh(0.5 * (B + np.swapaxes(B, 1, 2)))[:, -1]
 
-    summary = mesh_quality_summary(mesh, metric, quad_order)
-    patches = patches or build_patches(mesh)
-    per_node = _patch_average(mesh, patches, prod_norm)
+    summary = metric_ctx.quality
+    per_node = _patch_average(mesh, ctx.patches, prod_norm)
     free_vals = per_node[dof.free]
     j = int(np.argmax(free_vals))
     cst = c_star(d, lumped, nonobtuse)
@@ -554,36 +545,42 @@ def _volume_ratio_c1(mesh, mode="face"):
         return float(np.max(vmax[ok] / vmin[ok]))
     if mode != "face":
         raise ValueError(f"unknown neighbor mode {mode!r}")
-    faces = {}
-    c1 = 1.0
+    # face i of element k, as a sorted vertex tuple, is row k*d1 + i; a
+    # stable sort groups equal faces in element order, and the 2nd, 4th, ...
+    # element of a group is paired with the one before it
     d1 = mesh.dim + 1
-    for k, el in enumerate(mesh.elements):
-        for i in range(d1):
-            key = tuple(sorted(np.delete(el, i)))
-            other = faces.pop(key, None)
-            if other is None:
-                faces[key] = k
-            else:
-                r = vols[k] / vols[other]
-                c1 = max(c1, r, 1.0 / r)
-    return float(c1)
+    el = np.sort(mesh.elements, axis=1)
+    faces = np.stack([np.delete(el, i, axis=1) for i in range(d1)],
+                     axis=1).reshape(-1, d1 - 1)
+    order = np.lexsort(faces.T[::-1])
+    sorted_faces = faces[order]
+    pos = np.arange(len(order))
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = (sorted_faces[1:] != sorted_faces[:-1]).any(axis=1)
+    rank = pos - np.maximum.accumulate(np.where(new, pos, 0))
+    second = np.flatnonzero(rank % 2 == 1)
+    if not len(second):
+        return 1.0
+    r = vols[order[second] // d1] / vols[order[second - 1] // d1]
+    return float(max(1.0, r.max(), (1.0 / r).max()))
 
 
-def zhu_du_bound(mesh, field, patches=None, quad_order=4,
-                 neighbor_mode="face"):
+def zhu_du_bound(mesh, field, quad_order=4, neighbor_mode="face",
+                 context=None):
     """Face-volume bracket for the full-mass pencil (d >= 2).
 
     Z_K = ((d+1)/d^2) sum_i |V_i|^2 / |K|^2 over the faces of K;
     upper = (d+2) max_K lmax(D_K) Z_K and
     lower = max_K lmin(D_K) Z_K / (d (1 + c1 p_max (d+2))), where c1 is
     the largest neighbor volume ratio and p_max the largest patch count.
+    `context` is an optional `ProblemContext` of (mesh, field, quad_order).
     """
     d = mesh.dim
     if d < 2:
         raise ValueError("the face-volume bracket is defined for d >= 2")
-    patches = patches or build_patches(mesh)
-    Dk = element_averages(field, mesh, quad_order)
-    ev = np.linalg.eigvalsh(Dk)
+    ctx = _problem_context(mesh, field, quad_order, context)
+    patches = ctx.patches
+    ev = np.linalg.eigvalsh(ctx.Dk)
     vols = mesh.volumes()
     zk = ((d + 1) / d ** 2) * _face_volumes_sq(mesh).sum(axis=1) / vols ** 2
 
@@ -597,7 +594,7 @@ def zhu_du_bound(mesh, field, patches=None, quad_order=4,
                       p_max=patches.p_max, argmax_element=k_up)
 
 
-def shewchuk_bound(mesh, field, m_lump=None, patches=None, quad_order=4):
+def shewchuk_bound(mesh, field, m_lump=None, quad_order=4, context=None):
     """Lumped-mass face bracket (d >= 2).
 
     S_K = (1/d^2) sum over vertices i of K of
@@ -607,12 +604,14 @@ def shewchuk_bound(mesh, field, m_lump=None, patches=None, quad_order=4):
 
     `m_lump` supplies the lumped diagonal over the free nodes (any
     lumping convention); entries at Dirichlet vertices always use the
-    geometric patch sums sum |K|/(d+1).
+    geometric patch sums sum |K|/(d+1).  `context` is an optional
+    `ProblemContext` of (mesh, field, quad_order).
     """
     d = mesh.dim
     if d < 2:
         raise ValueError("the lumped face bracket is defined for d >= 2")
-    patches = patches or build_patches(mesh)
+    ctx = _problem_context(mesh, field, quad_order, context)
+    patches = ctx.patches
     vols = mesh.volumes()
     d1 = d + 1
 
@@ -624,7 +623,7 @@ def shewchuk_bound(mesh, field, m_lump=None, patches=None, quad_order=4):
         if len(vec) == mesh.num_nodes:
             mfull = np.asarray(vec, dtype=float)
         else:
-            dof = DofMap(mesh)
+            dof = ctx.dofmap
             if len(vec) != dof.n_free:
                 raise ValueError("lumped diagonal has wrong length")
             mfull = mfull.copy()
@@ -632,7 +631,7 @@ def shewchuk_bound(mesh, field, m_lump=None, patches=None, quad_order=4):
     if (mfull <= 0.0).any():
         raise ValueError("nonpositive lumped mass entry")
 
-    Dk = element_averages(field, mesh, quad_order)
+    Dk = ctx.Dk
     W = np.linalg.inv(Dk)
     vol_dinv_sq = vols ** 2 / np.linalg.det(Dk)
     faces_sq = _face_volumes_sq(mesh, weight=W)
@@ -709,18 +708,20 @@ def _mass_tilde(mesh, mass_kind, dof, M):
 def stability_report(mesh, field, mass_kind="full", s=1, quad_order=4,
                      method="exact", lanczos_steps=5, seed=2, security=1.1,
                      include=("diag", "geo", "zhudu", "shewchuk"),
-                     mesh_id=""):
+                     mesh_id="", context=None):
     """Assemble, solve and bound one configuration; returns StabilityReport.
 
     `mass_kind` selects the surrogate mass: "full", "lumped" (full-space
     row sums) or "lumped_rowsum" (row sums of the eliminated mass matrix).
     `method` selects the eigenvalue computation: exact (the certified
     sparse solve; "dense" is accepted as an alias), lanczos or power.
+    `context`, a `ProblemContext` of (mesh, field, quad_order), lets
+    several reports on one problem share its averages and operators; by
+    default the report builds its own.
     """
-    dof = DofMap(mesh)
-    M = assemble_mass(mesh, dof)
-    A = assemble_stiffness(mesh, field, quad_order, dof)
-    Mt = _mass_tilde(mesh, mass_kind, dof, M)
+    ctx = _problem_context(mesh, field, quad_order, context)
+    dof, A = ctx.dofmap, ctx.A
+    Mt = _mass_tilde(mesh, mass_kind, dof, ctx.M)
     lumped = mass_kind != "full"
 
     nonobtuse = is_nonobtuse_wrt(mesh, field, A)
@@ -739,21 +740,20 @@ def stability_report(mesh, field, mass_kind="full", s=1, quad_order=4,
     diag = diag_ratio_bound(Mt, A, cst)
     taus = tau_values(est, s, cst, diag.min_ratio)
 
-    patches = build_patches(mesh)
     lam_geo = None
     if "geo" in include:
         lam_geo = geometric_bound(mesh, field, lumped=lumped,
                                   quad_order=quad_order, nonobtuse=nonobtuse,
-                                  patches=patches, dofmap=dof).value
+                                  context=ctx).value
     zd_lo = zd_up = None
     if "zhudu" in include and mesh.dim >= 2:
-        zd = zhu_du_bound(mesh, field, patches=patches, quad_order=quad_order)
+        zd = zhu_du_bound(mesh, field, quad_order=quad_order, context=ctx)
         zd_lo, zd_up = zd.lower, zd.upper
     sh_lo = sh_up = None
     if "shewchuk" in include and mesh.dim >= 2:
         m_arg = Mt if lumped else None
-        sh = shewchuk_bound(mesh, field, m_lump=m_arg, patches=patches,
-                            quad_order=quad_order)
+        sh = shewchuk_bound(mesh, field, m_lump=m_arg, quad_order=quad_order,
+                            context=ctx)
         sh_lo, sh_up = sh.lower, sh.upper
 
     return StabilityReport(

@@ -19,11 +19,10 @@ import numpy as np
 from .mesh import (SimplicialMesh, gen_equidistributed_1d, gen_structured_2d,
                    gen_structured_3d, gen_uniform_1d, load_mesh, save_mesh,
                    DIRICHLET)
-from .fields import InverseOf, identity, parse_field_spec, adapted_weight
-from .assembly import DofMap, assemble_mass, assemble_stiffness
+from .fields import identity, parse_field_spec, adapted_weight
+from .assembly import ProblemContext
 from .bounds import (max_eigvec_exact, stability_report, write_report_csv,
                      _mass_tilde)
-from .quality import mesh_quality_summary
 from .chebyshev import ChebyshevScheme, integrate
 from .experiments import (gen_groundwater_like, gen_metric_aligned,
                           run_experiment_file)
@@ -181,16 +180,17 @@ def cmd_analyze(args):
         method = "lanczos"
     mass_kind = args.mass.replace("-", "_")
 
+    ctx = ProblemContext(mesh, field, args.quad_order)
     report = stability_report(
         mesh, field, mass_kind=mass_kind, s=args.stages,
         quad_order=args.quad_order, method=method,
         lanczos_steps=args.lanczos if args.lanczos is not None else 5,
         seed=args.seed, security=args.security,
-        include=tuple(args.bounds.split(",")), mesh_id=mesh_id)
+        include=tuple(args.bounds.split(",")), mesh_id=mesh_id, context=ctx)
 
     payload = asdict(report)
-    quality = mesh_quality_summary(mesh, InverseOf(field),
-                                   quad_order=args.quad_order)
+    # the quality of the mesh in the metric D^-1, from the report's averages
+    quality = ctx.inverse.quality
     payload["quality"] = {
         "h_global": quality.h_global,
         "max_q_eq": quality.max_q_eq,
@@ -224,9 +224,8 @@ def cmd_integrate(args):
     field = _resolve_field(args, mesh, builtin_field)
     mass_kind = args.mass.replace("-", "_")
 
-    dof = DofMap(mesh)
-    M = assemble_mass(mesh, dof)
-    A = assemble_stiffness(mesh, field, args.quad_order, dof)
+    ctx = ProblemContext(mesh, field, args.quad_order)
+    dof, M, A = ctx.dofmap, ctx.M, ctx.A
     Mt = _mass_tilde(mesh, mass_kind, dof, M)
     scheme = ChebyshevScheme(args.stages, damping=args.damping,
                              mass_kind=mass_kind)

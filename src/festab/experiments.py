@@ -41,6 +41,7 @@ from .mesh import (DIRICHLET, NEUMANN, SimplicialMesh, gen_equidistributed_1d,
                    gen_structured_2d, gen_uniform_1d, load_mesh)
 from .fields import (PiecewiseConstantPerElement, adapted_weight, aniso2d,
                      identity, nonper1d, per1d)
+from .assembly import ProblemContext
 from .bounds import stability_report
 
 FAMILIES = ("per1d", "nonper1d", "zd2d", "groundwater_like", "aniso2d")
@@ -328,11 +329,14 @@ def run_experiment(spec):
             warnings.warn(f"{spec.name}: skipping missing mesh {mesh_id}")
             rows.append(_skip_row(mesh_id, "missing mesh file"))
             continue
+        # one context per mesh: the mass kinds share averages and operators
+        ctx = ProblemContext(mesh, diffusion, spec.quad_order)
         for kind in spec.mass_kinds():
             report = stability_report(mesh, diffusion, mass_kind=kind,
                                       s=spec.stages,
                                       quad_order=spec.quad_order,
-                                      include=spec.bounds, mesh_id=mesh_id)
+                                      include=spec.bounds, mesh_id=mesh_id,
+                                      context=ctx)
             row = TableRow.from_report(report)
             r = row.ratio["diag"]
             if not (1.0 - 1e-9 <= r <= report.c_star + 1e-9):

@@ -20,11 +20,15 @@ class TensorField:
 
     #: spatial dimension, or None when the field works in any dimension
     dim = None
-    #: True when evaluation is keyed by element region tag, not by point
-    elementwise = False
 
     def __call__(self, x):
         raise NotImplementedError
+
+    def element_values(self, region_tags):
+        """(ne, d, d) matrices of a field that is constant on each element,
+        given the elements' region tags; None when the field varies inside
+        elements and its averages need quadrature."""
+        return None
 
     def name(self):
         return type(self).__name__
@@ -79,6 +83,10 @@ class Constant(TensorField):
         x = _as_points(x, self.dim)
         return np.broadcast_to(self.matrix, (len(x),) + self.matrix.shape).copy()
 
+    def element_values(self, region_tags):
+        return np.broadcast_to(
+            self.matrix, (len(region_tags),) + self.matrix.shape).copy()
+
     def name(self):
         return f"constant({self.dim}d)"
 
@@ -116,11 +124,9 @@ class Analytic(TensorField):
 class PiecewiseConstantPerElement(TensorField):
     """Constant matrix per element region tag.
 
-    Evaluated through `matrix_for(tag)`; point evaluation is undefined and
-    the averaging routines special-case this variant.
+    Evaluated through `matrix_for(tag)` or `element_values(tags)`; point
+    evaluation is undefined.
     """
-
-    elementwise = True
 
     def __init__(self, table, dim=None):
         self.table = {}
@@ -146,6 +152,12 @@ class PiecewiseConstantPerElement(TensorField):
         except KeyError:
             raise ValueError(f"no matrix for region tag {tag}") from None
 
+    def element_values(self, region_tags):
+        out = np.empty((len(region_tags), self.dim, self.dim))
+        for tag in np.unique(region_tags):
+            out[region_tags == tag] = self.matrix_for(tag)
+        return out
+
     def __call__(self, x):
         raise ValueError("piecewise-per-element field has no pointwise value; "
                          "use matrix_for(region_tag)")
@@ -160,13 +172,13 @@ class InverseOf(TensorField):
     def __init__(self, inner):
         self.inner = inner
         self.dim = inner.dim
-        self.elementwise = inner.elementwise
 
     def __call__(self, x):
         return np.linalg.inv(self.inner(x))
 
-    def matrix_for(self, tag):
-        return np.linalg.inv(self.inner.matrix_for(tag))
+    def element_values(self, region_tags):
+        inner = self.inner.element_values(region_tags)
+        return None if inner is None else np.linalg.inv(inner)
 
     def name(self):
         return f"inv({self.inner.name()})"

@@ -111,40 +111,41 @@ def conical_product_rule(d, n):
 # Tensor field averaging
 
 
-def element_averages(field, mesh, quad_order=4):
+def element_averages(field, mesh, quad_order=4, with_inverse=False):
     """(ne, d, d) array of per-element averages of an SPD field.
 
-    Exact for constant and per-region fields; otherwise the fixed
-    quadrature rule of the requested order is applied on each element.
-    SPD-ness is checked at every evaluation point.
+    Exact, with no quadrature, for fields constant on each element
+    (constant, per-region and their inverses); otherwise the fixed
+    quadrature rule of the requested order is applied on each element and
+    SPD-ness is checked at every evaluation point.  With `with_inverse`,
+    returns (averages of D, averages of the pointwise inverse D^-1), both
+    from the same evaluation.
     """
     d = mesh.dim
     ne = mesh.num_elements
     if field.dim is not None and field.dim != d:
         raise ValueError(f"field dimension {field.dim} does not match "
                          f"mesh dimension {d}")
-    if field.elementwise:
-        out = np.empty((ne, d, d))
-        tags = mesh.region_tags
-        for tag in np.unique(tags):
-            out[tags == tag] = field.matrix_for(tag)
-        return out
     pts, wts = simplex_rule(d, quad_order)
+    avg = field.element_values(mesh.region_tags)
+    if avg is not None:
+        return (avg, np.linalg.inv(avg)) if with_inverse else avg
     E = mesh.element_matrices()
     x0 = mesh.nodes[mesh.elements[:, 0]]
     # physical quadrature points: x0 + E xi for each rule point xi
     X = x0[:, None, :] + np.einsum("nij,qj->nqi", E, pts)
     vals = field(X.reshape(-1, d)).reshape(ne, len(wts), d, d)
     check_spd(vals.reshape(-1, d, d), context=f"field {field.name()}")
-    return np.einsum("q,nqij->nij", wts, vals)
+    avg = np.einsum("q,nqij->nij", wts, vals)
+    if not with_inverse:
+        return avg
+    return avg, np.einsum("q,nqij->nij", wts, np.linalg.inv(vals))
 
 
 def average_tensor(field, mesh, k, quad_order=4):
     """Average of the field over element k (see `element_averages`)."""
     if not 0 <= k < mesh.num_elements:
         raise ValueError(f"element id {k} out of range")
-    if field.elementwise:
-        return field.matrix_for(mesh.region_tags[k]).copy()
     sub = _single_element_view(mesh, k)
     return element_averages(field, sub, quad_order)[0]
 
@@ -220,16 +221,23 @@ class MeshQualitySummary:
         return [self.element(k) for k in range(len(self.q_m))]
 
 
-def _metric_geometry(mesh, metric_elems):
+def _reference_map_inverses(mesh):
+    """(ne, d, d) inverses F'^-1 of the maps from the regular unit-volume
+    reference simplex onto each element."""
+    Fp = mesh.element_matrices() @ np.linalg.inv(
+        reference_edge_matrix(mesh.dim))
+    return np.linalg.inv(Fp)
+
+
+def _metric_geometry(mesh, metric_elems, Finv=None):
     """Per-element |K|_M, reference-map alignment norms and rho_{K,M}."""
     d = mesh.dim
-    E = mesh.element_matrices()
     vols = mesh.volumes()
     det_m = np.linalg.det(metric_elems)
     vol_metric = vols * np.sqrt(det_m)
 
-    Fp = E @ np.linalg.inv(reference_edge_matrix(d))
-    Finv = np.linalg.inv(Fp)
+    if Finv is None:
+        Finv = _reference_map_inverses(mesh)
     Minv = np.linalg.inv(metric_elems)
     S = Finv @ Minv @ np.swapaxes(Finv, 1, 2)
     norm_fdf = np.linalg.eigvalsh(0.5 * (S + np.swapaxes(S, 1, 2)))[:, -1]
@@ -250,10 +258,19 @@ def _metric_geometry(mesh, metric_elems):
     return vol_metric, norm_fdf, rho
 
 
-def mesh_quality_summary(mesh, metric, quad_order=4):
-    """Aggregate quality measures of a mesh under a metric field."""
-    metric_elems = element_averages(metric, mesh, quad_order)
-    vol_metric, norm_fdf, rho = _metric_geometry(mesh, metric_elems)
+def mesh_quality_summary(mesh, metric, quad_order=4, context=None):
+    """Aggregate quality measures of a mesh under a metric field.
+
+    `context`, a `ProblemContext` built for (mesh, metric, quad_order),
+    supplies the metric averages and reference maps it already holds.
+    """
+    if context is None:
+        metric_elems = element_averages(metric, mesh, quad_order)
+        Finv = None
+    else:
+        context.check(mesh, metric, quad_order)
+        metric_elems, Finv = context.Dk, context.reference_map_inverses
+    vol_metric, norm_fdf, rho = _metric_geometry(mesh, metric_elems, Finv)
     d = mesh.dim
     ne = mesh.num_elements
 

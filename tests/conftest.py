@@ -93,6 +93,36 @@ def dense_lambda_max(Mt, A):
     return float(dense_pencil_eigvals(Mt, A)[-1])
 
 
+def volume_ratio_c1_oracle(mesh, mode="face"):
+    """Oracle: largest neighbor volume ratio by a dict over the faces,
+    pairing elements in element order (the loop the vectorized
+    `_volume_ratio_c1` replaced)."""
+    vols = mesh.volumes()
+    if mode == "vertex":
+        flat = mesh.elements.ravel()
+        d1 = mesh.dim + 1
+        rep = np.repeat(vols, d1)
+        vmax = np.full(mesh.num_nodes, -np.inf)
+        vmin = np.full(mesh.num_nodes, np.inf)
+        np.maximum.at(vmax, flat, rep)
+        np.minimum.at(vmin, flat, rep)
+        ok = np.isfinite(vmax)
+        return float(np.max(vmax[ok] / vmin[ok]))
+    faces = {}
+    c1 = 1.0
+    d1 = mesh.dim + 1
+    for k, el in enumerate(mesh.elements):
+        for i in range(d1):
+            key = tuple(sorted(np.delete(el, i)))
+            other = faces.pop(key, None)
+            if other is None:
+                faces[key] = k
+            else:
+                r = vols[k] / vols[other]
+                c1 = max(c1, r, 1.0 / r)
+    return float(c1)
+
+
 def fields_for_dim(d):
     """Identity plus the dimension-matched benchmark fields."""
     if d == 1:

@@ -5,11 +5,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import festab as fs
 from festab import bounds as bounds_mod
 from conftest import (equilateral_lattice, jittered_mesh_2d,
-                      jittered_mesh_3d, two_triangle_square)
+                      jittered_mesh_3d, two_triangle_square,
+                      volume_ratio_c1_oracle)
 
 
 def pencil_max(Mt, A):
@@ -452,9 +454,109 @@ def test_lumped_face_bracket_guards():
         fs.shewchuk_bound(fs.gen_uniform_1d(4), fs.identity(1))
 
 
+def _one_dirichlet(n_nodes):
+    """Markers with node 0 Dirichlet and every other node Neumann."""
+    markers = np.full(n_nodes, fs.NEUMANN)
+    markers[0] = fs.DIRICHLET
+    return markers
+
+
+@st.composite
+def neighbor_meshes(draw):
+    """Jittered or graded 2D/3D grid with its elements in a random order."""
+    dim = draw(st.sampled_from([2, 3]))
+    cells = draw(st.integers(*{2: (2, 12), 3: (2, 4)}[dim]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if dim == 2:
+        base = fs.gen_structured_2d(
+            cells, cells + draw(st.integers(0, 3)),
+            diagonal=draw(st.sampled_from(["right", "left", "alternating"])))
+    else:
+        base = fs.gen_structured_3d(cells, cells, cells)
+    nodes = base.nodes.copy()
+    if draw(st.sampled_from(["jittered", "graded"])) == "jittered":
+        free = base.node_markers != fs.DIRICHLET
+        nodes[free] += draw(st.floats(0.0, 0.3)) / cells * rng.uniform(
+            -1.0, 1.0, (int(free.sum()), dim))
+    else:
+        nodes = nodes ** draw(st.floats(1.0, 3.0))
+    elements = base.elements[rng.permutation(base.num_elements)]
+    return fs.SimplicialMesh(nodes, elements, _one_dirichlet(len(nodes)))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(neighbor_meshes())
+def test_volume_ratio_c1_matches_dict_oracle(mesh):
+    for mode in ("face", "vertex"):
+        assert bounds_mod._volume_ratio_c1(mesh, mode) \
+            == volume_ratio_c1_oracle(mesh, mode)
+
+
+def test_volume_ratio_c1_single_element_and_known_ratio():
+    tri = fs.SimplicialMesh(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
+                            np.array([[0, 1, 2]]), _one_dirichlet(3))
+    tet = fs.SimplicialMesh(np.vstack([np.zeros(3), np.eye(3)]),
+                            np.array([[0, 1, 2, 3]]), _one_dirichlet(4))
+    for mesh in (tri, tet):
+        assert bounds_mod._volume_ratio_c1(mesh, "face") == 1.0
+        assert bounds_mod._volume_ratio_c1(mesh, "vertex") == 1.0
+    # two triangles of areas 1/2 and 3/2 across the edge x = 1
+    pair = fs.SimplicialMesh(
+        np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [4.0, 0.0]]),
+        np.array([[0, 1, 2], [1, 3, 2]]), _one_dirichlet(4))
+    assert bounds_mod._volume_ratio_c1(pair, "face") == pytest.approx(3.0)
+    # a face shared by three elements pairs the first two, as the dict did
+    fan = fs.SimplicialMesh(
+        np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [0.5, -1.0],
+                  [0.5, 4.0]]),
+        np.array([[0, 1, 2], [0, 1, 3], [0, 1, 4]]), _one_dirichlet(5))
+    assert bounds_mod._volume_ratio_c1(fan, "face") == 1.0
+    assert volume_ratio_c1_oracle(fan, "face") == 1.0
+
+
 # ---------------------------------------------------------------------------
 # reports
 # ---------------------------------------------------------------------------
+
+def _counting(field):
+    """The same field given pointwise, with a list of its evaluations."""
+    calls = []
+
+    def fn(X):
+        calls.append(len(X))
+        return field(X)
+    return fs.Analytic(fn, dim=field.dim), calls
+
+
+def test_report_evaluates_the_field_once():
+    mesh = jittered_mesh_2d(np.random.default_rng(11), 5, 5)
+    field, calls = _counting(fs.aniso2d(100.0))
+    rep = fs.stability_report(mesh, field)
+    q = len(fs.simplex_rule(2, 4)[1])
+    assert calls == [q * mesh.num_elements]
+    assert rep.lambda_geo is not None and rep.lambda_shewchuk_upper is not None
+    # the same numbers as a report on the uncounted field
+    ref = fs.stability_report(mesh, fs.aniso2d(100.0))
+    assert rep == ref
+
+
+def test_shared_context_serves_every_mass_kind():
+    mesh = jittered_mesh_2d(np.random.default_rng(12), 4, 4)
+    field, calls = _counting(fs.aniso2d(10.0))
+    ctx = fs.ProblemContext(mesh, field, 4)
+    for kind in fs.MASS_KINDS:
+        shared = fs.stability_report(mesh, field, mass_kind=kind,
+                                     context=ctx)
+        assert shared == fs.stability_report(mesh, fs.aniso2d(10.0),
+                                             mass_kind=kind)
+    assert len(calls) == 1
+    with pytest.raises(ValueError, match="context"):
+        fs.stability_report(mesh, field, quad_order=2, context=ctx)
+    with pytest.raises(ValueError, match="context"):
+        fs.geometric_bound(mesh, fs.aniso2d(10.0), context=ctx)
+
+
 
 def test_stability_report_brackets_and_fields():
     tt = two_triangle_square()

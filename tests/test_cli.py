@@ -77,6 +77,35 @@ def test_analyze_json_to_file_and_determinism(tmp_path):
         <= payload["lambda_diag_upper"]
 
 
+@pytest.mark.parametrize("args", [
+    ["--grid", "5x4", "--field", "aniso2d:kappa=100"],
+    ["--grid3d", "2x2x3"],
+    ["--groundwater", "--mass", "lumped-rowsum"],
+    ["--equi1d", "16", "--field", "per1d", "--quad-order", "2"],
+])
+def test_analyze_quality_block_is_the_inverse_metric_summary(tmp_path,
+                                                             args):
+    out = tmp_path / "report.json"
+    mesh_file = tmp_path / "mesh.txt"
+    assert main(["gen", *[a for a in args if a not in (
+        "--mass", "lumped-rowsum", "--quad-order", "2")],
+        "-o", str(mesh_file)]) == 0
+    assert main(["analyze", *args, "-o", str(out)]) == 0
+    quality = json.loads(out.read_text())["quality"]
+    mesh = fs.load_mesh(str(mesh_file))
+    if "--groundwater" in args:
+        field = fs.gen_groundwater_like()[1]
+    else:
+        spec = args[args.index("--field") + 1] if "--field" in args \
+            else "identity"
+        field = fs.parse_field_spec(spec, mesh.dim)
+    order = int(args[args.index("--quad-order") + 1]) \
+        if "--quad-order" in args else 4
+    want = fs.mesh_quality_summary(mesh, fs.InverseOf(field), order)
+    for key in ("h_global", "max_q_eq", "max_q_ali", "max_q_m"):
+        assert quality[key] == pytest.approx(getattr(want, key), rel=1e-14)
+
+
 def test_analyze_csv_format(tmp_path):
     path = tmp_path / "rep.csv"
     assert main(["analyze", "--uniform1d", "8", "--format", "csv",

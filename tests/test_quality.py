@@ -109,6 +109,78 @@ def test_element_averages_rejects_bad_order():
     mesh = fs.gen_uniform_1d(4)
     with pytest.raises(ValueError):
         fs.element_averages(fs.identity(1), mesh, quad_order=3)
+    # per-region fields need no quadrature but validate the order too
+    grid = fs.gen_structured_2d(2, 2)
+    field = fs.PiecewiseConstantPerElement({0: np.eye(2)})
+    for order in (0, 3, 5):
+        with pytest.raises(ValueError, match="quad_order"):
+            fs.element_averages(field, grid, quad_order=order)
+        with pytest.raises(ValueError, match="quad_order"):
+            fs.element_averages(fs.InverseOf(field), grid, quad_order=order)
+
+
+def _region_mesh(d):
+    """Grid on the unit interval/square/cube with region tag 1 on x > 1/2;
+    element boundaries lie on x = 1/2."""
+    mesh = {1: lambda: fs.gen_uniform_1d(4),
+            2: lambda: fs.gen_structured_2d(4, 4, diagonal="alternating"),
+            3: lambda: fs.gen_structured_3d(2, 2, 2)}[d]()
+    cent = mesh.nodes[mesh.elements].mean(axis=1)
+    tags = (cent[:, 0] > 0.5).astype(np.int64)
+    return fs.SimplicialMesh(mesh.nodes, mesh.elements, mesh.node_markers,
+                             region_tags=tags)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("order", [1, 2, 4])
+def test_exact_averages_match_quadrature_path(d, order):
+    """Constant, inverse-constant and per-region fields skip quadrature;
+    their averages equal the quadrature of the same field given
+    pointwise."""
+    mesh = _region_mesh(d)
+    rng = np.random.default_rng(d * 10 + order)
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    C0 = (q * np.geomspace(1.0, 50.0, d)) @ q.T
+    C1 = 3.0 * np.eye(d) + 0.1 * np.ones((d, d))
+
+    def pointwise(fn):
+        return fs.Analytic(lambda X: np.broadcast_to(
+            fn(X), (len(X), d, d)).copy(), dim=d)
+
+    def regions(X):
+        return np.where((X[:, 0] > 0.5)[:, None, None], C1, C0)
+
+    cases = [
+        (fs.Constant(C0), pointwise(lambda X: C0)),
+        (fs.InverseOf(fs.Constant(C0)),
+         pointwise(lambda X: np.linalg.inv(C0))),
+        (fs.PiecewiseConstantPerElement({0: C0, 1: C1}), pointwise(regions)),
+        (fs.InverseOf(fs.PiecewiseConstantPerElement({0: C0, 1: C1})),
+         pointwise(lambda X: np.linalg.inv(regions(X)))),
+    ]
+    for exact, analytic in cases:
+        assert analytic.element_values(mesh.region_tags) is None
+        want = fs.element_averages(analytic, mesh, order)
+        got = fs.element_averages(exact, mesh, order)
+        assert got.shape == (mesh.num_elements, d, d)
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+        got, got_inv = fs.element_averages(exact, mesh, order,
+                                           with_inverse=True)
+        want_inv = fs.element_averages(fs.InverseOf(analytic), mesh, order)
+        assert np.abs(got_inv - want_inv).max() \
+            <= 1e-14 * np.abs(want_inv).max()
+
+
+def test_averages_with_inverse_share_one_evaluation():
+    mesh = jittered_mesh_2d(np.random.default_rng(3))
+    field = fs.aniso2d(100.0)
+    calls = []
+    counted = fs.Analytic(lambda X: calls.append(len(X)) or field(X), dim=2)
+    Dk, Dinv = fs.element_averages(counted, mesh, 4, with_inverse=True)
+    assert len(calls) == 1
+    assert np.array_equal(Dk, fs.element_averages(field, mesh, 4))
+    assert np.array_equal(Dinv,
+                          fs.element_averages(fs.InverseOf(field), mesh, 4))
 
 
 # ---------------------------------------------------------------------------
