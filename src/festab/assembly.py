@@ -18,8 +18,8 @@ import scipy.sparse as sp
 
 from .fields import InverseOf
 from .mesh import DIRICHLET, build_patches
-from .quality import (_reference_map_inverses, element_averages,
-                      mesh_quality_summary)
+from .quality import (_inverse_averages, _reference_map_inverses,
+                      element_averages, mesh_quality_summary)
 
 
 class DofMap:
@@ -228,6 +228,7 @@ class ProblemContext:
         self.mesh = mesh
         self.field = field
         self.quad_order = quad_order
+        self._points = None
 
     def check(self, mesh, field, quad_order):
         """Self, after checking it was built for (mesh, field, quad_order)."""
@@ -246,15 +247,20 @@ class ProblemContext:
         return _reference_map_inverses(self.mesh)
 
     @cached_property
-    def _averages(self):
-        """Element averages of the field and of its pointwise inverse."""
-        return element_averages(self.field, self.mesh, self.quad_order,
-                                with_inverse=True)
-
-    @property
     def Dk(self):
         """(ne, d, d) element averages of the field."""
-        return self._averages[0]
+        Dk, self._points = element_averages(self.field, self.mesh,
+                                            self.quad_order, with_points=True)
+        return Dk
+
+    @cached_property
+    def Dinv(self):
+        """(ne, d, d) element averages of the pointwise inverse D^-1, from
+        the evaluation behind `Dk`; its point values are let go here, so a
+        context that never reads D^-1 does no inversion."""
+        Dk = self.Dk
+        points, self._points = self._points, None
+        return _inverse_averages(Dk, points)
 
     @cached_property
     def patches(self):
@@ -281,7 +287,7 @@ class ProblemContext:
         averages swap and the reference maps are shared."""
         inv = ProblemContext(self.mesh, InverseOf(self.field),
                              self.quad_order)
-        inv._averages = self._averages[::-1]
+        inv.Dk, inv.Dinv = self.Dinv, self.Dk
         inv.reference_map_inverses = self.reference_map_inverses
         return inv
 

@@ -22,8 +22,8 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 
-from .assembly import (SparseSymMatrix, _problem_context, assemble_lumped,
-                       diag_of, row_sum_lumping)
+from .assembly import (ProblemContext, SparseSymMatrix, _problem_context,
+                       assemble_lumped, diag_of, row_sum_lumping)
 from .quality import is_nonobtuse_wrt
 
 LANCZOS_MAX_STEPS = 50
@@ -461,22 +461,21 @@ def geometric_bound(mesh, field, lumped=False, quad_order=4, nonobtuse=None,
 
 
 def muniform_bound(mesh, metric, field, lumped=False, quad_order=4,
-                   nonobtuse=None, A=None, context=None):
+                   nonobtuse=None, A=None):
     """Metric-matching upper bound on lambda_max.
 
     lambda_max <= C* C# h_M^-2 max over free i of
     sum_{K in omega_i} (|K|/|omega_i|) ||M_K D_K||_2 (spectral radius of
     the product, via the Cholesky similarity L^T D L).  Valid as an upper
     bound when the mesh is uniform for the metric M; max_q_m is reported
-    as the validity indicator.  `context` is an optional `ProblemContext`
-    of (mesh, field, quad_order).
+    as the validity indicator.
     """
     d = mesh.dim
-    ctx = _problem_context(mesh, field, quad_order, context)
+    ctx = ProblemContext(mesh, field, quad_order)
     dof = ctx.dofmap
     if nonobtuse is None:
         nonobtuse = is_nonobtuse_wrt(mesh, field, ctx.A if A is None else A)
-    metric_ctx = _problem_context(mesh, metric, quad_order)
+    metric_ctx = ProblemContext(mesh, metric, quad_order)
     L = np.linalg.cholesky(metric_ctx.Dk)
     B = np.swapaxes(L, 1, 2) @ ctx.Dk @ L
     prod_norm = np.linalg.eigvalsh(0.5 * (B + np.swapaxes(B, 1, 2)))[:, -1]

@@ -111,15 +111,16 @@ def conical_product_rule(d, n):
 # Tensor field averaging
 
 
-def element_averages(field, mesh, quad_order=4, with_inverse=False):
+def element_averages(field, mesh, quad_order=4, with_points=False):
     """(ne, d, d) array of per-element averages of an SPD field.
 
     Exact, with no quadrature, for fields constant on each element
     (constant, per-region and their inverses); otherwise the fixed
     quadrature rule of the requested order is applied on each element and
-    SPD-ness is checked at every evaluation point.  With `with_inverse`,
-    returns (averages of D, averages of the pointwise inverse D^-1), both
-    from the same evaluation.
+    SPD-ness is checked at every evaluation point.  With `with_points`,
+    returns (averages, points): points is (weights, (ne, q, d, d) point
+    values), or None for fields constant on each element, and lets
+    `_inverse_averages` average D^-1 without a second evaluation.
     """
     d = mesh.dim
     ne = mesh.num_elements
@@ -129,7 +130,7 @@ def element_averages(field, mesh, quad_order=4, with_inverse=False):
     pts, wts = simplex_rule(d, quad_order)
     avg = field.element_values(mesh.region_tags)
     if avg is not None:
-        return (avg, np.linalg.inv(avg)) if with_inverse else avg
+        return (avg, None) if with_points else avg
     E = mesh.element_matrices()
     x0 = mesh.nodes[mesh.elements[:, 0]]
     # physical quadrature points: x0 + E xi for each rule point xi
@@ -137,9 +138,16 @@ def element_averages(field, mesh, quad_order=4, with_inverse=False):
     vals = field(X.reshape(-1, d)).reshape(ne, len(wts), d, d)
     check_spd(vals.reshape(-1, d, d), context=f"field {field.name()}")
     avg = np.einsum("q,nqij->nij", wts, vals)
-    if not with_inverse:
-        return avg
-    return avg, np.einsum("q,nqij->nij", wts, np.linalg.inv(vals))
+    return (avg, (wts, vals)) if with_points else avg
+
+
+def _inverse_averages(avg, points):
+    """Element averages of D^-1 from `element_averages(D, with_points)`: the
+    quadrature of the inverted point values, as `InverseOf(D)` averages."""
+    if points is None:
+        return np.linalg.inv(avg)
+    wts, vals = points
+    return np.einsum("q,nqij->nij", wts, np.linalg.inv(vals))
 
 
 def average_tensor(field, mesh, k, quad_order=4):

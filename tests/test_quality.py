@@ -164,23 +164,35 @@ def test_exact_averages_match_quadrature_path(d, order):
         got = fs.element_averages(exact, mesh, order)
         assert got.shape == (mesh.num_elements, d, d)
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
-        got, got_inv = fs.element_averages(exact, mesh, order,
-                                           with_inverse=True)
+        got_inv = fs.ProblemContext(mesh, exact, order).Dinv
         want_inv = fs.element_averages(fs.InverseOf(analytic), mesh, order)
         assert np.abs(got_inv - want_inv).max() \
             <= 1e-14 * np.abs(want_inv).max()
 
 
-def test_averages_with_inverse_share_one_evaluation():
+def test_context_inverse_average_shares_one_evaluation(monkeypatch):
+    """A context averages D and D^-1 from one field evaluation, lets the
+    point values go once D^-1 is read, and inverts none of them when only
+    the stiffness is read."""
     mesh = jittered_mesh_2d(np.random.default_rng(3))
     field = fs.aniso2d(100.0)
     calls = []
     counted = fs.Analytic(lambda X: calls.append(len(X)) or field(X), dim=2)
-    Dk, Dinv = fs.element_averages(counted, mesh, 4, with_inverse=True)
-    assert len(calls) == 1
-    assert np.array_equal(Dk, fs.element_averages(field, mesh, 4))
-    assert np.array_equal(Dinv,
+    ctx = fs.ProblemContext(mesh, counted, 4)
+    assert np.array_equal(ctx.Dk, fs.element_averages(field, mesh, 4))
+    assert np.array_equal(ctx.Dinv,
                           fs.element_averages(fs.InverseOf(field), mesh, 4))
+    assert ctx._points is None
+    assert np.array_equal(ctx.inverse.Dk, ctx.Dinv)
+    assert np.array_equal(ctx.inverse.Dinv, ctx.Dk)
+    assert len(calls) == 1
+
+    inverted = []
+    real_inv = np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv",
+                        lambda a: inverted.append(a.ndim) or real_inv(a))
+    fs.ProblemContext(mesh, field, 4).A
+    assert inverted and 4 not in inverted
 
 
 # ---------------------------------------------------------------------------
