@@ -8,8 +8,6 @@ families: per1d, nonper1d, aniso2d, identity, constant, piecewise.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 SPD_RTOL = 1e-14
@@ -305,11 +303,16 @@ def parse_field_spec(spec, dim=None):
 
 
 def adapted_weight(field):
-    """1D equidistribution weight w = D^{-1/2} for diffusion-matched meshes."""
+    """1D equidistribution weight w = D^{-1/2} for diffusion-matched meshes.
+
+    ``w`` is vectorized: an array of points gives an array of weights of
+    the same shape, a float gives a float.
+    """
     if field.dim not in (None, 1):
         raise ValueError("adapted_weight applies to 1D fields")
 
     def w(x):
-        val = field(np.array([[float(x)]]))[0, 0, 0]
-        return 1.0 / math.sqrt(val)
+        x = np.asarray(x, dtype=float)
+        vals = 1.0 / np.sqrt(field(x.reshape(-1, 1))[:, 0, 0])
+        return float(vals[0]) if x.ndim == 0 else vals.reshape(x.shape)
     return w

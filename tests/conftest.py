@@ -1,8 +1,12 @@
 """Shared mesh builders and case lists for the test suite."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from scipy.integrate import IntegrationWarning, quad
+from scipy.optimize import brentq
 
 import festab as fs
 
@@ -121,6 +125,40 @@ def volume_ratio_c1_oracle(mesh, mode="face"):
                 r = vols[k] / vols[other]
                 c1 = max(c1, r, 1.0 / r)
     return float(c1)
+
+
+def equidistributed_1d_oracle(n, w):
+    """Oracle: nodes of the 1D mesh equidistributing the scalar weight w, by
+    one adaptive `quad` per fine cell and one `brentq` per node (the
+    scalar generator the vectorized `gen_equidistributed_1d` replaced)."""
+    m = max(1024, 4 * n)
+    grid = np.arange(m + 1) / m
+    cell = np.empty(m)
+    nodes = np.empty(n + 1)
+    nodes[0], nodes[-1] = 0.0, 1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IntegrationWarning)
+        for j in range(m):
+            cell[j], _ = quad(w, grid[j], grid[j + 1], limit=200)
+        cum = np.concatenate(([0.0], np.cumsum(cell)))
+        for i in range(1, n):
+            t = cum[-1] * i / n
+            j = min(max(int(np.searchsorted(cum, t, side="right")) - 1, 0),
+                    m - 1)
+            lo, hi = grid[j], grid[j + 1]
+
+            def g(x, _j=j, _t=t, _lo=lo):
+                return cum[_j] + quad(w, _lo, x, limit=200)[0] - _t
+
+            glo, ghi = g(lo), g(hi)
+            if glo >= 0.0:
+                nodes[i] = lo
+            elif ghi <= 0.0:
+                nodes[i] = hi
+            else:
+                nodes[i] = brentq(g, lo, hi, xtol=1e-14,
+                                  rtol=4.0 * np.finfo(float).eps)
+    return nodes
 
 
 def fields_for_dim(d):

@@ -1,6 +1,10 @@
 """Command-line interface: subcommands, exit codes and output formats."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -235,6 +239,20 @@ def test_experiment_bad_spec(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 # global behaviour
 # ---------------------------------------------------------------------------
+
+def test_import_leaves_out_scipy_integrate_and_optimize():
+    # The cold import is part of every CLI call's cost; neither package is
+    # needed since 1D equidistribution evaluates its weight in batches.
+    code = ("import sys, festab, festab.cli\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.startswith(('scipy.integrate', "
+            "'scipy.optimize'))))")
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(fs.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
+
 
 def test_no_command_is_usage_error(capsys):
     assert main([]) == 1

@@ -72,6 +72,15 @@ def test_adapted_weight_inverse_root():
         fs.adapted_weight(fs.aniso2d(10.0))
 
 
+def test_adapted_weight_float_and_array_agree():
+    w = fs.adapted_weight(fs.nonper1d(0.125))
+    xs = np.linspace(0.0, 1.0, 37)
+    scalars = [w(float(x)) for x in xs]
+    assert all(type(v) is float for v in scalars)
+    np.testing.assert_allclose(w(xs), scalars, rtol=1e-15, atol=0.0)
+    assert w(xs.reshape(37, 1)).shape == (37, 1)
+
+
 def test_piecewise_field_and_loader(tmp_path):
     field = fs.PiecewiseConstantPerElement(
         {0: np.eye(2), 1: np.array([[2.0, 0.5], [0.5, 1.0]])}, dim=2)

@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import festab as fs
 from scipy.integrate import quad
+from conftest import equidistributed_1d_oracle
 
 
 # ---------------------------------------------------------------------------
@@ -171,6 +173,20 @@ def test_equidistributed_linear_weight_closed_form():
                                              abs=1e-12)
 
 
+@pytest.mark.parametrize("n", [7, 64])
+def test_equidistributed_kinked_weight_closed_form(n):
+    # The kink of w = 0.1 + |x - 0.3| lies inside a fine cell, which is
+    # bisected down to the quadrature tolerance; the integral of w is
+    # F(x) = 0.1 x + (x - 0.3) |x - 0.3| / 2.
+    def integral(x):
+        return 0.1 * x + 0.5 * (x - 0.3) * np.abs(x - 0.3)
+    xs = fs.gen_equidistributed_1d(
+        n, lambda x: 0.1 + np.abs(x - 0.3)).nodes[:, 0]
+    total = integral(1.0) - integral(0.0)
+    owed = total * np.arange(n + 1) / n
+    assert np.abs(integral(xs) - integral(0.0) - owed).max() <= 1e-13 * total
+
+
 def test_equidistributed_cells_carry_equal_weight():
     w = fs.adapted_weight(fs.per1d())
     mesh = fs.gen_equidistributed_1d(48, w)
@@ -185,6 +201,54 @@ def test_equidistributed_rejects_bad_weight():
         fs.gen_equidistributed_1d(8, lambda x: x - 0.5)
     with pytest.raises(ValueError):
         fs.gen_equidistributed_1d(1, lambda x: 1.0)
+    # Negative only on a dip narrower than a fine cell: w(0.5105) = -0.2.
+    with pytest.raises(ValueError, match="positive"):
+        fs.gen_equidistributed_1d(
+            8, lambda x: 1.0 - 1.2 * np.exp(-((x - 0.5105) / 2e-4) ** 2))
+    with pytest.raises(ValueError, match="positive"):
+        fs.gen_equidistributed_1d(8, lambda x: np.where(x > 0.7, np.inf, 1.0))
+    with pytest.raises(ValueError, match="must accept an array"):
+        fs.gen_equidistributed_1d(8, lambda x: math.exp(x))
+    with pytest.raises(ValueError, match="must accept an array"):
+        fs.gen_equidistributed_1d(8, lambda x: np.ones(3))
+    noise = np.random.default_rng(0)
+    with pytest.raises(ValueError, match="did not converge"):
+        fs.gen_equidistributed_1d(
+            8, lambda x: 1.0 + 1e-9 * noise.random(np.shape(x)))
+
+
+def _nonper1d_scalar(eps):
+    def w(x):
+        phase = math.tan((1.0 - eps) * math.pi * x / 2.0)
+        return math.sqrt(2.0 - math.sin(2.0 * math.pi * phase))
+    return w
+
+
+# (vectorized weight for the generator, scalar `math` weight for the oracle)
+_EQUI_WEIGHTS = {
+    "per1d": lambda eps: (
+        fs.adapted_weight(fs.per1d(eps)),
+        lambda x: math.sqrt(2.0 - math.sin(2.0 * math.pi * x / eps))),
+    "nonper1d": lambda eps: (
+        fs.adapted_weight(fs.nonper1d(eps)), _nonper1d_scalar(eps)),
+    "exp3": lambda eps: (lambda x: np.exp(3.0 * x),
+                         lambda x: math.exp(3.0 * x)),
+}
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(kind=st.sampled_from(sorted(_EQUI_WEIGHTS)),
+       eps=st.sampled_from([0.25, 0.125, 0.0625]),
+       n=st.integers(2, 1024))
+def test_equidistributed_matches_scalar_oracle(kind, eps, n):
+    weight, scalar = _EQUI_WEIGHTS[kind](eps)
+    xs = fs.gen_equidistributed_1d(n, weight).nodes[:, 0]
+    assert np.abs(xs - equidistributed_1d_oracle(n, scalar)).max() <= 1e-13
+    assert (np.diff(xs) > 0.0).all()
+    cells = np.array([quad(scalar, xs[i], xs[i + 1], epsabs=0.0,
+                           epsrel=1e-13, limit=200)[0] for i in range(n)])
+    mean = cells.sum() / n
+    assert np.abs(cells - mean).max() <= 1e-12 * mean
 
 
 # ---------------------------------------------------------------------------
