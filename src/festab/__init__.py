@@ -7,23 +7,22 @@ metric-uniform, element-patch estimates), mesh-quality measures in a metric,
 and a Chebyshev-stabilized explicit integrator with decay monitoring.
 """
 
-from .mesh import (INTERIOR, DIRICHLET, NEUMANN, SimplicialMesh, AffineMap,
-                   affine_map, PatchIndex, build_patches, save_mesh,
-                   load_mesh, gen_uniform_1d, gen_equidistributed_1d,
-                   gen_structured_2d, gen_structured_3d, reference_simplex,
+from .mesh import (INTERIOR, DIRICHLET, NEUMANN, SimplicialMesh, PatchIndex,
+                   build_patches, save_mesh, load_mesh, gen_uniform_1d,
+                   gen_equidistributed_1d, gen_structured_2d,
+                   gen_structured_3d, reference_simplex,
                    reference_edge_matrix, reference_diameter)
 from .fields import (TensorField, Constant, Analytic,
                      PiecewiseConstantPerElement, InverseOf, identity,
                      per1d, nonper1d, aniso2d, load_piecewise,
                      parse_field_spec, adapted_weight, check_spd)
 from .quality import (simplex_rule, conical_product_rule, element_averages,
-                      average_tensor, ElementQuality, MeshQualitySummary,
-                      mesh_quality_summary, element_quality,
-                      inscribed_diameter_metric, is_nonobtuse_wrt,
+                      ElementQuality, MeshQualitySummary,
+                      mesh_quality_summary, is_nonobtuse_wrt,
                       export_quality_csv)
-from .assembly import (DofMap, ProblemContext, SparseSymMatrix, assemble_mass,
+from .assembly import (DofMap, ProblemContext, assemble_mass,
                        assemble_lumped, row_sum_lumping, assemble_stiffness,
-                       export_matrix_market, diag_of)
+                       export_matrix_market)
 from .bounds import (c_grad, c_sharp, c_star, EigEstimate, lambda_max_exact,
                      max_eigvec_exact, lambda_max_lanczos, lambda_max_power,
                      DiagRatioBound, diag_ratio_bound, TauValues, tau_values,
@@ -42,8 +41,8 @@ from .experiments import (FAMILIES, ExperimentSpec, TableRow, run_experiment,
 __version__ = "0.1.0"
 
 __all__ = [
-    "INTERIOR", "DIRICHLET", "NEUMANN", "SimplicialMesh", "AffineMap",
-    "affine_map", "PatchIndex", "build_patches", "save_mesh", "load_mesh",
+    "INTERIOR", "DIRICHLET", "NEUMANN", "SimplicialMesh", "PatchIndex",
+    "build_patches", "save_mesh", "load_mesh",
     "gen_uniform_1d", "gen_equidistributed_1d", "gen_structured_2d",
     "gen_structured_3d", "reference_simplex", "reference_edge_matrix",
     "reference_diameter",
@@ -51,12 +50,10 @@ __all__ = [
     "InverseOf", "identity", "per1d", "nonper1d", "aniso2d",
     "load_piecewise", "parse_field_spec", "adapted_weight", "check_spd",
     "simplex_rule", "conical_product_rule", "element_averages",
-    "average_tensor", "ElementQuality", "MeshQualitySummary",
-    "mesh_quality_summary", "element_quality", "inscribed_diameter_metric",
+    "ElementQuality", "MeshQualitySummary", "mesh_quality_summary",
     "is_nonobtuse_wrt", "export_quality_csv",
-    "DofMap", "ProblemContext", "SparseSymMatrix", "assemble_mass",
-    "assemble_lumped", "row_sum_lumping", "assemble_stiffness",
-    "export_matrix_market", "diag_of",
+    "DofMap", "ProblemContext", "assemble_mass", "assemble_lumped",
+    "row_sum_lumping", "assemble_stiffness", "export_matrix_market",
     "c_grad", "c_sharp", "c_star", "EigEstimate", "lambda_max_exact",
     "max_eigvec_exact", "lambda_max_lanczos", "lambda_max_power",
     "DiagRatioBound", "diag_ratio_bound", "TauValues", "tau_values",

@@ -3,9 +3,9 @@
 Dirichlet conditions are imposed by deleting the corresponding rows and
 columns, so the assembled operators act on the interior-plus-Neumann
 unknowns and keep the exact eigenstructure the step-size theory addresses.
-Matrices are stored as the upper triangle in CSR form behind a thin
-symmetric wrapper.  A `ProblemContext` holds the per-element quantities
-that assembly, bounds and quality measures of one problem share.
+Every operator is an exactly symmetric `scipy.sparse.csr_array`.  A
+`ProblemContext` holds the per-element quantities that assembly, bounds
+and quality measures of one problem share.
 """
 
 from __future__ import annotations
@@ -37,96 +37,22 @@ class DofMap:
         return len(self.free)
 
 
-class SparseSymMatrix:
-    """Symmetric sparse matrix storing the upper triangle (with diagonal)."""
+def _symmetric_csr(n, rows, cols, vals):
+    """Exactly symmetric CSR matrix from upper-triangle (i <= j) triplets.
 
-    def __init__(self, upper):
-        upper = sp.csr_matrix(upper)
-        if upper.shape[0] != upper.shape[1]:
-            raise ValueError("matrix must be square")
-        coo = upper.tocoo()
-        if (coo.row > coo.col).any():
-            raise ValueError("lower-triangle entries in upper storage")
-        self._upper = upper
-        self._full = None
-
-    @classmethod
-    def from_triplets(cls, n, rows, cols, vals):
-        """Symmetric matrix from (i, j, v) contributions of both triangles.
-
-        Lower-triangle entries are mirrored; duplicates are summed (the
-        CSR conversion sums them in index-sorted order, making assembly
-        deterministic regardless of element order).
-        """
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
-        vals = np.asarray(vals, dtype=float)
-        swap = rows > cols
-        r = np.where(swap, cols, rows)
-        c = np.where(swap, rows, cols)
-        upper = sp.coo_matrix((vals, (r, c)), shape=(n, n)).tocsr()
-        upper.sum_duplicates()
-        return cls(upper)
-
-    @classmethod
-    def from_diagonal(cls, diag):
-        diag = np.asarray(diag, dtype=float)
-        n = len(diag)
-        return cls(sp.csr_matrix(
-            (diag, (np.arange(n), np.arange(n))), shape=(n, n)))
-
-    # ------------------------------------------------------------------
-    @property
-    def n(self):
-        return self._upper.shape[0]
-
-    @property
-    def shape(self):
-        return self._upper.shape
-
-    @property
-    def nnz(self):
-        return self._upper.nnz
-
-    def upper_csr(self):
-        return self._upper
-
-    def diagonal(self):
-        return self._upper.diagonal().copy()
-
-    def is_diagonal(self):
-        coo = self._upper.tocoo()
-        return bool((coo.row == coo.col).all())
-
-    def to_scipy(self):
-        """Full symmetric CSR matrix (cached)."""
-        if self._full is None:
-            up = self._upper
-            full = up + up.T - sp.diags(up.diagonal())
-            self._full = sp.csr_matrix(full)
-        return self._full
-
-    def toarray(self):
-        return self.to_scipy().toarray()
-
-    def matvec(self, x):
-        return self.to_scipy() @ x
-
-    def row_sums(self):
-        return self.matvec(np.ones(self.n))
-
-    def quadratic_form(self, x):
-        return float(x @ self.matvec(x))
+    Duplicates are summed in index-sorted order (so assembly does not depend
+    on element order), then the full matrix U + U^T - diag(U) is formed
+    once; both triangles of every entry hold the same float.
+    """
+    upper = sp.coo_array((vals, (rows, cols)), shape=(n, n)).tocsr()
+    upper.sum_duplicates()
+    return sp.csr_array(upper + upper.T - sp.diags(upper.diagonal()))
 
 
-def diag_of(matrix):
-    """Diagonal of a SparseSymMatrix (or a plain array) as a vector."""
-    if isinstance(matrix, SparseSymMatrix):
-        return matrix.diagonal()
-    matrix = np.asarray(matrix)
-    if matrix.ndim == 1:
-        return matrix.copy()
-    return np.diag(matrix).copy()
+def _diagonal_csr(diag):
+    """Diagonal matrix as a CSR array."""
+    idx = np.arange(len(diag))
+    return sp.csr_array((diag, (idx, idx)), shape=(len(diag), len(diag)))
 
 
 def _scatter(mesh, dof, local):
@@ -158,8 +84,7 @@ def assemble_mass(mesh, dofmap=None):
     vols = mesh.volumes()
     base = (np.ones((nv, nv)) + np.eye(nv)) / ((d + 1) * (d + 2))
     local = vols[:, None, None] * base
-    return SparseSymMatrix.from_triplets(
-        dof.n_free, *_scatter(mesh, dof, local))
+    return _symmetric_csr(dof.n_free, *_scatter(mesh, dof, local))
 
 
 def assemble_lumped(mesh, dofmap=None):
@@ -176,7 +101,7 @@ def assemble_lumped(mesh, dofmap=None):
     flat = mesh.elements.ravel()
     full = np.bincount(flat, weights=np.repeat(vols / (d + 1), d + 1),
                        minlength=mesh.num_nodes)
-    return SparseSymMatrix.from_diagonal(full[dof.free])
+    return _diagonal_csr(full[dof.free])
 
 
 def row_sum_lumping(M):
@@ -186,10 +111,10 @@ def row_sum_lumping(M):
     entries next to the Dirichlet boundary are smaller than the full-space
     row sums of `assemble_lumped`.
     """
-    sums = M.row_sums()
+    sums = M @ np.ones(M.shape[0])
     if (sums <= 0.0).any():
         raise ValueError("nonpositive row sum; matrix is not a mass matrix")
-    return SparseSymMatrix.from_diagonal(sums)
+    return _diagonal_csr(sums)
 
 
 def assemble_stiffness(mesh, field, quad_order=4, dofmap=None, context=None):
@@ -209,8 +134,7 @@ def assemble_stiffness(mesh, field, quad_order=4, dofmap=None, context=None):
     grads = np.einsum("ab,nbc->nac", Gh, Einv)
     vols = mesh.volumes()
     local = np.einsum("n,nid,nde,nje->nij", vols, grads, ctx.Dk, grads)
-    return SparseSymMatrix.from_triplets(
-        dof.n_free, *_scatter(mesh, dof, local))
+    return _symmetric_csr(dof.n_free, *_scatter(mesh, dof, local))
 
 
 class ProblemContext:
@@ -300,6 +224,7 @@ def _problem_context(mesh, field, quad_order=4, context=None):
 
 
 def export_matrix_market(matrix, path, comment=""):
-    """Write a SparseSymMatrix in MatrixMarket symmetric coordinate form."""
-    scipy.io.mmwrite(path, matrix.to_scipy().tocoo(),
+    """Write a symmetric sparse matrix in MatrixMarket symmetric coordinate
+    form."""
+    scipy.io.mmwrite(path, matrix.tocoo(),
                      comment=comment, symmetry="symmetric")

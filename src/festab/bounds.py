@@ -7,7 +7,8 @@ Sylvester inertia) or iteratively (Lanczos, power method) and evaluates the
 computable surrogates: the diagonal-ratio bracket with its sharp constant
 C*, the patch-geometry upper bound, the metric-matching bound, and the
 comparison estimates based on face volumes (with and without lumped-mass
-weighting).
+weighting).  Mtilde and A are symmetric `scipy.sparse` matrices of one
+size (see `_check_pencil`).
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 
-from .assembly import (ProblemContext, SparseSymMatrix, _problem_context,
-                       assemble_lumped, diag_of, row_sum_lumping)
+from .assembly import (ProblemContext, _problem_context, assemble_lumped,
+                       row_sum_lumping)
 from .quality import is_nonobtuse_wrt
 
 LANCZOS_MAX_STEPS = 50
@@ -87,14 +88,31 @@ def _lam_value(lam):
 # Exact and iterative eigenvalue computation
 
 
+def _check_pencil(Mtilde, A):
+    """Raise ValueError unless Mtilde and A are square sparse matrices of
+    one size, each exactly equal to its transpose."""
+    for name, X in (("Mtilde", Mtilde), ("A", A)):
+        if X.shape[0] != X.shape[1]:
+            raise ValueError(f"{name} is not square")
+        if (X != X.T).nnz:
+            raise ValueError(f"{name} is not symmetric")
+    if Mtilde.shape != A.shape:
+        raise ValueError("dimension mismatch")
+
+
+def _is_diagonal(X):
+    coo = X.tocoo()
+    return bool((coo.row == coo.col).all())
+
+
 def _mass_solver(Mtilde):
     """Exact solver for Mtilde: diagonal division or sparse LU."""
-    if Mtilde.is_diagonal():
+    if _is_diagonal(Mtilde):
         dm = Mtilde.diagonal()
         if (dm <= 0.0).any():
             raise ValueError("nonpositive diagonal in mass matrix")
         return lambda b: b / dm
-    lu = spla.splu(Mtilde.to_scipy().tocsc())
+    lu = spla.splu(Mtilde.tocsc())
     return lu.solve
 
 
@@ -128,11 +146,11 @@ def _lanczos(Mtilde, A, solve, steps, seed):
     Returns (theta, ritz vector, residual estimate, steps taken).
     Premature breakdown restarts with a fresh seed, at most 3 times.
     """
-    n = A.n
+    n = A.shape[0]
     for restart in range(4):
         rng = np.random.default_rng(seed + 1000 * restart)
         q = rng.standard_normal(n)
-        mq = Mtilde.matvec(q)
+        mq = Mtilde @ q
         nrm = math.sqrt(q @ mq)
         if nrm <= 0.0:
             continue
@@ -141,7 +159,7 @@ def _lanczos(Mtilde, A, solve, steps, seed):
         alphas, betas = [], []
         exhausted = False
         for _ in range(steps):
-            aq = A.matvec(Q[-1])
+            aq = A @ Q[-1]
             w = solve(aq)
             alpha = float(Q[-1] @ aq)
             alphas.append(alpha)
@@ -151,7 +169,7 @@ def _lanczos(Mtilde, A, solve, steps, seed):
             # full reorthogonalization against the whole basis
             for qi, mqi in zip(Q, MQ):
                 w = w - (w @ mqi) * qi
-            mw = Mtilde.matvec(w)
+            mw = Mtilde @ w
             beta = math.sqrt(max(w @ mw, 0.0))
             scale = max(abs(a) for a in alphas)
             if beta <= 1e-13 * max(scale, 1e-300):
@@ -181,10 +199,10 @@ def _lanczos(Mtilde, A, solve, steps, seed):
 def _rayleigh(Mtilde, A, x):
     """(rho, x, residual) with x scaled to unit Mtilde-norm and the relative
     residual ||A x - rho Mt x|| / (rho ||Mt x||)."""
-    mx = Mtilde.matvec(x)
+    mx = Mtilde @ x
     nrm = math.sqrt(x @ mx)
     x, mx = x / nrm, mx / nrm
-    ax = A.matvec(x)
+    ax = A @ x
     rho = float(x @ ax)
     resid = float(np.linalg.norm(ax - rho * mx)
                   / (abs(rho) * np.linalg.norm(mx)))
@@ -195,19 +213,18 @@ def _certified(Mtilde, A, rho):
     """True when rho (1 + CERT_RTOL) Mt - A is SPD, i.e. rho is within
     CERT_RTOL of the top of the spectrum from below."""
     sigma = rho * (1.0 + CERT_RTOL)
-    return _spd_factor(sigma * Mtilde.to_scipy() - A.to_scipy()) is not None
+    return _spd_factor(sigma * Mtilde - A) is not None
 
 
 def _shift_invert(Mtilde, A, sigma, seed):
     """One shift-invert ARPACK solve from a shift raised until sigma Mt - A
     is SPD (so above lambda_max); returns (sigma, x, solves), with x None
     when ARPACK fails."""
-    Ms, As = Mtilde.to_scipy(), A.to_scipy()
     # terminates: Mt is SPD, so sigma Mt - A is SPD once sigma > lambda_max
-    lu = _spd_factor(sigma * Ms - As)
+    lu = _spd_factor(sigma * Mtilde - A)
     while lu is None:
         sigma *= SHIFT_GROWTH
-        lu = _spd_factor(sigma * Ms - As)
+        lu = _spd_factor(sigma * Mtilde - A)
 
     solves = 0
 
@@ -216,11 +233,11 @@ def _shift_invert(Mtilde, A, sigma, seed):
         solves += 1
         return -lu.solve(b)
 
-    n = A.n
+    n = A.shape[0]
     v0 = np.random.default_rng(seed).standard_normal(n)
     opinv = spla.LinearOperator((n, n), matvec=op_inv, dtype=float)
     try:
-        _, vecs = spla.eigsh(As, k=1, M=Ms, sigma=sigma, which="LM",
+        _, vecs = spla.eigsh(A, k=1, M=Mtilde, sigma=sigma, which="LM",
                              OPinv=opinv, tol=EIGSH_TOL, v0=v0)
     except spla.ArpackError:              # no convergence included
         return sigma, None, solves
@@ -230,7 +247,8 @@ def _shift_invert(Mtilde, A, sigma, seed):
 def _top_eigpair(Mtilde, A):
     """Certified top eigenpair of the pencil (A, Mtilde).
 
-    Checks that Mtilde and A are SPD by their inertia, then runs ARPACK in
+    Checks the pencil's shape and symmetry (`_check_pencil`) and that
+    Mtilde and A are SPD by their inertia, then runs ARPACK in
     shift-invert mode at a shift above lambda_max (a Lanczos Ritz value,
     raised until sigma Mt - A is SPD; n <= EXHAUSTED_N uses Lanczos on the
     whole space instead).  The returned Rayleigh quotient rho is a lower
@@ -238,17 +256,16 @@ def _top_eigpair(Mtilde, A):
     rho (1 + CERT_RTOL) Mt - A.  Failed certificates retry with a new start
     vector and a tighter shift; the last failure raises ValueError.
     """
-    n = A.n
-    if n != Mtilde.n:
-        raise ValueError("dimension mismatch")
-    if Mtilde.is_diagonal():
+    _check_pencil(Mtilde, A)
+    n = A.shape[0]
+    if _is_diagonal(Mtilde):
         solve = _mass_solver(Mtilde)
     else:
-        lu_m = _spd_factor(Mtilde.to_scipy())
+        lu_m = _spd_factor(Mtilde)
         if lu_m is None:
             raise ValueError("mass matrix has a nonpositive eigenvalue")
         solve = lu_m.solve
-    if _spd_factor(A.to_scipy()) is None:
+    if _spd_factor(A) is None:
         raise ValueError("pencil has a nonpositive eigenvalue; "
                          "A is not positive definite")
 
@@ -289,7 +306,8 @@ def lambda_max_exact(Mtilde, A):
     """Largest eigenvalue of the pencil (A, Mtilde), inertia-certified.
 
     Sparse shift-invert solve; see `_top_eigpair`.  Raises ValueError when
-    the pencil is not SPD or no certificate is found.
+    the pencil is not square, symmetric and SPD, or no certificate is
+    found.
     """
     return _top_eigpair(Mtilde, A)[0]
 
@@ -312,8 +330,9 @@ def lambda_max_lanczos(Mtilde, A, steps=5, seed=2, security=1.1):
         raise ValueError("need at least one step")
     if steps > LANCZOS_MAX_STEPS:
         raise ValueError(f"at most {LANCZOS_MAX_STEPS} steps supported")
+    _check_pencil(Mtilde, A)
     theta, _, resid, taken = _lanczos(Mtilde, A, _mass_solver(Mtilde),
-                                      min(steps, A.n), seed)
+                                      min(steps, A.shape[0]), seed)
     method = f"lanczos(steps={taken},seed={seed},security={security:g})"
     return EigEstimate(value=security * theta, method=method, residual=resid)
 
@@ -324,28 +343,30 @@ def lambda_max_power(Mtilde, A, tol=1e-10, warm_start=None, seed=0,
 
     Converged when successive Rayleigh quotients agree to relative `tol`;
     a warm start with the previous eigenvector makes a single iteration
-    sufficient.  Raises after `max_iter` iterations.
+    sufficient.  Raises after `max_iter` iterations.  The result is not
+    certified; reports use `lambda_max_exact` or `lambda_max_lanczos`.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    n = A.n
+    _check_pencil(Mtilde, A)
+    n = A.shape[0]
     solve = _mass_solver(Mtilde)
     if warm_start is not None:
         v = np.asarray(warm_start, dtype=float).copy()
     else:
         v = np.random.default_rng(seed).standard_normal(n)
-    nrm = math.sqrt(v @ Mtilde.matvec(v))
+    nrm = math.sqrt(v @ (Mtilde @ v))
     if nrm <= 0.0:
         raise ValueError("zero start vector")
     v /= nrm
-    rho_prev = float(v @ A.matvec(v))
+    rho_prev = float(v @ (A @ v))
     for it in range(1, max_iter + 1):
-        w = solve(A.matvec(v))
-        nrm = math.sqrt(w @ Mtilde.matvec(w))
+        w = solve(A @ v)
+        nrm = math.sqrt(w @ (Mtilde @ w))
         if nrm <= 0.0:
             raise ValueError("power iteration hit a zero vector")
         v = w / nrm
-        rho = float(v @ A.matvec(v))
+        rho = float(v @ (A @ v))
         if abs(rho - rho_prev) <= tol * abs(rho):
             return EigEstimate(value=rho, method=f"power(tol={tol:g},it={it})",
                                residual=abs(rho - rho_prev) / abs(rho))
@@ -361,8 +382,7 @@ DiagRatioBound = namedtuple(
     "DiagRatioBound", ["lower", "upper", "argmax_node", "min_ratio"])
 
 GeometricBound = namedtuple(
-    "GeometricBound", ["value", "argmax_node", "value_quality_form",
-                       "nonobtuse"])
+    "GeometricBound", ["value", "argmax_node", "nonobtuse"])
 
 MUniformBound = namedtuple(
     "MUniformBound", ["value", "max_product_norm", "max_q_m", "argmax_node"])
@@ -383,8 +403,8 @@ def diag_ratio_bound(Mtilde, A, cstar):
     Also reports the system index attaining the max and the reciprocal
     min_i M_ii/A_ii entering the computable time step.
     """
-    dm = diag_of(Mtilde)
-    da = diag_of(A)
+    dm = Mtilde.diagonal()
+    da = A.diagonal()
     if (dm <= 0.0).any() or (da <= 0.0).any():
         raise ValueError("nonpositive diagonal entry")
     ratio = da / dm
@@ -434,30 +454,21 @@ def geometric_bound(mesh, field, lumped=False, quad_order=4, nonobtuse=None,
     sum_{K in omega_i} (|K|/|omega_i|) ||F'^-1 D_K F'^-T||_2,
     with C# = c_grad (d+1)(d+2)/2.  The same number can be written through
     the quality measure Q_D(K) = h_{D^-1}^2 ||F'^-1 D_K F'^-T||_2 as
-    C* C# h^-2 max_i sum (|K|/|omega_i|) Q_D(K); both forms are returned
-    and agree to rounding.  `context` is an optional `ProblemContext` of
-    (mesh, field, quad_order); A defaults to its stiffness matrix.
+    C* C# h^-2 max_i sum (|K|/|omega_i|) Q_D(K).  `context` is an optional
+    `ProblemContext` of (mesh, field, quad_order); A defaults to its
+    stiffness matrix.
     """
     d = mesh.dim
     ctx = _problem_context(mesh, field, quad_order, context)
     dof = ctx.dofmap
     if nonobtuse is None:
-        nonobtuse = is_nonobtuse_wrt(mesh, field, ctx.A if A is None else A)
-    norms = _alignment_norms(ctx)
-    patches = ctx.patches
-
-    per_node = _patch_average(mesh, patches, norms)
+        nonobtuse = is_nonobtuse_wrt(ctx.A if A is None else A)
+    per_node = _patch_average(mesh, ctx.patches, _alignment_norms(ctx))
     free_vals = per_node[dof.free]
     j = int(np.argmax(free_vals))
-    cst = c_star(d, lumped, nonobtuse)
-    value = cst * c_sharp(d) * float(free_vals[j])
-
-    h = ctx.inverse.quality.h_global
-    qd_per_node = _patch_average(mesh, patches, h * h * norms)
-    value_qd = cst * c_sharp(d) / (h * h) * float(qd_per_node[dof.free].max())
-
+    value = c_star(d, lumped, nonobtuse) * c_sharp(d) * float(free_vals[j])
     return GeometricBound(value=value, argmax_node=int(dof.free[j]),
-                          value_quality_form=value_qd, nonobtuse=nonobtuse)
+                          nonobtuse=nonobtuse)
 
 
 def muniform_bound(mesh, metric, field, lumped=False, quad_order=4,
@@ -474,7 +485,7 @@ def muniform_bound(mesh, metric, field, lumped=False, quad_order=4,
     ctx = ProblemContext(mesh, field, quad_order)
     dof = ctx.dofmap
     if nonobtuse is None:
-        nonobtuse = is_nonobtuse_wrt(mesh, field, ctx.A if A is None else A)
+        nonobtuse = is_nonobtuse_wrt(ctx.A if A is None else A)
     metric_ctx = ProblemContext(mesh, metric, quad_order)
     L = np.linalg.cholesky(metric_ctx.Dk)
     B = np.swapaxes(L, 1, 2) @ ctx.Dk @ L
@@ -601,10 +612,11 @@ def shewchuk_bound(mesh, field, m_lump=None, quad_order=4, context=None):
     measured in D_K^-1 and |K|_{D^-1} = |K| det(D_K)^{-1/2}.  Then
     (1/d) max_K S_K <= lambda_max <= p_max max_K S_K.
 
-    `m_lump` supplies the lumped diagonal over the free nodes (any
-    lumping convention); entries at Dirichlet vertices always use the
-    geometric patch sums sum |K|/(d+1).  `context` is an optional
-    `ProblemContext` of (mesh, field, quad_order).
+    `m_lump`, a vector over the free nodes (any lumping convention) or
+    over all mesh nodes, supplies the lumped diagonal; entries at
+    Dirichlet vertices of a free-node vector use the geometric patch sums
+    sum |K|/(d+1).  `context` is an optional `ProblemContext` of (mesh,
+    field, quad_order).
     """
     d = mesh.dim
     if d < 2:
@@ -618,14 +630,15 @@ def shewchuk_bound(mesh, field, m_lump=None, quad_order=4, context=None):
                         weights=np.repeat(vols / d1, d1),
                         minlength=mesh.num_nodes)
     if m_lump is not None:
-        vec = diag_of(m_lump)
+        vec = np.asarray(m_lump, dtype=float)
+        if vec.ndim != 1:
+            raise ValueError("lumped diagonal must be a vector")
         if len(vec) == mesh.num_nodes:
-            mfull = np.asarray(vec, dtype=float)
+            mfull = vec
         else:
             dof = ctx.dofmap
             if len(vec) != dof.n_free:
                 raise ValueError("lumped diagonal has wrong length")
-            mfull = mfull.copy()
             mfull[dof.free] = vec
     if (mfull <= 0.0).any():
         raise ValueError("nonpositive lumped mass entry")
@@ -713,7 +726,7 @@ def stability_report(mesh, field, mass_kind="full", s=1, quad_order=4,
     `mass_kind` selects the surrogate mass: "full", "lumped" (full-space
     row sums) or "lumped_rowsum" (row sums of the eliminated mass matrix).
     `method` selects the eigenvalue computation: exact (the certified
-    sparse solve; "dense" is accepted as an alias), lanczos or power.
+    sparse solve; "dense" is accepted as an alias) or lanczos.
     `context`, a `ProblemContext` of (mesh, field, quad_order), lets
     several reports on one problem share its averages and operators; by
     default the report builds its own.
@@ -723,7 +736,7 @@ def stability_report(mesh, field, mass_kind="full", s=1, quad_order=4,
     Mt = _mass_tilde(mesh, mass_kind, dof, ctx.M)
     lumped = mass_kind != "full"
 
-    nonobtuse = is_nonobtuse_wrt(mesh, field, A)
+    nonobtuse = is_nonobtuse_wrt(A)
     cst = c_star(mesh.dim, lumped, nonobtuse)
 
     if method in ("exact", "dense"):
@@ -731,8 +744,6 @@ def stability_report(mesh, field, mass_kind="full", s=1, quad_order=4,
     elif method == "lanczos":
         est = lambda_max_lanczos(Mt, A, steps=lanczos_steps, seed=seed,
                                  security=security)
-    elif method == "power":
-        est = lambda_max_power(Mt, A)
     else:
         raise ValueError(f"unknown eigenvalue method {method!r}")
 
@@ -750,7 +761,7 @@ def stability_report(mesh, field, mass_kind="full", s=1, quad_order=4,
         zd_lo, zd_up = zd.lower, zd.upper
     sh_lo = sh_up = None
     if "shewchuk" in include and mesh.dim >= 2:
-        m_arg = Mt if lumped else None
+        m_arg = Mt.diagonal() if lumped else None
         sh = shewchuk_bound(mesh, field, m_lump=m_arg, quad_order=quad_order,
                             context=ctx)
         sh_lo, sh_up = sh.lower, sh.upper

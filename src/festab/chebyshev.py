@@ -43,14 +43,10 @@ def _cheb_t_dt(s, x):
 
 @dataclass(frozen=True)
 class ChebyshevScheme:
-    """First-order s-stage Chebyshev stability polynomial.
-
-    mass_kind is carried for bookkeeping ("full" or "lumped"); the
-    operators passed to `step`/`integrate` decide the actual surrogate.
-    """
+    """First-order s-stage Chebyshev stability polynomial; the operators
+    passed to `step`/`integrate` decide the mass surrogate."""
     s: int
     damping: float = 0.0
-    mass_kind: str = "full"
 
     def __post_init__(self):
         if self.s < 1:
@@ -93,7 +89,7 @@ def _step_with_solver(scheme, solve, A, U, tau):
     s = scheme.s
 
     def apply_arg(v):
-        return w0 * v - w1 * tau * solve(A.matvec(v))
+        return w0 * v - w1 * tau * solve(A @ v)
 
     v_prev = U
     v = apply_arg(U)
@@ -114,8 +110,8 @@ def step(scheme, Mtilde, A, U, tau):
 def norms(U, M_full, A):
     """(L2, energy) norms: (U^T M U)^(1/2) and (U^T A U)^(1/2)."""
     U = np.asarray(U, dtype=float)
-    l2 = math.sqrt(max(U @ M_full.matvec(U), 0.0))
-    en = math.sqrt(max(U @ A.matvec(U), 0.0))
+    l2 = math.sqrt(max(U @ (M_full @ U), 0.0))
+    en = math.sqrt(max(U @ (A @ U), 0.0))
     return l2, en
 
 

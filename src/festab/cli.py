@@ -146,16 +146,6 @@ def _resolve_field(args, mesh, builtin_field):
     return identity(mesh.dim)
 
 
-def _apply_thread_hint(args):
-    n = getattr(args, "threads", None)
-    if getattr(args, "reproducible", False):
-        n = 1
-    if n is not None:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS"):
-            os.environ[var] = str(n)
-
-
 # ----------------------------------------------------------------------------
 # subcommands
 # ----------------------------------------------------------------------------
@@ -227,8 +217,7 @@ def cmd_integrate(args):
     ctx = ProblemContext(mesh, field, args.quad_order)
     dof, M, A = ctx.dofmap, ctx.M, ctx.A
     Mt = _mass_tilde(mesh, mass_kind, dof, M)
-    scheme = ChebyshevScheme(args.stages, damping=args.damping,
-                             mass_kind=mass_kind)
+    scheme = ChebyshevScheme(args.stages, damping=args.damping)
 
     rng = np.random.default_rng(args.seed)
     lam = vec = None
@@ -295,10 +284,10 @@ def _build_parser():
     p_an.add_argument("--mass", choices=("full", "lumped", "lumped-rowsum"),
                       default="full")
     p_an.add_argument("--quad-order", type=int, choices=(1, 2, 4), default=4)
-    p_an.add_argument("--eig", choices=("exact", "dense", "lanczos", "power"),
+    p_an.add_argument("--eig", choices=("exact", "dense", "lanczos"),
                       default="exact",
                       help="eigenvalue method: certified sparse solve "
-                           "(exact; dense is an alias), lanczos or power")
+                           "(exact; dense is an alias) or lanczos")
     p_an.add_argument("--lanczos", type=_positive_int, metavar="STEPS",
                       default=None, help="Lanczos step count (implies "
                                          "--eig lanczos)")
@@ -316,10 +305,6 @@ def _build_parser():
                            "bound")
     p_an.add_argument("-o", "--output", default=None, metavar="FILE")
     p_an.add_argument("--format", choices=("json", "csv"), default="json")
-    p_an.add_argument("--reproducible", action="store_true",
-                      help="pin BLAS threads to 1 for bit-stable reductions")
-    p_an.add_argument("--threads", type=_positive_int, default=None,
-                      help="thread-count hint for BLAS kernels")
     p_an.set_defaults(func=cmd_analyze)
 
     p_in = sub.add_parser("integrate", help="run the stabilized explicit "
@@ -346,8 +331,6 @@ def _build_parser():
     p_in.add_argument("--seed", type=int, default=0,
                       help="seed for the start vector")
     p_in.add_argument("-o", "--output", default=None, metavar="TRACE_CSV")
-    p_in.add_argument("--reproducible", action="store_true")
-    p_in.add_argument("--threads", type=_positive_int, default=None)
     p_in.set_defaults(func=cmd_integrate)
 
     p_ex = sub.add_parser("experiment", help="run a batch experiment file",
@@ -355,8 +338,6 @@ def _build_parser():
                                       "INI spec file.")
     p_ex.add_argument("spec", help="experiment spec file")
     p_ex.add_argument("--out-dir", default=".")
-    p_ex.add_argument("--reproducible", action="store_true")
-    p_ex.add_argument("--threads", type=_positive_int, default=None)
     p_ex.set_defaults(func=cmd_experiment)
     return parser
 
@@ -367,7 +348,6 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code
-    _apply_thread_hint(args)
     try:
         return args.func(args)
     except FileNotFoundError as exc:

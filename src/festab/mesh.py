@@ -1,7 +1,7 @@
 """Simplicial meshes for d in {1, 2, 3}.
 
-Provides the mesh container with boundary markers, affine maps onto the
-equilateral unit-volume reference element, node patches, a line-oriented
+Provides the mesh container with boundary markers, the equilateral
+unit-volume reference element, node patches, a line-oriented
 text format, and the structured / equidistributed generators used by the
 stability experiments.  The 1D equidistributed generator calls its weight
 on arrays only: a batched Gauss rule with vectorized bisection for the
@@ -11,7 +11,6 @@ cumulative integral and a safeguarded Newton inversion for the nodes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import roots_legendre
@@ -131,9 +130,6 @@ class SimplicialMesh:
         """Indices of interior and Neumann nodes (the FE unknowns)."""
         return np.flatnonzero(self.node_markers != DIRICHLET)
 
-    def dirichlet_nodes(self):
-        return np.flatnonzero(self.node_markers == DIRICHLET)
-
     # ------------------------------------------------------------------
     def _canonicalize_orientation(self):
         if self.num_elements == 0:
@@ -180,39 +176,6 @@ class SimplicialMesh:
                              "singular for pure-Neumann data)")
         if len(self.free_nodes()) == 0:
             raise ValueError("no free nodes")
-
-    # ------------------------------------------------------------------
-    def save(self, path):
-        save_mesh(self, path)
-
-
-@dataclass(frozen=True)
-class AffineMap:
-    """Affine map x = origin + F' xhat from the unit-volume reference element.
-
-    ``jacobian`` is F'_K = E_K Ehat^{-1}; its determinant equals |K|.
-    """
-    origin: np.ndarray
-    jacobian: np.ndarray
-
-    @property
-    def volume(self):
-        return float(np.linalg.det(self.jacobian))
-
-    def apply(self, xhat):
-        xhat = np.asarray(xhat, dtype=float)
-        return self.origin + xhat @ self.jacobian.T
-
-
-def affine_map(mesh, k):
-    """AffineMap of element k onto the regular reference simplex."""
-    if not 0 <= k < mesh.num_elements:
-        raise ValueError(f"element id {k} out of range")
-    E = mesh.element_matrices()[k]
-    F = E @ np.linalg.inv(reference_edge_matrix(mesh.dim))
-    if abs(np.linalg.det(F)) < 1e-300:
-        raise ValueError(f"degenerate element {k}")
-    return AffineMap(origin=mesh.nodes[mesh.elements[k, 0]].copy(), jacobian=F)
 
 
 class PatchIndex:

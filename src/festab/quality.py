@@ -18,7 +18,7 @@ import numpy as np
 from scipy.special import roots_jacobi
 
 from .fields import check_spd
-from .mesh import reference_diameter, reference_edge_matrix
+from .mesh import reference_edge_matrix
 
 
 # ----------------------------------------------------------------------
@@ -150,33 +150,6 @@ def _inverse_averages(avg, points):
     return np.einsum("q,nqij->nij", wts, np.linalg.inv(vals))
 
 
-def average_tensor(field, mesh, k, quad_order=4):
-    """Average of the field over element k (see `element_averages`)."""
-    if not 0 <= k < mesh.num_elements:
-        raise ValueError(f"element id {k} out of range")
-    sub = _single_element_view(mesh, k)
-    return element_averages(field, sub, quad_order)[0]
-
-
-class _single_element_view:
-    """Lightweight stand-in exposing one element of a mesh to the averager."""
-
-    def __init__(self, mesh, k):
-        self.dim = mesh.dim
-        self.num_elements = 1
-        self.elements = mesh.elements[k:k + 1]
-        self.nodes = mesh.nodes
-        self.region_tags = mesh.region_tags[k:k + 1]
-
-    def element_matrices(self):
-        p = self.nodes[self.elements]
-        return np.swapaxes(p[:, 1:, :] - p[:, :1, :], 1, 2)
-
-    def volumes(self):
-        det = np.linalg.det(self.element_matrices())
-        return det / math.factorial(self.dim)
-
-
 # ----------------------------------------------------------------------
 # Quality measures
 
@@ -224,10 +197,6 @@ class MeshQualitySummary:
             norm_fdf=float(self.norm_fdf[k]),
         )
 
-    @property
-    def per_element(self):
-        return [self.element(k) for k in range(len(self.q_m))]
-
 
 def _reference_map_inverses(mesh):
     """(ne, d, d) inverses F'^-1 of the maps from the regular unit-volume
@@ -238,7 +207,9 @@ def _reference_map_inverses(mesh):
 
 
 def _metric_geometry(mesh, metric_elems, Finv=None):
-    """Per-element |K|_M, reference-map alignment norms and rho_{K,M}."""
+    """Per-element |K|_M, reference-map alignment norms and rho_{K,M}, the
+    diameter of the largest inscribed ball in the metric (d=1: the metric
+    length; d=2: 2 |K|_M over the metric semiperimeter; None for d=3)."""
     d = mesh.dim
     vols = mesh.volumes()
     det_m = np.linalg.det(metric_elems)
@@ -289,78 +260,26 @@ def mesh_quality_summary(mesh, metric, quad_order=4, context=None):
     q_ali = h_elem ** 2 * norm_fdf
     q_m = h_global ** 2 * norm_fdf
 
-    summary = MeshQualitySummary(
+    return MeshQualitySummary(
         h_global=float(h_global), vol_domain=float(vol_domain),
         vol_metric=vol_metric, h_elem=h_elem, q_eq=q_eq, q_ali=q_ali,
         q_m=q_m, rho_metric=rho, norm_fdf=norm_fdf)
 
-    mean_inv = float(np.mean(1.0 / q_eq))
-    if abs(mean_inv - 1.0) > 1e-10:
-        raise AssertionError(
-            f"equidistribution identity violated: mean(1/q_eq) = {mean_inv}")
-    if summary.max_q_eq < 1.0 - 1e-12:
-        raise AssertionError(f"max q_eq = {summary.max_q_eq} < 1")
-    return summary
 
+def is_nonobtuse_wrt(A, rtol=1e-12):
+    """Algebraic nonobtuseness test of a mesh w.r.t. the metric D^-1.
 
-def element_quality(mesh, k, metric, h_global, quad_order=4):
-    """Quality record of element k; h_global must come from the same
-    metric over the same mesh (see `mesh_quality_summary`)."""
-    if not 0 <= k < mesh.num_elements:
-        raise ValueError(f"element id {k} out of range")
-    metric_k = average_tensor(metric, mesh, k, quad_order)
-    sub = _single_element_view(mesh, k)
-    vol_metric, norm_fdf, rho = _metric_geometry(sub, metric_k[None])
-    d = mesh.dim
-    h_elem = vol_metric[0] ** (1.0 / d)
-    return ElementQuality(
-        vol_metric=float(vol_metric[0]),
-        h_elem=float(h_elem),
-        q_eq=float((h_global / h_elem) ** d),
-        q_ali=float(h_elem ** 2 * norm_fdf[0]),
-        q_m=float(h_global ** 2 * norm_fdf[0]),
-        rho_metric=None if rho is None else float(rho[0]),
-        norm_fdf=float(norm_fdf[0]),
-    )
-
-
-def inscribed_diameter_metric(mesh, k, metric_k):
-    """Diameter of the largest inscribed sphere of element k in the metric.
-
-    d=1: the metric length; d=2: the incircle diameter 2 * area / s with
-    the metric semiperimeter s.  Not defined for d=3.
+    True iff the assembled stiffness matrix A (of diffusion D on the mesh)
+    has no positive off-diagonal entry and no negative row sum, both up to
+    rtol * max|A|.  When true the sharpened bracket constants apply.
     """
-    d = mesh.dim
-    if d == 3:
-        raise ValueError("inscribed diameter is unsupported for d=3")
-    if not 0 <= k < mesh.num_elements:
-        raise ValueError(f"element id {k} out of range")
-    metric_k = np.asarray(metric_k, dtype=float)
-    if metric_k.shape != (d, d):
-        raise ValueError(f"metric must be {d}x{d}")
-    sub = _single_element_view(mesh, k)
-    vol_metric, _, rho = _metric_geometry(sub, metric_k[None])
-    return float(rho[0])
-
-
-def is_nonobtuse_wrt(mesh, field, A, rtol=1e-12):
-    """Algebraic nonobtuseness test of the mesh w.r.t. the metric D^-1.
-
-    True iff the assembled stiffness matrix A (for diffusion `field` on
-    this mesh) has no positive off-diagonal entry and no negative row sum,
-    both up to rtol * max|A|.  When true the sharpened bracket constants
-    apply.  `field` participates only through A and is accepted for
-    signature clarity.
-    """
-    del field
-    upper = A.upper_csr()
-    scale = np.abs(upper.data).max() if upper.nnz else 1.0
+    scale = np.abs(A.data).max() if A.nnz else 1.0
     tol = rtol * scale
-    coo = upper.tocoo()
+    coo = A.tocoo()
     off = coo.data[coo.row != coo.col]
     if off.size and off.max() > tol:
         return False
-    if A.row_sums().min() < -tol:
+    if (A @ np.ones(A.shape[0])).min() < -tol:
         return False
     return True
 

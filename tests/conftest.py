@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import HealthCheck, settings, strategies as st
 from scipy.integrate import IntegrationWarning, quad
 from scipy.optimize import brentq
 
@@ -159,6 +160,63 @@ def equidistributed_1d_oracle(n, w):
                 nodes[i] = brentq(g, lo, hi, xtol=1e-14,
                                   rtol=4.0 * np.finfo(float).eps)
     return nodes
+
+
+# Settings of the property tests: derandomized, so tier-1 runs are repeatable.
+PROPERTY = settings(derandomize=True, max_examples=30, deadline=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+
+def _grid(dim, cells):
+    if dim == 1:
+        return fs.gen_uniform_1d(cells)
+    if dim == 2:
+        return fs.gen_structured_2d(cells, cells, diagonal="alternating")
+    return fs.gen_structured_3d(cells, cells, cells)
+
+
+def _random_spd(rng, dim, kappa):
+    """Random rotation of diag(1, ..., kappa) times a random scale."""
+    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    ev = np.geomspace(1.0, kappa, dim)
+    return rng.uniform(0.1, 10.0) * (q * ev) @ q.T
+
+
+@st.composite
+def problems(draw):
+    """(mesh, field, mass kind): a jittered or graded 1D/2D/3D mesh (some
+    with a Neumann side), a constant or piecewise-constant SPD field and a
+    mass kind."""
+    dim = draw(st.sampled_from([1, 2, 3]))
+    cells = draw(st.integers(*{1: (8, 400), 2: (4, 20), 3: (2, 6)}[dim]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    base = _grid(dim, cells)
+    nodes = base.nodes.copy()
+    free = base.node_markers != fs.DIRICHLET
+    if draw(st.sampled_from(["jittered", "graded"])) == "jittered":
+        amount = draw(st.floats(0.0, 0.3))
+        nodes[free] += amount / cells * rng.uniform(-1.0, 1.0,
+                                                    (int(free.sum()), dim))
+    else:
+        # monotone map per coordinate: cells shrink towards the origin
+        nodes = nodes ** draw(st.floats(1.0, 2.0))
+    markers = base.node_markers.copy()
+    if draw(st.booleans()):
+        side = nodes[:, 0] == 0.0
+        if dim > 1:
+            side &= (nodes[:, 1:] > 0.0).all(axis=1) \
+                & (nodes[:, 1:] < 1.0).all(axis=1)
+        markers[side] = fs.NEUMANN
+    tags = rng.integers(0, 3, base.num_elements)
+    mesh = fs.SimplicialMesh(nodes, base.elements, markers, region_tags=tags)
+    kappa = draw(st.sampled_from([1.0, 10.0, 1000.0]))
+    if draw(st.sampled_from(["constant", "piecewise"])) == "constant":
+        field = fs.Constant(_random_spd(rng, dim, kappa))
+    else:
+        field = fs.PiecewiseConstantPerElement(
+            {t: _random_spd(rng, dim, kappa) for t in range(3)})
+    kind = draw(st.sampled_from(fs.MASS_KINDS))
+    return mesh, field, kind
 
 
 def fields_for_dim(d):

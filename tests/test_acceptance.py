@@ -512,7 +512,7 @@ def test_quality_measure_identities():
         B = rng.uniform(-1.0, 1.0, (2, 2))
         metric_mat = B @ B.T + 0.05 * np.eye(2)
         q = fs.mesh_quality_summary(mesh, fs.Constant(metric_mat))
-        rho = fs.inscribed_diameter_metric(mesh, 0, metric_mat)
+        rho = q.rho_metric[0]
         h_elem = q.element(0).h_elem
         if q.q_ali[0] > hhat2 * (h_elem / rho) ** 2 * (1.0 + 1e-10):
             bad.append(f"triangle {n_done}: q_ali {q.q_ali[0]:.6g} above "

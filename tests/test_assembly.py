@@ -1,4 +1,4 @@
-"""Mass/stiffness assembly, lumping variants, and the symmetric wrapper."""
+"""Mass/stiffness assembly and lumping variants as symmetric CSR arrays."""
 
 import math
 import types
@@ -6,10 +6,13 @@ import types
 import numpy as np
 import pytest
 import scipy.io
+import scipy.sparse as sp
+from hypothesis import given
 
 import festab as fs
-from conftest import (equilateral_lattice, jittered_mesh_2d,
-                      jittered_mesh_3d, two_triangle_square)
+from festab.assembly import _symmetric_csr
+from conftest import (PROPERTY, equilateral_lattice, jittered_mesh_2d,
+                      jittered_mesh_3d, problems, two_triangle_square)
 
 
 # ---------------------------------------------------------------------------
@@ -35,7 +38,7 @@ def test_1d_lumping_variants():
     n, h = 4, 0.25
     mesh = fs.gen_uniform_1d(n)
     lump = fs.assemble_lumped(mesh)
-    assert lump.is_diagonal()
+    assert np.array_equal(lump.toarray(), np.diag(lump.diagonal()))
     assert np.allclose(lump.diagonal(), h)         # |omega_i| / 2 = 2h/2
     rs = fs.row_sum_lumping(fs.assemble_mass(mesh))
     # middle row keeps both neighbors; edge rows lose the Dirichlet column
@@ -82,7 +85,7 @@ def test_stiffness_positive_definite_and_local_row_sums():
     # rows of deep-interior vertices (no Dirichlet neighbor) sum to zero
     free = np.flatnonzero(mesh.node_markers != fs.DIRICHLET)
     patches = fs.build_patches(mesh)
-    sums = A.row_sums()
+    sums = A @ np.ones(A.shape[0])
     for loc, i in enumerate(free):
         neigh = np.unique(mesh.elements[patches.elements_of(i)])
         if (mesh.node_markers[neigh] != fs.DIRICHLET).all():
@@ -139,56 +142,64 @@ def test_dofmap_layout_and_errors():
         fs.DofMap(fake)
 
 
+def test_sparse_sym_from_triplets_mirrors_and_sums():
+    # upper-triangle triplets: duplicates summed, mirrored once
+    S = _symmetric_csr(2, np.array([0, 1, 0, 0]), np.array([1, 1, 0, 1]),
+                       np.array([2.0, 1.0, 4.0, 3.0]))
+    assert isinstance(S, sp.csr_array)
+    assert np.array_equal(S.toarray(), [[4.0, 5.0], [5.0, 1.0]])
+    assert S.nnz == 4          # both triangles stored
+
+
 def test_row_sum_lumping_rejects_nonpositive_rows():
-    bad = fs.SparseSymMatrix.from_triplets(
-        2, [0, 0, 1], [0, 1, 1], [1.0, -2.0, 1.0])
+    bad = sp.csr_array([[1.0, -2.0], [-2.0, 1.0]])
     with pytest.raises(ValueError):
         fs.row_sum_lumping(bad)
 
 
 # ---------------------------------------------------------------------------
-# SparseSymMatrix wrapper
+# properties of the assembled operators on drawn problems
 # ---------------------------------------------------------------------------
 
-def test_sparse_sym_from_triplets_mirrors_and_sums():
-    S = fs.SparseSymMatrix.from_triplets(
-        2, [0, 1, 1, 0], [1, 0, 1, 0], [2.0, 3.0, 1.0, 4.0])
-    assert np.allclose(S.toarray(), [[4.0, 5.0], [5.0, 1.0]])
-    assert S.nnz == 3          # stored upper entries only
-    assert S.shape == (2, 2) and S.n == 2
-    assert not S.is_diagonal()
+@PROPERTY
+@given(problems())
+def test_assembled_operators_are_exactly_symmetric_csr(problem):
+    mesh, field, _ = problem
+    dof = fs.DofMap(mesh)
+    for X in (fs.assemble_mass(mesh, dof),
+              fs.assemble_stiffness(mesh, field, 4, dof),
+              fs.assemble_lumped(mesh, dof)):
+        assert isinstance(X, sp.csr_array)
+        assert X.shape == (dof.n_free, dof.n_free)
+        assert (X != X.T).nnz == 0
 
 
-def test_sparse_sym_rejects_bad_storage():
-    import scipy.sparse as sp
-    with pytest.raises(ValueError):
-        fs.SparseSymMatrix(sp.csr_matrix(np.array([[1.0, 0.0], [2.0, 1.0]])))
-    with pytest.raises(ValueError):
-        fs.SparseSymMatrix(sp.csr_matrix(np.ones((2, 3))))
+@PROPERTY
+@given(problems())
+def test_row_sum_lumping_is_the_row_sum(problem):
+    mesh, _, _ = problem
+    M = fs.assemble_mass(mesh)
+    R = fs.row_sum_lumping(M)
+    assert isinstance(R, sp.csr_array)
+    assert np.array_equal(R.diagonal(), M @ np.ones(M.shape[0]))
+    assert np.array_equal(R.toarray(), np.diag(R.diagonal()))
 
 
-def test_sparse_sym_operations_match_dense():
-    rng = np.random.default_rng(0)
-    U = np.triu(rng.standard_normal((6, 6)))
-    S = fs.SparseSymMatrix(U)
-    dense = U + U.T - np.diag(np.diag(U))
-    assert np.allclose(S.toarray(), dense)
-    x = rng.standard_normal(6)
-    assert np.allclose(S.matvec(x), dense @ x)
-    assert np.allclose(S.row_sums(), dense.sum(axis=1))
-    assert S.quadratic_form(x) == pytest.approx(x @ dense @ x, rel=1e-13)
-    assert np.allclose(S.diagonal(), np.diag(dense))
-    scip = S.to_scipy()
-    assert (scip != scip.T).nnz == 0
-
-
-def test_from_diagonal_and_diag_of():
-    D = fs.SparseSymMatrix.from_diagonal([1.0, 2.0, 3.0])
-    assert D.is_diagonal()
-    assert np.allclose(D.matvec(np.ones(3)), [1.0, 2.0, 3.0])
-    assert np.allclose(fs.diag_of(D), [1.0, 2.0, 3.0])
-    assert np.allclose(fs.diag_of(np.array([4.0, 5.0])), [4.0, 5.0])
-    assert np.allclose(fs.diag_of(np.diag([6.0, 7.0])), [6.0, 7.0])
+@PROPERTY
+@given(problems())
+def test_mass_sandwiches(problem):
+    # (1/2) diag(M) <= M <= ((d+2)/2) diag(M) and
+    # (1/(d+2)) M_lump <= M <= ((d+2)/2) M_lump, as PSD differences
+    mesh, _, _ = problem
+    d = mesh.dim
+    dof = fs.DofMap(mesh)
+    M = fs.assemble_mass(mesh, dof).toarray()
+    Md = np.diag(np.diag(M))
+    Ml = fs.assemble_lumped(mesh, dof).toarray()
+    slack = 1e-12 * np.abs(M).max()
+    for diff in (M - 0.5 * Md, 0.5 * (d + 2) * Md - M,
+                 M - Ml / (d + 2), 0.5 * (d + 2) * Ml - M):
+        assert np.linalg.eigvalsh(diff)[0] >= -slack
 
 
 def test_export_matrix_market_round_trip(tmp_path):

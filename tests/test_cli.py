@@ -260,13 +260,12 @@ def test_no_command_is_usage_error(capsys):
     capsys.readouterr()
 
 
-def test_reproducible_pins_thread_env(monkeypatch, capsys):
-    import os
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                "MKL_NUM_THREADS"):
-        monkeypatch.delenv(var, raising=False)
-    assert main(["analyze", "--uniform1d", "4", "--reproducible"]) == 0
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                "MKL_NUM_THREADS"):
-        assert os.environ[var] == "1"
+def test_removed_options_are_usage_errors(capsys):
+    for argv in (["analyze", "--uniform1d", "4", "--reproducible"],
+                 ["analyze", "--uniform1d", "4", "--threads", "2"],
+                 ["analyze", "--uniform1d", "4", "--eig", "power"],
+                 ["integrate", "--uniform1d", "4", "--steps", "1",
+                  "--reproducible"],
+                 ["experiment", "spec.ini", "--threads", "1"]):
+        assert main(argv) == 1
     capsys.readouterr()

@@ -2,17 +2,20 @@
 
 Property tests draw jittered and graded meshes in 1D, 2D and 3D (some with
 a Neumann side), constant and piecewise SPD fields and all three mass
-kinds; fixed regressions cover the cases where a shift-invert solve goes
-wrong without a certificate.
+kinds, and check that malformed pencils are refused; fixed regressions
+cover the cases where a shift-invert solve goes wrong without a
+certificate.
 """
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+import scipy.sparse as sp
+from hypothesis import HealthCheck, assume, given, settings
 
 import festab as fs
 from festab import bounds as bounds_mod
-from conftest import dense_lambda_max, dense_pencil_eigvals
+from conftest import (PROPERTY, dense_lambda_max, dense_pencil_eigvals,
+                      problems)
 
 ORACLE_RTOL = 1e-12
 RESIDUAL_MAX = 1e-10
@@ -29,56 +32,6 @@ def pencil(mesh, field, kind):
             fs.assemble_stiffness(mesh, field, 4, dof))
 
 
-def _grid(dim, cells):
-    if dim == 1:
-        return fs.gen_uniform_1d(cells)
-    if dim == 2:
-        return fs.gen_structured_2d(cells, cells, diagonal="alternating")
-    return fs.gen_structured_3d(cells, cells, cells)
-
-
-def _random_spd(rng, dim, kappa):
-    """Random rotation of diag(1, ..., kappa) times a random scale."""
-    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
-    ev = np.geomspace(1.0, kappa, dim)
-    return rng.uniform(0.1, 10.0) * (q * ev) @ q.T
-
-
-@st.composite
-def problems(draw):
-    """(mesh, field, mass kind) for one engine-vs-oracle comparison."""
-    dim = draw(st.sampled_from([1, 2, 3]))
-    cells = draw(st.integers(*{1: (8, 400), 2: (4, 20), 3: (2, 6)}[dim]))
-    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    base = _grid(dim, cells)
-    nodes = base.nodes.copy()
-    free = base.node_markers != fs.DIRICHLET
-    if draw(st.sampled_from(["jittered", "graded"])) == "jittered":
-        amount = draw(st.floats(0.0, 0.3))
-        nodes[free] += amount / cells * rng.uniform(-1.0, 1.0,
-                                                    (int(free.sum()), dim))
-    else:
-        # monotone map per coordinate: cells shrink towards the origin
-        nodes = nodes ** draw(st.floats(1.0, 2.0))
-    markers = base.node_markers.copy()
-    if draw(st.booleans()):
-        side = nodes[:, 0] == 0.0
-        if dim > 1:
-            side &= (nodes[:, 1:] > 0.0).all(axis=1) \
-                & (nodes[:, 1:] < 1.0).all(axis=1)
-        markers[side] = fs.NEUMANN
-    tags = rng.integers(0, 3, base.num_elements)
-    mesh = fs.SimplicialMesh(nodes, base.elements, markers, region_tags=tags)
-    kappa = draw(st.sampled_from([1.0, 10.0, 1000.0]))
-    if draw(st.sampled_from(["constant", "piecewise"])) == "constant":
-        field = fs.Constant(_random_spd(rng, dim, kappa))
-    else:
-        field = fs.PiecewiseConstantPerElement(
-            {t: _random_spd(rng, dim, kappa) for t in range(3)})
-    kind = draw(st.sampled_from(fs.MASS_KINDS))
-    return mesh, field, kind
-
-
 @settings(settings.get_profile("eigen-engine"))
 @given(problems())
 def test_engine_matches_dense_oracle(problem):
@@ -91,9 +44,36 @@ def test_engine_matches_dense_oracle(problem):
     assert est.residual <= RESIDUAL_MAX
     lam, vec = fs.max_eigvec_exact(Mt, A)
     assert lam == est.value
-    assert vec @ Mt.matvec(vec) == pytest.approx(1.0, rel=1e-12)
-    assert np.linalg.norm(A.matvec(vec) - lam * Mt.matvec(vec)) \
-        <= RESIDUAL_MAX * lam * np.linalg.norm(Mt.matvec(vec))
+    assert vec @ (Mt @ vec) == pytest.approx(1.0, rel=1e-12)
+    assert np.linalg.norm(A @ vec - lam * (Mt @ vec)) \
+        <= RESIDUAL_MAX * lam * np.linalg.norm(Mt @ vec)
+
+
+ENTRY_POINTS = (fs.lambda_max_exact, fs.max_eigvec_exact,
+                fs.lambda_max_lanczos, fs.lambda_max_power)
+
+
+@PROPERTY
+@given(problems())
+def test_entry_points_reject_bad_pencils(problem):
+    mesh, field, kind = problem
+    Mt, A = pencil(mesh, field, kind)
+    rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+    off = np.flatnonzero(A.indices != rows)
+    assume(off.size)
+    skewed = A.copy()           # one entry one ulp off its mirror image
+    skewed.data[off[0]] = np.nextafter(skewed.data[off[0]], np.inf)
+    wide = sp.csr_array(sp.hstack([A, A]))
+    double = sp.csr_array(sp.block_diag([A, A]))
+    for entry in ENTRY_POINTS:
+        with pytest.raises(ValueError, match="not symmetric"):
+            entry(Mt, skewed)
+        with pytest.raises(ValueError, match="not square"):
+            entry(Mt, wide)
+        with pytest.raises(ValueError, match="not square"):
+            entry(wide, A)
+        with pytest.raises(ValueError, match="mismatch"):
+            entry(Mt, double)
 
 
 def test_groundwater_full_mass_returns_the_top_of_a_close_pair(monkeypatch):
@@ -140,11 +120,10 @@ def test_inertia_flips_across_lambda_max(kind):
     mesh = fs.SimplicialMesh(nodes, base.elements, base.node_markers)
     Mt, A = pencil(mesh, fs.aniso2d(100.0), kind)
     lam = dense_lambda_max(Mt, A)
-    Ms, As = Mt.to_scipy(), A.to_scipy()
-    assert bounds_mod._spd_factor(lam * (1.0 + 1e-8) * Ms - As) is not None
-    assert bounds_mod._spd_factor(lam * (1.0 - 1e-8) * Ms - As) is None
-    assert bounds_mod._spd_factor(Ms) is not None
-    assert bounds_mod._spd_factor(-As) is None
+    assert bounds_mod._spd_factor(lam * (1.0 + 1e-8) * Mt - A) is not None
+    assert bounds_mod._spd_factor(lam * (1.0 - 1e-8) * Mt - A) is None
+    assert bounds_mod._spd_factor(Mt) is not None
+    assert bounds_mod._spd_factor(-A) is None
 
 
 def test_failed_certificate_retries(monkeypatch):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import festab as fs
+from festab.quality import _reference_map_inverses
 from scipy.integrate import quad
 from conftest import equidistributed_1d_oracle
 
@@ -84,19 +85,20 @@ def test_validate_marker_range():
         fs.SimplicialMesh(nodes, elements, np.array([1, 7, 1]))
 
 
-def test_affine_map_volume_and_vertices():
+def test_reference_map_determinant_is_volume():
     rng = np.random.default_rng(3)
     nodes = rng.uniform(0.0, 1.0, (4, 3))
     mesh = fs.SimplicialMesh(nodes, np.array([[0, 1, 2, 3]]),
                              np.array([1, 0, 2, 2]))
-    amap = fs.affine_map(mesh, 0)
-    assert amap.volume == pytest.approx(mesh.volumes()[0], rel=1e-12)
+    Fp = np.linalg.inv(_reference_map_inverses(mesh)[0])
+    assert abs(np.linalg.det(Fp)) == pytest.approx(mesh.volumes()[0],
+                                                   rel=1e-12)
+    # x = x_0 + F' (xhat - xhat_0) sends the reference simplex onto the
+    # element, vertex by vertex
     ref = fs.reference_simplex(3)
-    mapped = amap.apply(ref)
-    # the map sends the reference simplex onto the element (same vertex set)
     verts = mesh.nodes[mesh.elements[0]]
-    for v in mapped:
-        assert min(np.linalg.norm(verts - v, axis=1)) < 1e-12
+    mapped = verts[0] + (ref - ref[0]) @ Fp.T
+    assert np.allclose(mapped, verts, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
 
 import festab as fs
-from conftest import equilateral_lattice, jittered_mesh_2d, obtuse_pair
+from conftest import (PROPERTY, equilateral_lattice, jittered_mesh_2d,
+                      obtuse_pair, problems)
 
 
 def monomial_average(d, powers):
@@ -73,26 +75,27 @@ def test_conical_product_rule_exactness(d, n):
 # element averages
 # ---------------------------------------------------------------------------
 
-def test_average_tensor_linear_field_is_centroid_value():
+def test_element_averages_linear_field_is_centroid_value():
     mesh = fs.gen_structured_2d(2, 2)
     f = fs.Analytic(lambda P: 1.0 + P[:, 0] + 0.5 * P[:, 1], dim=2)
+    avg = fs.element_averages(f, mesh, quad_order=2)
     for k in (0, 3, 5):
         centroid = mesh.nodes[mesh.elements[k]].mean(axis=0)
         want = (1.0 + centroid[0] + 0.5 * centroid[1]) * np.eye(2)
-        got = fs.average_tensor(f, mesh, k, quad_order=2)
-        assert np.allclose(got, want, rtol=1e-13)
+        assert np.allclose(avg[k], want, rtol=1e-13)
 
 
-def test_average_tensor_matches_fine_quadrature():
+def test_element_averages_match_fine_quadrature():
     mesh = fs.gen_uniform_1d(4)
     f = fs.per1d(4.0)           # smooth on each element
     from scipy.integrate import quad
     xs = mesh.nodes[:, 0]
+    coarse_avg = fs.element_averages(f, mesh, quad_order=1)
+    fine_avg = fs.element_averages(f, mesh, quad_order=4)
     for k in range(4):
         exact = quad(lambda x: 1.0 / (2.0 - math.sin(2 * math.pi * x / 4.0)),
                      xs[k], xs[k + 1])[0] / (xs[k + 1] - xs[k])
-        coarse = fs.average_tensor(f, mesh, k, quad_order=1)[0, 0]
-        fine = fs.average_tensor(f, mesh, k, quad_order=4)[0, 0]
+        coarse, fine = coarse_avg[k, 0, 0], fine_avg[k, 0, 0]
         assert fine == pytest.approx(exact, rel=5e-7)
         assert abs(fine - exact) < abs(coarse - exact)
 
@@ -236,14 +239,30 @@ def test_quality_1d_adapted_mesh_is_uniform_in_inverse_metric():
     assert np.allclose(q.q_ali, 1.0, atol=1e-12)  # 1D alignment is trivial
 
 
-def test_element_quality_matches_summary():
-    mesh = jittered_mesh_2d(np.random.default_rng(11), 4, 4)
-    metric = fs.InverseOf(fs.aniso2d(5.0))
-    q = fs.mesh_quality_summary(mesh, metric)
-    eq = fs.element_quality(mesh, 7, metric, q.h_global)
-    assert eq.q_eq == pytest.approx(q.q_eq[7], rel=1e-12)
-    assert eq.q_ali == pytest.approx(q.q_ali[7], rel=1e-12)
-    assert eq.q_m == pytest.approx(q.q_m[7], rel=1e-12)
+@PROPERTY
+@given(problems())
+def test_quality_identities_on_drawn_meshes(problem):
+    # mean(1/q_eq) = 1 and max q_eq >= 1 in the metric D^-1; the geometric
+    # bound equals its quality form C* C# h^-2 max_i sum (|K|/|omega_i|)
+    # Q_D(K), where Q_D(K) = q_m(K) for an element-constant D
+    mesh, field, _ = problem
+    d = mesh.dim
+    q = fs.mesh_quality_summary(mesh, fs.InverseOf(field))
+    assert np.mean(1.0 / q.q_eq) == pytest.approx(1.0, abs=1e-10)
+    assert q.max_q_eq >= 1.0 - 1e-12
+    g = fs.geometric_bound(mesh, field)
+    vols = mesh.volumes()
+
+    def patch_sum(per_element):
+        return np.bincount(mesh.elements.ravel(),
+                           weights=np.repeat(per_element, d + 1),
+                           minlength=mesh.num_nodes)
+
+    per_node = patch_sum(vols * q.q_m) / patch_sum(vols)
+    free = mesh.node_markers != fs.DIRICHLET
+    value_qd = (fs.c_star(d, False, g.nonobtuse) * fs.c_sharp(d)
+                / q.h_global ** 2 * per_node[free].max())
+    assert value_qd == pytest.approx(g.value, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -257,21 +276,22 @@ def test_inscribed_diameter_equilateral_identity():
     mesh = fs.SimplicialMesh(nodes, np.array([[0, 1, 2]]),
                              np.array([fs.DIRICHLET, fs.NEUMANN,
                                        fs.NEUMANN]))
-    rho = fs.inscribed_diameter_metric(mesh, 0, np.eye(2))
-    assert rho == pytest.approx(ell / math.sqrt(3), rel=1e-13)
+    rho = fs.mesh_quality_summary(mesh, fs.Constant(np.eye(2))).rho_metric
+    assert rho[0] == pytest.approx(ell / math.sqrt(3), rel=1e-13)
 
 
 def test_inscribed_diameter_1d_metric_scaling():
     mesh = fs.SimplicialMesh(np.array([[0.0], [0.25]]),
                              np.array([[0, 1]]), np.array([1, 2]))
-    assert fs.inscribed_diameter_metric(mesh, 0, np.array([[16.0]])) == \
-        pytest.approx(1.0, rel=1e-14)
+    q = fs.mesh_quality_summary(mesh, fs.Constant(np.array([[16.0]])))
+    assert q.rho_metric[0] == pytest.approx(1.0, rel=1e-14)
 
 
 def test_inscribed_diameter_3d_not_defined():
     mesh = fs.gen_structured_3d(2, 2, 2)
-    with pytest.raises(ValueError):
-        fs.inscribed_diameter_metric(mesh, 0, np.eye(3))
+    q = fs.mesh_quality_summary(mesh, fs.Constant(np.eye(3)))
+    assert q.rho_metric is None
+    assert q.element(0).rho_metric is None
 
 
 def test_alignment_bounded_by_inscribed_ratio():
@@ -288,7 +308,7 @@ def test_alignment_bounded_by_inscribed_ratio():
         metric_mat = B @ B.T + 0.05 * np.eye(2)
         metric = fs.Constant(metric_mat)
         q = fs.mesh_quality_summary(mesh, metric)
-        rho = fs.inscribed_diameter_metric(mesh, 0, metric_mat)
+        rho = q.element(0).rho_metric
         h_elem = q.element(0).h_elem
         assert q.q_ali[0] <= hhat2 * (h_elem / rho) ** 2 * (1.0 + 1e-10)
 
@@ -300,13 +320,13 @@ def test_alignment_bounded_by_inscribed_ratio():
 def test_nonobtuse_structured_grid():
     mesh = fs.gen_structured_2d(8, 8)
     A = fs.assemble_stiffness(mesh, fs.identity(2))
-    assert fs.is_nonobtuse_wrt(mesh, fs.identity(2), A)
+    assert fs.is_nonobtuse_wrt(A)
 
 
 def test_nonobtuse_rejects_obtuse_pair():
     mesh = obtuse_pair()
     A = fs.assemble_stiffness(mesh, fs.identity(2))
-    assert not fs.is_nonobtuse_wrt(mesh, fs.identity(2), A)
+    assert not fs.is_nonobtuse_wrt(A)
 
 
 def test_export_quality_csv_deterministic(tmp_path):
