@@ -106,14 +106,17 @@ def _is_diagonal(X):
 
 
 def _mass_solver(Mtilde):
-    """Exact solver for Mtilde: diagonal division or sparse LU."""
+    """Exact solver for the mass surrogate Mtilde, which must be SPD:
+    division by its diagonal, or its inertia-checked LU (`_spd_factor`)."""
     if _is_diagonal(Mtilde):
         dm = Mtilde.diagonal()
-        if (dm <= 0.0).any():
-            raise ValueError("nonpositive diagonal in mass matrix")
-        return lambda b: b / dm
-    lu = spla.splu(Mtilde.tocsc())
-    return lu.solve
+        if (dm > 0.0).all():
+            return lambda b: b / dm
+    else:
+        lu = _spd_factor(Mtilde)
+        if lu is not None:
+            return lu.solve
+    raise ValueError("mass matrix has a nonpositive eigenvalue")
 
 
 def _spd_factor(K):
@@ -258,13 +261,7 @@ def _top_eigpair(Mtilde, A):
     """
     _check_pencil(Mtilde, A)
     n = A.shape[0]
-    if _is_diagonal(Mtilde):
-        solve = _mass_solver(Mtilde)
-    else:
-        lu_m = _spd_factor(Mtilde)
-        if lu_m is None:
-            raise ValueError("mass matrix has a nonpositive eigenvalue")
-        solve = lu_m.solve
+    solve = _mass_solver(Mtilde)
     if _spd_factor(A) is None:
         raise ValueError("pencil has a nonpositive eigenvalue; "
                          "A is not positive definite")
@@ -704,6 +701,7 @@ class StabilityReport:
 
 
 MASS_KINDS = ("full", "lumped", "lumped_rowsum")
+_BOUND_NAMES = ("diag", "geo", "zhudu", "shewchuk")
 
 
 def _mass_tilde(mesh, mass_kind, dof, M):
@@ -719,18 +717,23 @@ def _mass_tilde(mesh, mass_kind, dof, M):
 
 def stability_report(mesh, field, mass_kind="full", s=1, quad_order=4,
                      method="exact", lanczos_steps=5, seed=2, security=1.1,
-                     include=("diag", "geo", "zhudu", "shewchuk"),
-                     mesh_id="", context=None):
+                     include=_BOUND_NAMES, mesh_id="", context=None):
     """Assemble, solve and bound one configuration; returns StabilityReport.
 
     `mass_kind` selects the surrogate mass: "full", "lumped" (full-space
     row sums) or "lumped_rowsum" (row sums of the eliminated mass matrix).
     `method` selects the eigenvalue computation: exact (the certified
     sparse solve; "dense" is accepted as an alias) or lanczos.
+    `include` names the bounds to evaluate, from "diag", "geo", "zhudu"
+    and "shewchuk"; any other name raises ValueError.
     `context`, a `ProblemContext` of (mesh, field, quad_order), lets
     several reports on one problem share its averages and operators; by
     default the report builds its own.
     """
+    for name in include:
+        if name not in _BOUND_NAMES:
+            raise ValueError(f"unknown bound {name!r}; "
+                             f"choices: {', '.join(_BOUND_NAMES)}")
     ctx = _problem_context(mesh, field, quad_order, context)
     dof, A = ctx.dofmap, ctx.A
     Mt = _mass_tilde(mesh, mass_kind, dof, ctx.M)

@@ -56,18 +56,20 @@ def _positive_float(text):
     return value
 
 
-def _grid_shape(text):
-    m = re.fullmatch(r"(\d+)x(\d+)", text)
-    if not m:
-        raise argparse.ArgumentTypeError(f"expected NXxNY, got {text!r}")
-    return int(m.group(1)), int(m.group(2))
+def _grid_shape(dims):
+    """argparse type for a grid of `dims` cell counts, each >= 1."""
+    form = "x".join(("NX", "NY", "NZ")[:dims])
 
-
-def _grid_shape_3d(text):
-    m = re.fullmatch(r"(\d+)x(\d+)x(\d+)", text)
-    if not m:
-        raise argparse.ArgumentTypeError(f"expected NXxNYxNZ, got {text!r}")
-    return int(m.group(1)), int(m.group(2)), int(m.group(3))
+    def parse(text):
+        m = re.fullmatch("x".join([r"(\d+)"] * dims), text)
+        if not m:
+            raise argparse.ArgumentTypeError(f"expected {form}, got {text!r}")
+        counts = tuple(int(g) for g in m.groups())
+        if min(counts) < 1:
+            raise argparse.ArgumentTypeError(
+                f"cell counts must be >= 1, got {text!r}")
+        return counts
+    return parse
 
 
 def _add_mesh_args(parser):
@@ -78,9 +80,9 @@ def _add_mesh_args(parser):
     group.add_argument("--equi1d", type=_positive_int, metavar="N",
                        help="1D mesh with N cells equidistributing the "
                             "inverse-diffusion weight of --field")
-    group.add_argument("--grid", type=_grid_shape, metavar="NXxNY",
+    group.add_argument("--grid", type=_grid_shape(2), metavar="NXxNY",
                        help="triangulated grid on the unit square")
-    group.add_argument("--grid3d", type=_grid_shape_3d, metavar="NXxNYxNZ",
+    group.add_argument("--grid3d", type=_grid_shape(3), metavar="NXxNYxNZ",
                        help="tetrahedral grid on the unit cube")
     group.add_argument("--groundwater", action="store_true",
                        help="layered-aquifer benchmark on (0,100)^2")

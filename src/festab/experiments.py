@@ -37,8 +37,9 @@ from dataclasses import dataclass, field as _dc_field
 
 import numpy as np
 
-from .mesh import (DIRICHLET, NEUMANN, SimplicialMesh, gen_equidistributed_1d,
-                   gen_structured_2d, gen_uniform_1d, load_mesh)
+from .mesh import (DIRICHLET, NEUMANN, SimplicialMesh, _lattice,
+                   gen_equidistributed_1d, gen_structured_2d, gen_uniform_1d,
+                   load_mesh)
 from .fields import (PiecewiseConstantPerElement, adapted_weight, aniso2d,
                      identity, nonper1d, per1d)
 from .assembly import ProblemContext
@@ -119,6 +120,11 @@ def _march(p0, f, steps_fwd, steps_back, h):
     return back[::-1][:-1] + fwd
 
 
+# (even, odd) cell splits of the aligned patch in (row, spine) offsets
+_ALIGNED_SPLITS = ((((0, 0), (0, 1), (1, 1)), ((0, 0), (1, 1), (1, 0))),
+                   (((0, 0), (0, 1), (1, 0)), ((0, 1), (1, 1), (1, 0))))
+
+
 def gen_metric_aligned(kappa=1000.0, seed_point=(0.45, 0.35),
                        n_long=16, n_short=100,
                        step_long=0.02, step_short=None):
@@ -145,28 +151,10 @@ def gen_metric_aligned(kappa=1000.0, seed_point=(0.45, 0.35),
                    step_short) for p in spine]
     pts = np.array(rows)  # (n_long+1, n_short+1, 2)
 
-    ni, nj = pts.shape[0] - 1, pts.shape[1] - 1
-    nodes = pts.reshape(-1, 2)
-
-    def nid(i, j):
-        return i * (nj + 1) + j
-
-    elements = []
-    for i in range(ni):
-        for j in range(nj):
-            a, b = nid(i, j), nid(i + 1, j)
-            c, d = nid(i + 1, j + 1), nid(i, j + 1)
-            if (i + j) % 2 == 0:
-                elements.append((a, b, c))
-                elements.append((a, c, d))
-            else:
-                elements.append((a, b, d))
-                elements.append((b, c, d))
-
-    markers = np.zeros((ni + 1, nj + 1), dtype=np.int64)
-    markers[0, :] = markers[-1, :] = DIRICHLET
-    markers[:, 0] = markers[:, -1] = DIRICHLET
-    return SimplicialMesh(nodes, np.array(elements), markers.ravel())
+    # lattice axis 0 runs along the rows (the transversals), axis 1 along
+    # the spine
+    return SimplicialMesh(pts.reshape(-1, 2),
+                          *_lattice((n_short, n_long), *_ALIGNED_SPLITS))
 
 
 # ----------------------------------------------------------------------------

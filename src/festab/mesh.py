@@ -239,35 +239,39 @@ def _content_lines(path):
 
 
 def load_mesh(path):
-    """Parse and validate a mesh file; see `save_mesh` for the format."""
-    lines = _content_lines(path)
+    """Parse and validate a mesh file; see `save_mesh` for the format.
 
-    def next_line(what):
-        try:
-            return next(lines)
-        except StopIteration:
+    Each block must hold exactly the rows its header declares: a file that
+    ends early, or has content after the element block, is an error.  The
+    arrays are sized by the rows the file holds, never by a declared count.
+    """
+    lines = list(_content_lines(path))
+    pos = 0
+
+    def header(key, what):
+        nonlocal pos
+        if pos == len(lines):
             raise ValueError(f"{path}: unexpected end of file, "
-                             f"expected {what}") from None
+                             f"expected '{key} <{what}>'")
+        ln, line = lines[pos]
+        pos += 1
+        parts = line.split()
+        if len(parts) != 2 or parts[0] != key:
+            raise ValueError(f"{path}:{ln}: expected '{key} <{what}>'")
+        if not parts[1].isdecimal():
+            raise ValueError(f"{path}:{ln}: '{key}' needs a non-negative "
+                             f"integer, got {parts[1]!r}")
+        return ln, int(parts[1])
 
-    ln, line = next_line("'dim <d>'")
-    parts = line.split()
-    if len(parts) != 2 or parts[0] != "dim":
-        raise ValueError(f"{path}:{ln}: expected 'dim <d>'")
-    try:
-        d = int(parts[1])
-    except ValueError:
-        raise ValueError(f"{path}:{ln}: bad dimension {parts[1]!r}") from None
+    ln, d = header("dim", "d")
+    if d not in (1, 2, 3):
+        raise ValueError(f"{path}:{ln}: unsupported dimension {d}")
 
-    ln, line = next_line("'nodes <n>'")
-    parts = line.split()
-    if len(parts) != 2 or parts[0] != "nodes":
-        raise ValueError(f"{path}:{ln}: expected 'nodes <n>'")
-    n = int(parts[1])
-
-    nodes = np.empty((n, max(d, 1)))
-    markers = np.empty(n, dtype=np.int64)
-    for i in range(n):
-        ln, line = next_line("a node line")
+    at, n = header("nodes", "n")
+    block = lines[pos:pos + n]
+    nodes = np.empty((len(block), d))
+    markers = np.empty(len(block), dtype=np.int64)
+    for i, (ln, line) in enumerate(block):
         parts = line.split()
         if len(parts) != d + 1:
             raise ValueError(f"{path}:{ln}: node line needs {d} coordinates "
@@ -277,17 +281,16 @@ def load_mesh(path):
             markers[i] = int(parts[d])
         except ValueError:
             raise ValueError(f"{path}:{ln}: malformed node line") from None
+    if len(block) < n:
+        raise ValueError(f"{path}:{at}: declares {n} nodes, but the file "
+                         f"holds only {len(block)}")
+    pos += n
 
-    ln, line = next_line("'elements <N>'")
-    parts = line.split()
-    if len(parts) != 2 or parts[0] != "elements":
-        raise ValueError(f"{path}:{ln}: expected 'elements <N>'")
-    ne = int(parts[1])
-
-    elements = np.empty((ne, d + 1), dtype=np.int64)
-    tags = np.zeros(ne, dtype=np.int64)
-    for k in range(ne):
-        ln, line = next_line("an element line")
+    at, ne = header("elements", "N")
+    block = lines[pos:pos + ne]
+    elements = np.empty((len(block), d + 1), dtype=np.int64)
+    tags = np.zeros(len(block), dtype=np.int64)
+    for k, (ln, line) in enumerate(block):
         parts = line.split()
         if len(parts) not in (d + 1, d + 2):
             raise ValueError(f"{path}:{ln}: element line needs {d + 1} node "
@@ -299,23 +302,66 @@ def load_mesh(path):
         elements[k] = vals[:d + 1]
         if len(vals) == d + 2:
             tags[k] = vals[d + 1]
+    if len(block) < ne:
+        raise ValueError(f"{path}:{at}: declares {ne} elements, but the "
+                         f"file holds only {len(block)}")
+    if pos + ne < len(lines):
+        raise ValueError(f"{path}:{lines[pos + ne][0]}: content after the "
+                         "element block")
 
     return SimplicialMesh(nodes, elements, markers, region_tags=tags)
 
 
 # ----------------------------------------------------------------------
 # Generators
+#
+# Every structured mesh is a lattice of cells, each cut into simplices by a
+# split table: one tuple of cell-corner offsets (0 or 1 per axis) per
+# simplex, in the vertex order the element gets.
+
+_SEGMENT = (((0,), (1,)),)
+_RIGHT = (((0, 0), (1, 0), (1, 1)), ((0, 0), (1, 1), (0, 1)))
+_LEFT = (((0, 0), (1, 0), (0, 1)), ((1, 0), (1, 1), (0, 1)))
+_SPLITS_2D = {"right": (_RIGHT,), "left": (_LEFT,),
+              "alternating": (_RIGHT, _LEFT)}
+# Kuhn's six tetrahedra: the walks from corner 000 to corner 111 that step
+# along one axis at a time, the axis orders taken lexicographically.
+_KUHN = (((0, 0, 0), (1, 0, 0), (1, 1, 0), (1, 1, 1)),
+         ((0, 0, 0), (1, 0, 0), (1, 0, 1), (1, 1, 1)),
+         ((0, 0, 0), (0, 1, 0), (1, 1, 0), (1, 1, 1)),
+         ((0, 0, 0), (0, 1, 0), (0, 1, 1), (1, 1, 1)),
+         ((0, 0, 0), (0, 0, 1), (1, 0, 1), (1, 1, 1)),
+         ((0, 0, 0), (0, 0, 1), (0, 1, 1), (1, 1, 1)))
+
+
+def _lattice(counts, split, odd_split=None):
+    """(elements, node_markers) of the lattice with `counts` cells per axis.
+
+    Nodes and cells are numbered with axis 0 fastest.  Each cell is cut
+    into the simplices of the table `split`, or of `odd_split` (when given)
+    if the sum of its cell indices is odd; a cell's simplices are
+    consecutive, in table order.  The nodes on the lattice boundary are
+    Dirichlet, all others interior.
+    """
+    d = len(counts)
+    stride = np.cumprod((1,) + tuple(c + 1 for c in counts[:-1]))
+    cells = np.indices(counts[::-1]).reshape(d, -1)[::-1]
+    base = (stride @ cells)[:, None, None]
+    elements = base + np.array(split) @ stride
+    if odd_split is not None:
+        odd = (cells.sum(axis=0) % 2 == 1)[:, None, None]
+        elements = np.where(odd, base + np.array(odd_split) @ stride,
+                            elements)
+    inner = np.zeros([c - 1 for c in counts[::-1]], dtype=np.int64)
+    markers = np.pad(inner, 1, constant_values=DIRICHLET)
+    return elements.reshape(-1, d + 1), markers.ravel()
 
 
 def gen_uniform_1d(n):
     """Uniform mesh of (0,1) with n cells; both endpoints Dirichlet."""
     if n < 1:
         raise ValueError("need at least one element")
-    nodes = np.arange(n + 1) / n
-    elements = np.column_stack([np.arange(n), np.arange(1, n + 1)])
-    markers = np.zeros(n + 1, dtype=np.int64)
-    markers[0] = markers[-1] = DIRICHLET
-    return SimplicialMesh(nodes, elements, markers)
+    return SimplicialMesh(np.arange(n + 1) / n, *_lattice((n,), _SEGMENT))
 
 
 def gen_equidistributed_1d(n, w):
@@ -357,11 +403,7 @@ def gen_equidistributed_1d(n, w):
     nodes[1:-1] = _invert_cumulative(w, lo, hi, cell, n)
     if not (np.diff(nodes) > 0.0).all():
         raise ValueError("equidistributed nodes are not strictly increasing")
-
-    elements = np.column_stack([np.arange(n), np.arange(1, n + 1)])
-    markers = np.zeros(n + 1, dtype=np.int64)
-    markers[0] = markers[-1] = DIRICHLET
-    return SimplicialMesh(nodes, elements, markers)
+    return SimplicialMesh(nodes, *_lattice((n,), _SEGMENT))
 
 
 # The equidistribution quadrature: Gauss-Legendre nodes on [-1, 1], the
@@ -508,7 +550,7 @@ def gen_structured_2d(nx, ny, grading="uniform", diagonal="right",
         raise ValueError("grid needs at least one cell per direction")
     if grading not in ("uniform", "geometric"):
         raise ValueError(f"unknown grading {grading!r}")
-    if diagonal not in ("right", "left", "alternating"):
+    if diagonal not in _SPLITS_2D:
         raise ValueError(f"unknown diagonal pattern {diagonal!r}")
     if grading == "uniform":
         ratio_x = ratio_y = 1.0
@@ -520,64 +562,14 @@ def gen_structured_2d(nx, ny, grading="uniform", diagonal="right",
 
     X, Y = np.meshgrid(xs, ys, indexing="xy")
     nodes = np.column_stack([X.ravel(), Y.ravel()])
-    markers = np.zeros((ny + 1, nx + 1), dtype=np.int64)
-    markers[0, :] = markers[-1, :] = DIRICHLET
-    markers[:, 0] = markers[:, -1] = DIRICHLET
-
-    def nid(i, j):
-        return j * (nx + 1) + i
-
-    elements = []
-    for j in range(ny):
-        for i in range(nx):
-            v00, v10 = nid(i, j), nid(i + 1, j)
-            v01, v11 = nid(i, j + 1), nid(i + 1, j + 1)
-            if diagonal == "right" or (diagonal == "alternating"
-                                       and (i + j) % 2 == 0):
-                elements.append((v00, v10, v11))
-                elements.append((v00, v11, v01))
-            else:
-                elements.append((v00, v10, v01))
-                elements.append((v10, v11, v01))
-    return SimplicialMesh(nodes, np.array(elements), markers.ravel())
-
-
-_KUHN_PERMS = [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]
+    return SimplicialMesh(nodes, *_lattice((nx, ny), *_SPLITS_2D[diagonal]))
 
 
 def gen_structured_3d(nx, ny, nz):
     """Unit cube split into 6 tetrahedra per cell; boundary all Dirichlet."""
     if min(nx, ny, nz) < 1:
         raise ValueError("grid needs at least one cell per direction")
-    xs, ys, zs = (np.arange(m + 1) / m for m in (nx, ny, nz))
-    shape = (nx + 1, ny + 1, nz + 1)
-
-    def nid(i, j, k):
-        return (k * (ny + 1) + j) * (nx + 1) + i
-
-    nodes = np.empty(((nx + 1) * (ny + 1) * (nz + 1), 3))
-    markers = np.zeros(len(nodes), dtype=np.int64)
-    for k in range(nz + 1):
-        for j in range(ny + 1):
-            for i in range(nx + 1):
-                idx = nid(i, j, k)
-                nodes[idx] = (xs[i], ys[j], zs[k])
-                if (i in (0, nx)) or (j in (0, ny)) or (k in (0, nz)):
-                    markers[idx] = DIRICHLET
-
-    elements = []
-    for k in range(nz):
-        for j in range(ny):
-            for i in range(nx):
-                base = np.array([i, j, k])
-                for perm in _KUHN_PERMS:
-                    # Walk from the cell's low corner to its high corner
-                    # one axis at a time: each order gives one tetrahedron.
-                    corners = [base.copy()]
-                    p = base.copy()
-                    for axis in perm:
-                        p = p.copy()
-                        p[axis] += 1
-                        corners.append(p)
-                    elements.append([nid(*c) for c in corners])
-    return SimplicialMesh(nodes, np.array(elements), markers)
+    Z, Y, X = np.meshgrid(*(np.arange(m + 1) / m for m in (nz, ny, nx)),
+                          indexing="ij")
+    nodes = np.column_stack([X.ravel(), Y.ravel(), Z.ravel()])
+    return SimplicialMesh(nodes, *_lattice((nx, ny, nz), _KUHN))

@@ -49,6 +49,8 @@ def test_gen_usage_errors(tmp_path):
     assert main(["gen", "-o", str(tmp_path / "x.mesh")]) == 1   # no source
     assert main(["gen", "--grid", "8", "-o", "x"]) == 1          # bad shape
     assert main(["gen", "--uniform1d", "0", "-o", "x"]) == 1     # not >= 1
+    assert main(["gen", "--grid", "0x4", "-o", "x"]) == 1
+    assert main(["gen", "--grid3d", "0x2x2", "-o", "x"]) == 1
     assert main(["gen", "--grid", "4x4", "--uniform1d", "8",
                  "-o", "x"]) == 1                                # exclusive
 
@@ -145,6 +147,37 @@ def test_analyze_validation_errors(tmp_path, capsys):
     # 2D field on a 1D mesh
     assert main(["analyze", "--uniform1d", "4",
                  "--field", "aniso2d:kappa=10"]) == 2
+
+
+_BAD_INPUTS = {
+    "mesh-huge-count": ("dim 1\nnodes 99999999999999\n0.0 1\n",
+                        "declares 99999999999999 nodes"),
+    "mesh-trailing-elements": ("dim 1\nnodes 3\n0 1\n0.5 0\n1 1\n"
+                               "elements 1\n0 1\n1 2\n0 1\n",
+                               ":8: content after the element block"),
+    "mesh-bad-count": ("dim 1\nnodes x\n", ":2: 'nodes' needs a non-negative"),
+    "bounds": (None, "unknown bound 'geom'"),
+    "experiment-bounds": ("[zd2d]\nbounds = diag geom\n",
+                          "unknown bound 'geom'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_INPUTS))
+def test_bad_input_exits_2_with_one_line(tmp_path, capsys, case):
+    text, message = _BAD_INPUTS[case]
+    path = tmp_path / "input.txt"
+    if text is not None:
+        path.write_text(text)
+    argv = {"bounds": ["analyze", "--grid", "4x4", "--bounds", "geom"],
+            "experiment-bounds": ["experiment", str(path),
+                                  "--out-dir", str(tmp_path)],
+            }.get(case, ["analyze", "--mesh", str(path)])
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert message in err[0]
 
 
 # ---------------------------------------------------------------------------

@@ -76,6 +76,28 @@ def test_entry_points_reject_bad_pencils(problem):
             entry(Mt, double)
 
 
+def test_indefinite_mass_is_refused():
+    # eigenvalues 3, -1 and 1; the diagonal alone looks positive
+    M = sp.csr_array(np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0],
+                               [0.0, 0.0, 1.0]]))
+    A = sp.csr_array(np.array([[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0],
+                               [0.0, -1.0, 2.0]]))
+    sch = fs.ChebyshevScheme(s=1)
+    U = np.ones(3)
+    calls = [lambda entry=entry: entry(M, A) for entry in ENTRY_POINTS]
+    calls += [lambda seed=seed: fs.lambda_max_lanczos(M, A, seed=seed)
+              for seed in (1, 2)]
+    calls += [lambda: fs.step(sch, M, A, U, 0.1),
+              lambda: fs.integrate(sch, M, M, A, U, 0.1, 3),
+              # a diagonal surrogate with a zero entry
+              lambda: fs.step(sch, sp.csr_array(np.diag([1.0, 0.0, 1.0])),
+                              A, U, 0.1)]
+    for call in calls:
+        with pytest.raises(ValueError,
+                           match="mass matrix has a nonpositive eigenvalue"):
+            call()
+
+
 def test_groundwater_full_mass_returns_the_top_of_a_close_pair(monkeypatch):
     # mirror-symmetric problem (no strips): a symmetric start vector (all
     # ones) misses the top mode and converges to 1.60818597, not 1.60818922;

@@ -58,6 +58,19 @@ def test_aligned_mesh_layout():
     assert (grid[:, -1] == fs.DIRICHLET).all()
     with pytest.raises(ValueError):
         fs.gen_metric_aligned(n_long=1)
+    # the alternating split of a 4x4 patch, rows of 5 nodes
+    small = fs.gen_metric_aligned(100.0, n_long=4, n_short=4)
+    assert small.elements.tolist() == [
+        [0, 5, 6], [0, 6, 1], [1, 6, 2], [6, 7, 2],
+        [2, 7, 8], [2, 8, 3], [3, 8, 4], [8, 9, 4],
+        [5, 10, 6], [10, 11, 6], [6, 11, 12], [6, 12, 7],
+        [7, 12, 8], [12, 13, 8], [8, 13, 14], [8, 14, 9],
+        [10, 15, 16], [10, 16, 11], [11, 16, 12], [16, 17, 12],
+        [12, 17, 18], [12, 18, 13], [13, 18, 14], [18, 19, 14],
+        [15, 20, 16], [20, 21, 16], [16, 21, 22], [16, 22, 17],
+        [17, 22, 18], [22, 23, 18], [18, 23, 24], [18, 24, 19]]
+    assert np.flatnonzero(small.node_markers == fs.INTERIOR).tolist() == [
+        6, 7, 8, 11, 12, 13, 16, 17, 18]
 
 
 def test_aligned_mesh_cells_follow_the_coefficient():

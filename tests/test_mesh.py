@@ -115,6 +115,17 @@ def test_gen_uniform_1d_layout():
     assert (mesh.node_markers[1:-1] == fs.INTERIOR).all()
 
 
+# The elements of the 2x2 grid for each split, node 4 in the middle.
+_GRID_2X2 = {
+    "right": [[0, 1, 4], [0, 4, 3], [1, 2, 5], [1, 5, 4],
+              [3, 4, 7], [3, 7, 6], [4, 5, 8], [4, 8, 7]],
+    "left": [[0, 1, 3], [1, 4, 3], [1, 2, 4], [2, 5, 4],
+             [3, 4, 6], [4, 7, 6], [4, 5, 7], [5, 8, 7]],
+    "alternating": [[0, 1, 4], [0, 4, 3], [1, 2, 4], [2, 5, 4],
+                    [3, 4, 6], [4, 7, 6], [4, 5, 8], [4, 8, 7]],
+}
+
+
 def test_gen_structured_2d_counts_and_volume():
     for diag in ("right", "left", "alternating"):
         mesh = fs.gen_structured_2d(4, 3, diagonal=diag)
@@ -122,6 +133,9 @@ def test_gen_structured_2d_counts_and_volume():
         assert mesh.num_elements == 24
         assert mesh.volumes().sum() == pytest.approx(1.0, rel=1e-14)
         assert (mesh.volumes() > 0).all()
+        small = fs.gen_structured_2d(2, 2, diagonal=diag)
+        assert small.elements.tolist() == _GRID_2X2[diag]
+        assert small.node_markers.tolist() == [1, 1, 1, 1, 0, 1, 1, 1, 1]
     n_boundary = (fs.gen_structured_2d(4, 3).node_markers
                   == fs.DIRICHLET).sum()
     assert n_boundary == 2 * (4 + 1) + 2 * (3 + 1) - 4  # perimeter nodes
@@ -155,6 +169,48 @@ def test_gen_structured_3d_counts_and_volume():
     # every interior node of the unit cube is free
     interior = ((mesh.nodes > 0.0) & (mesh.nodes < 1.0)).all(axis=1)
     assert ((mesh.node_markers == fs.INTERIOR) == interior).all()
+    # Kuhn's six tetrahedra of the first cell (nodes 0, 1, 3, 4, 9, 10, 12,
+    # 13 of the 3x3x3 node lattice), last two vertices swapped where the
+    # walk is negatively oriented
+    cube = fs.gen_structured_3d(2, 2, 2)
+    assert cube.elements[:6].tolist() == [
+        [0, 1, 4, 13], [0, 1, 13, 10], [0, 3, 13, 4],
+        [0, 3, 12, 13], [0, 9, 10, 13], [0, 9, 13, 12]]
+    assert np.flatnonzero(cube.node_markers == fs.INTERIOR).tolist() == [13]
+
+
+# Every generator, with the markers its one-element faces may carry.
+_GENERATORS = {
+    "uniform1d": (lambda: fs.gen_uniform_1d(7), (fs.DIRICHLET,)),
+    "equi1d": (lambda: fs.gen_equidistributed_1d(
+        16, fs.adapted_weight(fs.per1d())), (fs.DIRICHLET,)),
+    "grid-right": (lambda: fs.gen_structured_2d(5, 4), (fs.DIRICHLET,)),
+    "grid-left": (lambda: fs.gen_structured_2d(5, 4, diagonal="left"),
+                  (fs.DIRICHLET,)),
+    "grid-alternating-graded": (lambda: fs.gen_structured_2d(
+        5, 4, grading="geometric", diagonal="alternating", ratio_x=0.9,
+        ratio_y=1.15), (fs.DIRICHLET,)),
+    "grid3d": (lambda: fs.gen_structured_3d(2, 3, 4), (fs.DIRICHLET,)),
+    "aligned": (lambda: fs.gen_metric_aligned(100.0, n_long=5, n_short=7),
+                (fs.DIRICHLET,)),
+    # the vertical sides are Neumann
+    "groundwater": (lambda: fs.gen_groundwater_like()[0],
+                    (fs.DIRICHLET, fs.NEUMANN)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GENERATORS))
+def test_generated_meshes_are_conforming(name):
+    build, boundary_markers = _GENERATORS[name]
+    mesh = build()
+    d = mesh.dim
+    faces = np.concatenate([np.delete(mesh.elements, k, axis=1)
+                            for k in range(d + 1)])
+    faces, count = np.unique(np.sort(faces, axis=1), axis=0,
+                             return_counts=True)
+    assert set(count.tolist()) <= {1, 2}
+    assert np.isin(mesh.node_markers[faces[count == 1]],
+                   boundary_markers).all()
 
 
 # ---------------------------------------------------------------------------
@@ -305,6 +361,30 @@ def test_load_mesh_reports_line_numbers(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("dim 1\nnodes 2\n0.0 1\nbogus 1\n")
     with pytest.raises(ValueError, match=":4: malformed"):
+        fs.load_mesh(str(path))
+
+
+_NODES = "dim 1\nnodes 3\n0 1\n0.5 0\n1 1\n"
+
+
+@pytest.mark.parametrize("text, match", [
+    # declared counts the file does not hold: refused before any
+    # allocation of that size
+    ("dim 1\nnodes 99999999999999\n0.0 1\n",
+     ":2: declares 99999999999999 nodes, but the file holds only 1"),
+    (_NODES + "elements 5\n0 1\n1 2\n", ":6: declares 5 elements"),
+    ("dim 99999999999\nnodes 1\n0 1\n", ":1: unsupported dimension"),
+    (_NODES + "elements 1\n0 1\n1 2\n0 1\n", ":8: content after the"),
+    ("dim 1\nnodes x\n", ":2: 'nodes' needs a non-negative integer"),
+    ("dim 1\nnodes -2\n", ":2: 'nodes' needs a non-negative integer"),
+    (_NODES + "elements 2.0\n", ":6: 'elements' needs a non-negative"),
+], ids=["huge-node-count", "short-element-block", "huge-dim",
+        "trailing-content", "text-count", "negative-count", "float-count"])
+def test_load_mesh_refuses_bad_counts_and_trailing_content(tmp_path, text,
+                                                           match):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=match):
         fs.load_mesh(str(path))
 
 
