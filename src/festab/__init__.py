@@ -17,10 +17,10 @@ from .fields import (TensorField, Constant, Analytic,
                      per1d, nonper1d, aniso2d, load_piecewise,
                      parse_field_spec, adapted_weight, check_spd)
 from .quality import (simplex_rule, conical_product_rule, element_averages,
-                      ElementQuality, MeshQualitySummary,
+                      MeshQualitySummary,
                       mesh_quality_summary, is_nonobtuse_wrt,
                       export_quality_csv)
-from .assembly import (DofMap, ProblemContext, assemble_mass,
+from .assembly import (DofMap, ProblemContext, MASS_KINDS, assemble_mass,
                        assemble_lumped, row_sum_lumping, assemble_stiffness,
                        export_matrix_market)
 from .bounds import (c_grad, c_sharp, c_star, EigEstimate, lambda_max_exact,
@@ -29,7 +29,7 @@ from .bounds import (c_grad, c_sharp, c_star, EigEstimate, lambda_max_exact,
                      GeometricBound, geometric_bound, MUniformBound,
                      muniform_bound, ZhuDuBound, zhu_du_bound, ShewchukBound,
                      shewchuk_bound, StabilityReport, stability_report,
-                     write_report_csv, MASS_KINDS)
+                     write_report_csv)
 from .chebyshev import (ChebyshevScheme, stability_poly_eval, step, norms,
                         NormTrace, integrate)
 from .experiments import (FAMILIES, ExperimentSpec, TableRow, run_experiment,
@@ -50,16 +50,17 @@ __all__ = [
     "InverseOf", "identity", "per1d", "nonper1d", "aniso2d",
     "load_piecewise", "parse_field_spec", "adapted_weight", "check_spd",
     "simplex_rule", "conical_product_rule", "element_averages",
-    "ElementQuality", "MeshQualitySummary", "mesh_quality_summary",
-    "is_nonobtuse_wrt", "export_quality_csv",
-    "DofMap", "ProblemContext", "assemble_mass", "assemble_lumped",
-    "row_sum_lumping", "assemble_stiffness", "export_matrix_market",
+    "MeshQualitySummary", "mesh_quality_summary", "is_nonobtuse_wrt",
+    "export_quality_csv",
+    "DofMap", "ProblemContext", "MASS_KINDS", "assemble_mass",
+    "assemble_lumped", "row_sum_lumping", "assemble_stiffness",
+    "export_matrix_market",
     "c_grad", "c_sharp", "c_star", "EigEstimate", "lambda_max_exact",
     "max_eigvec_exact", "lambda_max_lanczos", "lambda_max_power",
     "DiagRatioBound", "diag_ratio_bound", "TauValues", "tau_values",
     "GeometricBound", "geometric_bound", "MUniformBound", "muniform_bound",
     "ZhuDuBound", "zhu_du_bound", "ShewchukBound", "shewchuk_bound",
-    "StabilityReport", "stability_report", "write_report_csv", "MASS_KINDS",
+    "StabilityReport", "stability_report", "write_report_csv",
     "ChebyshevScheme", "stability_poly_eval", "step", "norms", "NormTrace",
     "integrate",
     "FAMILIES", "ExperimentSpec", "TableRow", "run_experiment",

@@ -4,8 +4,8 @@ Dirichlet conditions are imposed by deleting the corresponding rows and
 columns, so the assembled operators act on the interior-plus-Neumann
 unknowns and keep the exact eigenstructure the step-size theory addresses.
 Every operator is an exactly symmetric `scipy.sparse.csr_array`.  A
-`ProblemContext` holds the per-element quantities that assembly, bounds
-and quality measures of one problem share.
+`ProblemContext` holds the per-element quantities, operators and mass
+surrogates that assembly, bounds and quality measures of one problem share.
 """
 
 from __future__ import annotations
@@ -17,16 +17,18 @@ import scipy.io
 import scipy.sparse as sp
 
 from .fields import InverseOf
-from .mesh import DIRICHLET, build_patches
+from .mesh import build_patches
 from .quality import (_inverse_averages, _reference_map_inverses,
-                      element_averages, mesh_quality_summary)
+                      element_averages, is_nonobtuse_wrt)
+
+MASS_KINDS = ("full", "lumped", "lumped_rowsum")
 
 
 class DofMap:
     """Bijection between free mesh nodes and system indices."""
 
     def __init__(self, mesh):
-        self.free = np.flatnonzero(mesh.node_markers != DIRICHLET)
+        self.free = mesh.free_nodes()
         if len(self.free) == 0:
             raise ValueError("no free nodes")
         self.index = np.full(mesh.num_nodes, -1, dtype=np.int64)
@@ -141,11 +143,11 @@ class ProblemContext:
     """The per-element quantities of one (mesh, field, quad_order) problem.
 
     Assembly, the bounds and the quality measures all read the element
-    averages D_K and D^-1_K, the reference maps, the patches and the
-    operators M and A.  A context computes each on first use and keeps it
-    for its own lifetime, so build one per call (one report, one CLI
-    command) and let it go with the call; the field is evaluated at most
-    once per context.
+    averages D_K and D^-1_K, the reference maps, the patches, the
+    operators M and A and the nonobtuseness of A.  A context computes each
+    on first use and keeps it for its own lifetime, so build one per call
+    (one report, one CLI command) and let it go with the call; the field
+    is evaluated at most once per context.
     """
 
     def __init__(self, mesh, field, quad_order=4):
@@ -200,10 +202,22 @@ class ProblemContext:
                                   self.dofmap, context=self)
 
     @cached_property
-    def quality(self):
-        """Quality summary of the mesh with the field as the metric."""
-        return mesh_quality_summary(self.mesh, self.field, self.quad_order,
-                                    context=self)
+    def nonobtuse(self):
+        """Whether the mesh is nonobtuse w.r.t. D^-1 (`is_nonobtuse_wrt`)."""
+        return is_nonobtuse_wrt(self.A)
+
+    def mass_tilde(self, kind):
+        """The mass surrogate of one of MASS_KINDS: "full" is M, "lumped"
+        the full-space patch sums (`assemble_lumped`), "lumped_rowsum" the
+        row sums of M (`row_sum_lumping`)."""
+        if kind == "full":
+            return self.M
+        if kind == "lumped":
+            return assemble_lumped(self.mesh, self.dofmap)
+        if kind == "lumped_rowsum":
+            return row_sum_lumping(self.M)
+        raise ValueError(f"unknown mass kind {kind!r}; "
+                         f"choices: {', '.join(MASS_KINDS)}")
 
     @cached_property
     def inverse(self):

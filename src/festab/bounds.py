@@ -23,9 +23,8 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 
-from .assembly import (ProblemContext, _problem_context, assemble_lumped,
-                       row_sum_lumping)
-from .quality import is_nonobtuse_wrt
+from .assembly import _problem_context
+from .quality import mesh_quality_summary
 
 LANCZOS_MAX_STEPS = 50
 SHIFT_LANCZOS_STEPS = 10      # Lanczos steps behind the first shift
@@ -427,13 +426,16 @@ def tau_values(lam, s, cstar, min_ratio):
                      tau_max=s * s * tm, tau_h=s * s * th)
 
 
-def _patch_average(mesh, patches, per_element):
-    """Per-node sum over the patch of |K| x_K / |omega_i|."""
-    d1 = mesh.dim + 1
-    weights = np.repeat(mesh.volumes() * per_element, d1)
+def _free_patch_max(ctx, per_element):
+    """(value, node): the largest over free nodes i of the patch average
+    sum_{K in omega_i} |K| x_K / |omega_i|, and the mesh node attaining it."""
+    mesh, free = ctx.mesh, ctx.dofmap.free
+    weights = np.repeat(mesh.volumes() * per_element, mesh.dim + 1)
     num = np.bincount(mesh.elements.ravel(), weights=weights,
                       minlength=mesh.num_nodes)
-    return num / patches.volumes
+    free_vals = (num / ctx.patches.volumes)[free]
+    j = int(np.argmax(free_vals))
+    return float(free_vals[j]), int(free[j])
 
 
 def _alignment_norms(ctx):
@@ -443,61 +445,46 @@ def _alignment_norms(ctx):
     return np.linalg.eigvalsh(0.5 * (S + np.swapaxes(S, 1, 2)))[:, -1]
 
 
-def geometric_bound(mesh, field, lumped=False, quad_order=4, nonobtuse=None,
-                    A=None, context=None):
-    """Patch-geometry upper bound on lambda_max.
+def geometric_bound(ctx, lumped=False):
+    """Patch-geometry upper bound on lambda_max for the problem `ctx`.
 
     lambda_max <= C* C# max over free i of
     sum_{K in omega_i} (|K|/|omega_i|) ||F'^-1 D_K F'^-T||_2,
     with C# = c_grad (d+1)(d+2)/2.  The same number can be written through
     the quality measure Q_D(K) = h_{D^-1}^2 ||F'^-1 D_K F'^-T||_2 as
-    C* C# h^-2 max_i sum (|K|/|omega_i|) Q_D(K).  `context` is an optional
-    `ProblemContext` of (mesh, field, quad_order); A defaults to its
-    stiffness matrix.
+    C* C# h^-2 max_i sum (|K|/|omega_i|) Q_D(K).
     """
-    d = mesh.dim
-    ctx = _problem_context(mesh, field, quad_order, context)
-    dof = ctx.dofmap
-    if nonobtuse is None:
-        nonobtuse = is_nonobtuse_wrt(ctx.A if A is None else A)
-    per_node = _patch_average(mesh, ctx.patches, _alignment_norms(ctx))
-    free_vals = per_node[dof.free]
-    j = int(np.argmax(free_vals))
-    value = c_star(d, lumped, nonobtuse) * c_sharp(d) * float(free_vals[j])
-    return GeometricBound(value=value, argmax_node=int(dof.free[j]),
-                          nonobtuse=nonobtuse)
+    d = ctx.mesh.dim
+    value, node = _free_patch_max(ctx, _alignment_norms(ctx))
+    value = c_star(d, lumped, ctx.nonobtuse) * c_sharp(d) * value
+    return GeometricBound(value=value, argmax_node=node,
+                          nonobtuse=ctx.nonobtuse)
 
 
-def muniform_bound(mesh, metric, field, lumped=False, quad_order=4,
-                   nonobtuse=None, A=None):
-    """Metric-matching upper bound on lambda_max.
+def muniform_bound(ctx, metric_ctx, lumped=False):
+    """Metric-matching upper bound on lambda_max for the problem `ctx`.
 
     lambda_max <= C* C# h_M^-2 max over free i of
     sum_{K in omega_i} (|K|/|omega_i|) ||M_K D_K||_2 (spectral radius of
-    the product, via the Cholesky similarity L^T D L).  Valid as an upper
+    the product, via the Cholesky similarity L^T D L), where M is the
+    field of `metric_ctx`, a context on the same mesh.  Valid as an upper
     bound when the mesh is uniform for the metric M; max_q_m is reported
     as the validity indicator.
     """
-    d = mesh.dim
-    ctx = ProblemContext(mesh, field, quad_order)
-    dof = ctx.dofmap
-    if nonobtuse is None:
-        nonobtuse = is_nonobtuse_wrt(ctx.A if A is None else A)
-    metric_ctx = ProblemContext(mesh, metric, quad_order)
+    if metric_ctx.mesh is not ctx.mesh:
+        raise ValueError("metric context built for another mesh")
+    d = ctx.mesh.dim
     L = np.linalg.cholesky(metric_ctx.Dk)
     B = np.swapaxes(L, 1, 2) @ ctx.Dk @ L
     prod_norm = np.linalg.eigvalsh(0.5 * (B + np.swapaxes(B, 1, 2)))[:, -1]
 
-    summary = metric_ctx.quality
-    per_node = _patch_average(mesh, ctx.patches, prod_norm)
-    free_vals = per_node[dof.free]
-    j = int(np.argmax(free_vals))
-    cst = c_star(d, lumped, nonobtuse)
-    value = cst * c_sharp(d) / summary.h_global ** 2 * float(free_vals[j])
+    summary = mesh_quality_summary(metric_ctx)
+    value, node = _free_patch_max(ctx, prod_norm)
+    cst = c_star(d, lumped, ctx.nonobtuse)
+    value = cst * c_sharp(d) / summary.h_global ** 2 * value
     return MUniformBound(value=value,
                          max_product_norm=float(prod_norm.max()),
-                         max_q_m=summary.max_q_m,
-                         argmax_node=int(dof.free[j]))
+                         max_q_m=summary.max_q_m, argmax_node=node)
 
 
 def _face_volumes_sq(mesh, weight=None):
@@ -572,20 +559,18 @@ def _volume_ratio_c1(mesh, mode="face"):
     return float(max(1.0, r.max(), (1.0 / r).max()))
 
 
-def zhu_du_bound(mesh, field, quad_order=4, neighbor_mode="face",
-                 context=None):
-    """Face-volume bracket for the full-mass pencil (d >= 2).
+def zhu_du_bound(ctx, neighbor_mode="face"):
+    """Face-volume bracket for the full-mass pencil of `ctx` (d >= 2).
 
     Z_K = ((d+1)/d^2) sum_i |V_i|^2 / |K|^2 over the faces of K;
     upper = (d+2) max_K lmax(D_K) Z_K and
     lower = max_K lmin(D_K) Z_K / (d (1 + c1 p_max (d+2))), where c1 is
     the largest neighbor volume ratio and p_max the largest patch count.
-    `context` is an optional `ProblemContext` of (mesh, field, quad_order).
     """
+    mesh = ctx.mesh
     d = mesh.dim
     if d < 2:
         raise ValueError("the face-volume bracket is defined for d >= 2")
-    ctx = _problem_context(mesh, field, quad_order, context)
     patches = ctx.patches
     ev = np.linalg.eigvalsh(ctx.Dk)
     vols = mesh.volumes()
@@ -601,24 +586,22 @@ def zhu_du_bound(mesh, field, quad_order=4, neighbor_mode="face",
                       p_max=patches.p_max, argmax_element=k_up)
 
 
-def shewchuk_bound(mesh, field, m_lump=None, quad_order=4, context=None):
-    """Lumped-mass face bracket (d >= 2).
+def shewchuk_bound(ctx, m_lump=None):
+    """Lumped-mass face bracket for the problem `ctx` (d >= 2).
 
     S_K = (1/d^2) sum over vertices i of K of
     (|K| / Mlump_ii) |V_i|_{D^-1}^2 / |K|_{D^-1}^2, with face volumes
     measured in D_K^-1 and |K|_{D^-1} = |K| det(D_K)^{-1/2}.  Then
     (1/d) max_K S_K <= lambda_max <= p_max max_K S_K.
 
-    `m_lump`, a vector over the free nodes (any lumping convention) or
-    over all mesh nodes, supplies the lumped diagonal; entries at
-    Dirichlet vertices of a free-node vector use the geometric patch sums
-    sum |K|/(d+1).  `context` is an optional `ProblemContext` of (mesh,
-    field, quad_order).
+    The lumped diagonal is the geometric patch sums sum |K|/(d+1); a
+    vector `m_lump` over the free nodes (any lumping convention) replaces
+    them there, while Dirichlet vertices keep the patch sums.
     """
+    mesh = ctx.mesh
     d = mesh.dim
     if d < 2:
         raise ValueError("the lumped face bracket is defined for d >= 2")
-    ctx = _problem_context(mesh, field, quad_order, context)
     patches = ctx.patches
     vols = mesh.volumes()
     d1 = d + 1
@@ -630,13 +613,10 @@ def shewchuk_bound(mesh, field, m_lump=None, quad_order=4, context=None):
         vec = np.asarray(m_lump, dtype=float)
         if vec.ndim != 1:
             raise ValueError("lumped diagonal must be a vector")
-        if len(vec) == mesh.num_nodes:
-            mfull = vec
-        else:
-            dof = ctx.dofmap
-            if len(vec) != dof.n_free:
-                raise ValueError("lumped diagonal has wrong length")
-            mfull[dof.free] = vec
+        dof = ctx.dofmap
+        if len(vec) != dof.n_free:
+            raise ValueError("lumped diagonal has wrong length")
+        mfull[dof.free] = vec
     if (mfull <= 0.0).any():
         raise ValueError("nonpositive lumped mass entry")
 
@@ -700,24 +680,20 @@ class StabilityReport:
         return rows
 
 
-MASS_KINDS = ("full", "lumped", "lumped_rowsum")
-_BOUND_NAMES = ("diag", "geo", "zhudu", "shewchuk")
+BOUND_NAMES = ("diag", "geo", "zhudu", "shewchuk")
 
 
-def _mass_tilde(mesh, mass_kind, dof, M):
-    if mass_kind == "full":
-        return M
-    if mass_kind == "lumped":
-        return assemble_lumped(mesh, dof)
-    if mass_kind == "lumped_rowsum":
-        return row_sum_lumping(M)
-    raise ValueError(f"unknown mass kind {mass_kind!r}; "
-                     f"choices: {', '.join(MASS_KINDS)}")
+def _check_bound_names(names):
+    """Raise ValueError unless every name is one of BOUND_NAMES."""
+    for name in names:
+        if name not in BOUND_NAMES:
+            raise ValueError(f"unknown bound {name!r}; "
+                             f"choices: {', '.join(BOUND_NAMES)}")
 
 
 def stability_report(mesh, field, mass_kind="full", s=1, quad_order=4,
                      method="exact", lanczos_steps=5, seed=2, security=1.1,
-                     include=_BOUND_NAMES, mesh_id="", context=None):
+                     include=BOUND_NAMES, mesh_id="", context=None):
     """Assemble, solve and bound one configuration; returns StabilityReport.
 
     `mass_kind` selects the surrogate mass: "full", "lumped" (full-space
@@ -730,16 +706,13 @@ def stability_report(mesh, field, mass_kind="full", s=1, quad_order=4,
     several reports on one problem share its averages and operators; by
     default the report builds its own.
     """
-    for name in include:
-        if name not in _BOUND_NAMES:
-            raise ValueError(f"unknown bound {name!r}; "
-                             f"choices: {', '.join(_BOUND_NAMES)}")
+    _check_bound_names(include)
     ctx = _problem_context(mesh, field, quad_order, context)
     dof, A = ctx.dofmap, ctx.A
-    Mt = _mass_tilde(mesh, mass_kind, dof, ctx.M)
+    Mt = ctx.mass_tilde(mass_kind)
     lumped = mass_kind != "full"
 
-    nonobtuse = is_nonobtuse_wrt(A)
+    nonobtuse = ctx.nonobtuse
     cst = c_star(mesh.dim, lumped, nonobtuse)
 
     if method in ("exact", "dense"):
@@ -755,18 +728,14 @@ def stability_report(mesh, field, mass_kind="full", s=1, quad_order=4,
 
     lam_geo = None
     if "geo" in include:
-        lam_geo = geometric_bound(mesh, field, lumped=lumped,
-                                  quad_order=quad_order, nonobtuse=nonobtuse,
-                                  context=ctx).value
+        lam_geo = geometric_bound(ctx, lumped=lumped).value
     zd_lo = zd_up = None
     if "zhudu" in include and mesh.dim >= 2:
-        zd = zhu_du_bound(mesh, field, quad_order=quad_order, context=ctx)
+        zd = zhu_du_bound(ctx)
         zd_lo, zd_up = zd.lower, zd.upper
     sh_lo = sh_up = None
     if "shewchuk" in include and mesh.dim >= 2:
-        m_arg = Mt.diagonal() if lumped else None
-        sh = shewchuk_bound(mesh, field, m_lump=m_arg, quad_order=quad_order,
-                            context=ctx)
+        sh = shewchuk_bound(ctx, m_lump=Mt.diagonal() if lumped else None)
         sh_lo, sh_up = sh.lower, sh.upper
 
     return StabilityReport(

@@ -16,13 +16,13 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .mesh import (SimplicialMesh, gen_equidistributed_1d, gen_structured_2d,
-                   gen_structured_3d, gen_uniform_1d, load_mesh, save_mesh,
-                   DIRICHLET)
+from .mesh import (gen_equidistributed_1d, gen_structured_2d,
+                   gen_structured_3d, gen_uniform_1d, load_mesh, save_mesh)
 from .fields import identity, parse_field_spec, adapted_weight
+from .quality import mesh_quality_summary
 from .assembly import ProblemContext
-from .bounds import (max_eigvec_exact, stability_report, write_report_csv,
-                     _mass_tilde)
+from .bounds import (BOUND_NAMES, max_eigvec_exact, stability_report,
+                     write_report_csv)
 from .chebyshev import ChebyshevScheme, integrate
 from .experiments import (gen_groundwater_like, gen_metric_aligned,
                           run_experiment_file)
@@ -156,7 +156,7 @@ def cmd_gen(args):
     mesh, _, _ = _build_mesh(args)
     save_mesh(mesh, args.output)
     vols = mesh.volumes()
-    n_free = int((mesh.node_markers != DIRICHLET).sum())
+    n_free = len(mesh.free_nodes())
     print(f"N = {mesh.num_elements} elements, "
           f"N_vi = {n_free} free of {mesh.num_nodes} vertices")
     print(f"|K| in [{vols.min():.6e}, {vols.max():.6e}]")
@@ -182,7 +182,7 @@ def cmd_analyze(args):
 
     payload = asdict(report)
     # the quality of the mesh in the metric D^-1, from the report's averages
-    quality = ctx.inverse.quality
+    quality = mesh_quality_summary(ctx.inverse)
     payload["quality"] = {
         "h_global": quality.h_global,
         "max_q_eq": quality.max_q_eq,
@@ -218,7 +218,7 @@ def cmd_integrate(args):
 
     ctx = ProblemContext(mesh, field, args.quad_order)
     dof, M, A = ctx.dofmap, ctx.M, ctx.A
-    Mt = _mass_tilde(mesh, mass_kind, dof, M)
+    Mt = ctx.mass_tilde(mass_kind)
     scheme = ChebyshevScheme(args.stages, damping=args.damping)
 
     rng = np.random.default_rng(args.seed)
@@ -299,7 +299,7 @@ def _build_parser():
                       help="start-vector seed for iterative eigensolvers")
     p_an.add_argument("--stages", type=_positive_int, default=1,
                       help="Chebyshev stage count s")
-    p_an.add_argument("--bounds", default="diag,geo,zhudu,shewchuk",
+    p_an.add_argument("--bounds", default=",".join(BOUND_NAMES),
                       help="comma list of bounds to evaluate")
     p_an.add_argument("--check-estimate", type=_positive_float, default=None,
                       metavar="LAMBDA",

@@ -43,7 +43,7 @@ from .mesh import (DIRICHLET, NEUMANN, SimplicialMesh, _lattice,
 from .fields import (PiecewiseConstantPerElement, adapted_weight, aniso2d,
                      identity, nonper1d, per1d)
 from .assembly import ProblemContext
-from .bounds import stability_report
+from .bounds import BOUND_NAMES, _check_bound_names, stability_report
 
 FAMILIES = ("per1d", "nonper1d", "zd2d", "groundwater_like", "aniso2d")
 
@@ -177,7 +177,7 @@ class ExperimentSpec:
     kappa: float = 1000.0
     contrast: float = 1e-6
     lumping: str = "both"
-    bounds: tuple = ("diag", "geo", "zhudu", "shewchuk")
+    bounds: tuple = BOUND_NAMES
     output: str | None = None
     mesh_files: tuple = ()
     stages: int = 1
@@ -195,6 +195,7 @@ class ExperimentSpec:
                              f"got {self.lumping!r}")
         if self.stages < 1:
             raise ValueError("stages must be >= 1")
+        _check_bound_names(self.bounds)
 
     def mass_kinds(self):
         lumped_kind = "lumped" if self.name in ("per1d", "nonper1d") \

@@ -154,17 +154,6 @@ def _inverse_averages(avg, points):
 # Quality measures
 
 
-@dataclass(frozen=True)
-class ElementQuality:
-    vol_metric: float
-    h_elem: float
-    q_eq: float
-    q_ali: float
-    q_m: float
-    rho_metric: float | None
-    norm_fdf: float
-
-
 @dataclass
 class MeshQualitySummary:
     h_global: float
@@ -185,18 +174,6 @@ class MeshQualitySummary:
         self.max_q_eq = float(self.q_eq.max())
         self.max_q_ali = float(self.q_ali.max())
 
-    def element(self, k):
-        rho = None if self.rho_metric is None else float(self.rho_metric[k])
-        return ElementQuality(
-            vol_metric=float(self.vol_metric[k]),
-            h_elem=float(self.h_elem[k]),
-            q_eq=float(self.q_eq[k]),
-            q_ali=float(self.q_ali[k]),
-            q_m=float(self.q_m[k]),
-            rho_metric=rho,
-            norm_fdf=float(self.norm_fdf[k]),
-        )
-
 
 def _reference_map_inverses(mesh):
     """(ne, d, d) inverses F'^-1 of the maps from the regular unit-volume
@@ -206,7 +183,7 @@ def _reference_map_inverses(mesh):
     return np.linalg.inv(Fp)
 
 
-def _metric_geometry(mesh, metric_elems, Finv=None):
+def _metric_geometry(mesh, metric_elems, Finv):
     """Per-element |K|_M, reference-map alignment norms and rho_{K,M}, the
     diameter of the largest inscribed ball in the metric (d=1: the metric
     length; d=2: 2 |K|_M over the metric semiperimeter; None for d=3)."""
@@ -215,8 +192,6 @@ def _metric_geometry(mesh, metric_elems, Finv=None):
     det_m = np.linalg.det(metric_elems)
     vol_metric = vols * np.sqrt(det_m)
 
-    if Finv is None:
-        Finv = _reference_map_inverses(mesh)
     Minv = np.linalg.inv(metric_elems)
     S = Finv @ Minv @ np.swapaxes(Finv, 1, 2)
     norm_fdf = np.linalg.eigvalsh(0.5 * (S + np.swapaxes(S, 1, 2)))[:, -1]
@@ -237,19 +212,16 @@ def _metric_geometry(mesh, metric_elems, Finv=None):
     return vol_metric, norm_fdf, rho
 
 
-def mesh_quality_summary(mesh, metric, quad_order=4, context=None):
+def mesh_quality_summary(ctx):
     """Aggregate quality measures of a mesh under a metric field.
 
-    `context`, a `ProblemContext` built for (mesh, metric, quad_order),
-    supplies the metric averages and reference maps it already holds.
+    `ctx` is a `ProblemContext` whose field is the metric M; its element
+    averages and reference maps are read, not recomputed.  For the quality
+    in the metric D^-1 of a diffusion problem, pass its `ctx.inverse`.
     """
-    if context is None:
-        metric_elems = element_averages(metric, mesh, quad_order)
-        Finv = None
-    else:
-        context.check(mesh, metric, quad_order)
-        metric_elems, Finv = context.Dk, context.reference_map_inverses
-    vol_metric, norm_fdf, rho = _metric_geometry(mesh, metric_elems, Finv)
+    mesh = ctx.mesh
+    vol_metric, norm_fdf, rho = _metric_geometry(
+        mesh, ctx.Dk, ctx.reference_map_inverses)
     d = mesh.dim
     ne = mesh.num_elements
 

@@ -489,7 +489,8 @@ def test_quality_measure_identities():
         if paired is not None:
             fields = fields + [paired]
         for field in fields:
-            q = fs.mesh_quality_summary(mesh, fs.InverseOf(field))
+            q = fs.mesh_quality_summary(
+                fs.ProblemContext(mesh, fs.InverseOf(field)))
             mean_inv = float(np.mean(1.0 / q.q_eq))
             if abs(mean_inv - 1.0) > 1e-10:
                 bad.append(f"{label}: mean 1/q_eq = {mean_inv!r}")
@@ -511,9 +512,10 @@ def test_quality_measure_identities():
                                  np.array([1, 2, 2]))
         B = rng.uniform(-1.0, 1.0, (2, 2))
         metric_mat = B @ B.T + 0.05 * np.eye(2)
-        q = fs.mesh_quality_summary(mesh, fs.Constant(metric_mat))
+        q = fs.mesh_quality_summary(
+            fs.ProblemContext(mesh, fs.Constant(metric_mat)))
         rho = q.rho_metric[0]
-        h_elem = q.element(0).h_elem
+        h_elem = q.h_elem[0]
         if q.q_ali[0] > hhat2 * (h_elem / rho) ** 2 * (1.0 + 1e-10):
             bad.append(f"triangle {n_done}: q_ali {q.q_ali[0]:.6g} above "
                        f"inscribed-diameter limit")

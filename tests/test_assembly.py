@@ -1,7 +1,6 @@
 """Mass/stiffness assembly and lumping variants as symmetric CSR arrays."""
 
 import math
-import types
 
 import numpy as np
 import pytest
@@ -136,10 +135,11 @@ def test_dofmap_layout_and_errors():
     assert list(dof.free) == [1, 2, 3]
     assert dof.index[0] == -1
     assert list(dof.index[dof.free]) == [0, 1, 2]
-    fake = types.SimpleNamespace(
-        node_markers=np.array([fs.DIRICHLET, fs.DIRICHLET]), num_nodes=2)
-    with pytest.raises(ValueError):
-        fs.DofMap(fake)
+    # an unvalidated mesh whose nodes are all Dirichlet reaches the check
+    clamped = fs.SimplicialMesh([[0.0], [1.0]], [[0, 1]],
+                                [fs.DIRICHLET, fs.DIRICHLET], validate=False)
+    with pytest.raises(ValueError, match="no free nodes"):
+        fs.DofMap(clamped)
 
 
 def test_sparse_sym_from_triplets_mirrors_and_sums():

@@ -9,6 +9,7 @@ import scipy.sparse as sp
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import festab as fs
+from festab import assembly as assembly_mod
 from festab import bounds as bounds_mod
 from conftest import (equilateral_lattice, jittered_mesh_2d,
                       jittered_mesh_3d, two_triangle_square,
@@ -285,7 +286,8 @@ def test_tau_values_scaling_and_guards():
 
 def test_geometric_bound_1d_uniform_value():
     mesh = fs.gen_uniform_1d(4)
-    g = fs.geometric_bound(mesh, fs.identity(1), lumped=True)
+    g = fs.geometric_bound(fs.ProblemContext(mesh, fs.identity(1)),
+                           lumped=True)
     assert g.nonobtuse
     assert g.value == pytest.approx(96.0, rel=1e-12)
 
@@ -293,11 +295,12 @@ def test_geometric_bound_1d_uniform_value():
 def test_geometric_bound_dominates_exact_eigenvalue(suite):
     for label, mesh, field in suite:
         field = field or fs.identity(mesh.dim)
+        ctx = fs.ProblemContext(mesh, field)
         A = fs.assemble_stiffness(mesh, field)
         M = fs.assemble_mass(mesh)
         L = fs.assemble_lumped(mesh)
         for lumped, Mt in ((False, M), (True, L)):
-            g = fs.geometric_bound(mesh, field, lumped=lumped, A=A)
+            g = fs.geometric_bound(ctx, lumped=lumped)
             lam = pencil_max(Mt, A)
             assert g.value >= lam * (1.0 - 1e-10), (label, lumped)
             assert mesh.node_markers[g.argmax_node] != fs.DIRICHLET
@@ -310,7 +313,8 @@ def test_geometric_bound_dominates_exact_eigenvalue(suite):
 def test_metric_bound_uniform_1d_closed_form():
     for n in (16, 64):
         mesh = fs.gen_uniform_1d(n)
-        mu = fs.muniform_bound(mesh, fs.identity(1), fs.identity(1),
+        mu = fs.muniform_bound(fs.ProblemContext(mesh, fs.identity(1)),
+                               fs.ProblemContext(mesh, fs.identity(1)),
                                lumped=False)
         assert mu.value == pytest.approx(12.0 * n * n, rel=1e-12)
         assert mu.max_q_m == pytest.approx(1.0, abs=1e-12)
@@ -332,8 +336,10 @@ def test_metric_bound_valid_on_metric_uniform_meshes():
         A = fs.assemble_stiffness(mesh, field)
         M = fs.assemble_mass(mesh)
         L = fs.assemble_lumped(mesh)
+        ctx = fs.ProblemContext(mesh, field)
+        metric_ctx = fs.ProblemContext(mesh, metric)
         for lumped, Mt in ((False, M), (True, L)):
-            mu = fs.muniform_bound(mesh, metric, field, lumped=lumped)
+            mu = fs.muniform_bound(ctx, metric_ctx, lumped=lumped)
             assert mu.max_q_m < 1.01       # bound applicable
             lam = pencil_max(Mt, A)
             assert mu.value >= lam * (1.0 - 1e-10)
@@ -341,7 +347,9 @@ def test_metric_bound_valid_on_metric_uniform_meshes():
 
 def test_metric_bound_equilateral_ratio():
     eq = equilateral_lattice()
-    mu = fs.muniform_bound(eq, fs.identity(2), fs.identity(2), lumped=False)
+    mu = fs.muniform_bound(fs.ProblemContext(eq, fs.identity(2)),
+                           fs.ProblemContext(eq, fs.identity(2)),
+                           lumped=False)
     lam = pencil_max(fs.assemble_mass(eq),
                      fs.assemble_stiffness(eq, fs.identity(2)))
     assert mu.value == pytest.approx(2048.0, rel=1e-12)
@@ -350,8 +358,18 @@ def test_metric_bound_equilateral_ratio():
 
 def test_metric_bound_reports_mismatch_indicator():
     mesh = jittered_mesh_2d(np.random.default_rng(61))
-    mu = fs.muniform_bound(mesh, fs.identity(2), fs.identity(2), lumped=True)
+    mu = fs.muniform_bound(fs.ProblemContext(mesh, fs.identity(2)),
+                           fs.ProblemContext(mesh, fs.identity(2)),
+                           lumped=True)
     assert mu.max_q_m > 1.05               # not metric-uniform
+
+
+def test_metric_bound_refuses_a_metric_on_another_mesh():
+    mesh = fs.gen_structured_2d(4, 4)
+    other = fs.gen_structured_2d(4, 4)
+    with pytest.raises(ValueError, match="another mesh"):
+        fs.muniform_bound(fs.ProblemContext(mesh, fs.identity(2)),
+                          fs.ProblemContext(other, fs.identity(2)))
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +378,7 @@ def test_metric_bound_reports_mismatch_indicator():
 
 def test_face_bracket_structured_grid_closed_forms():
     mesh = fs.gen_structured_2d(8, 8)
-    zd = fs.zhu_du_bound(mesh, fs.identity(2))
+    zd = fs.zhu_du_bound(fs.ProblemContext(mesh, fs.identity(2)))
     assert zd.upper == pytest.approx(3072.0, rel=1e-12)
     assert zd.lower == pytest.approx(15.36, rel=1e-12)
     assert zd.c1 == pytest.approx(1.0)
@@ -379,12 +397,13 @@ def test_face_bracket_contains_full_mass_eigenvalue():
         (fs.gen_structured_2d(4, 12, grading="geometric", ratio_y=1.4),
          fs.identity(2)),
     ]:
-        zd = fs.zhu_du_bound(mesh, field)
+        ctx = fs.ProblemContext(mesh, field)
+        zd = fs.zhu_du_bound(ctx)
         lam = pencil_max(fs.assemble_mass(mesh),
                          fs.assemble_stiffness(mesh, field))
         assert zd.lower <= lam * (1.0 + 1e-12)
         assert lam <= zd.upper * (1.0 + 1e-12)
-        zv = fs.zhu_du_bound(mesh, field, neighbor_mode="vertex")
+        zv = fs.zhu_du_bound(ctx, neighbor_mode="vertex")
         assert zv.c1 >= zd.c1 - 1e-12      # vertex pairs include face pairs
         assert zv.lower <= lam * (1.0 + 1e-12)
 
@@ -392,15 +411,17 @@ def test_face_bracket_contains_full_mass_eigenvalue():
 def test_face_bracket_guards():
     m1 = fs.gen_uniform_1d(4)
     with pytest.raises(ValueError):
-        fs.zhu_du_bound(m1, fs.identity(1))
+        fs.zhu_du_bound(fs.ProblemContext(m1, fs.identity(1)))
     m2 = fs.gen_structured_2d(2, 2)
     with pytest.raises(ValueError):
-        fs.zhu_du_bound(m2, fs.identity(2), neighbor_mode="edge")
+        fs.zhu_du_bound(fs.ProblemContext(m2, fs.identity(2)),
+                        neighbor_mode="edge")
 
 
 def test_lumped_face_bracket_two_triangle_numbers():
     tt = two_triangle_square()
-    sh = fs.shewchuk_bound(tt, fs.identity(2))
+    ctx = fs.ProblemContext(tt, fs.identity(2))
+    sh = fs.shewchuk_bound(ctx)
     assert sh.lower == pytest.approx(4.5, rel=1e-12)
     assert sh.upper == pytest.approx(18.0, rel=1e-12)
     assert sh.p_max == 2
@@ -410,7 +431,7 @@ def test_lumped_face_bracket_two_triangle_numbers():
     assert sh.lower <= lam <= sh.upper
     # eliminated row-sum lumping shrinks boundary-adjacent masses by 4/3
     rs = fs.row_sum_lumping(fs.assemble_mass(tt))
-    sh_rs = fs.shewchuk_bound(tt, fs.identity(2), m_lump=rs.diagonal())
+    sh_rs = fs.shewchuk_bound(ctx, m_lump=rs.diagonal())
     assert sh_rs.lower == pytest.approx(5.75, rel=1e-12)
     assert sh_rs.upper == pytest.approx(23.0, rel=1e-12)
     lam_rs = pencil_max(rs, fs.assemble_stiffness(tt, fs.identity(2)))
@@ -421,7 +442,7 @@ def test_lumped_face_bracket_two_triangle_numbers():
 def test_lumped_face_bracket_anisotropic():
     tt = two_triangle_square()
     f = fs.aniso2d(10.0)
-    sh = fs.shewchuk_bound(tt, f)
+    sh = fs.shewchuk_bound(fs.ProblemContext(tt, f))
     assert sh.lower == pytest.approx(28.0549404, rel=1e-7)
     assert sh.upper == pytest.approx(112.2197616, rel=1e-7)
     lam = pencil_max(fs.assemble_lumped(tt), fs.assemble_stiffness(tt, f))
@@ -435,7 +456,7 @@ def test_lumped_face_bracket_contains_lumped_eigenvalue():
         (jittered_mesh_2d(rng, 5, 5), fs.aniso2d(50.0)),
         (jittered_mesh_3d(rng), fs.Constant(np.diag([1.0, 3.0, 9.0]))),
     ]:
-        sh = fs.shewchuk_bound(mesh, field)
+        sh = fs.shewchuk_bound(fs.ProblemContext(mesh, field))
         lam = pencil_max(fs.assemble_lumped(mesh),
                          fs.assemble_stiffness(mesh, field))
         assert sh.lower <= lam * (1.0 + 1e-12)
@@ -444,14 +465,19 @@ def test_lumped_face_bracket_contains_lumped_eigenvalue():
 
 def test_lumped_face_bracket_guards():
     tt = two_triangle_square()
+    ctx = fs.ProblemContext(tt, fs.identity(2))
     with pytest.raises(ValueError, match="wrong length"):
-        fs.shewchuk_bound(tt, fs.identity(2), m_lump=np.ones(2))
+        fs.shewchuk_bound(ctx, m_lump=np.ones(2))
+    # a vector over all mesh nodes is not a free-node vector
+    with pytest.raises(ValueError, match="wrong length"):
+        fs.shewchuk_bound(ctx, m_lump=np.ones(tt.num_nodes))
     with pytest.raises(ValueError, match="nonpositive"):
-        fs.shewchuk_bound(tt, fs.identity(2), m_lump=np.zeros(3))
+        fs.shewchuk_bound(ctx, m_lump=np.zeros(3))
     with pytest.raises(ValueError, match="vector"):
-        fs.shewchuk_bound(tt, fs.identity(2), m_lump=np.eye(3))
+        fs.shewchuk_bound(ctx, m_lump=np.eye(3))
     with pytest.raises(ValueError):
-        fs.shewchuk_bound(fs.gen_uniform_1d(4), fs.identity(1))
+        fs.shewchuk_bound(fs.ProblemContext(fs.gen_uniform_1d(4),
+                                            fs.identity(1)))
 
 
 def _one_dirichlet(n_nodes):
@@ -553,8 +579,33 @@ def test_shared_context_serves_every_mass_kind():
     assert len(calls) == 1
     with pytest.raises(ValueError, match="context"):
         fs.stability_report(mesh, field, quad_order=2, context=ctx)
-    with pytest.raises(ValueError, match="context"):
-        fs.geometric_bound(mesh, fs.aniso2d(10.0), context=ctx)
+
+
+def test_context_tests_nonobtuseness_once(monkeypatch):
+    calls = []
+    real = assembly_mod.is_nonobtuse_wrt
+    monkeypatch.setattr(assembly_mod, "is_nonobtuse_wrt",
+                        lambda A: calls.append(A.shape) or real(A))
+    mesh = jittered_mesh_2d(np.random.default_rng(13), 4, 4)
+    ctx = fs.ProblemContext(mesh, fs.aniso2d(10.0), 4)
+    for kind in fs.MASS_KINDS:
+        fs.stability_report(mesh, ctx.field, mass_kind=kind, context=ctx)
+    assert len(calls) == 1
+
+
+def test_mass_tilde_per_kind():
+    tt = two_triangle_square()
+    ctx = fs.ProblemContext(tt, fs.identity(2))
+    assert ctx.mass_tilde("full") is ctx.M
+    lumped = ctx.mass_tilde("lumped")
+    assert np.array_equal(lumped.toarray(), fs.assemble_lumped(tt).toarray())
+    rowsum = ctx.mass_tilde("lumped_rowsum")
+    assert np.array_equal(rowsum.toarray(),
+                          fs.row_sum_lumping(ctx.M).toarray())
+    with pytest.raises(ValueError,
+                       match="full, lumped, lumped_rowsum") as err:
+        ctx.mass_tilde("bogus")
+    assert "'bogus'" in str(err.value)
 
 
 

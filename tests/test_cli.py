@@ -107,7 +107,8 @@ def test_analyze_quality_block_is_the_inverse_metric_summary(tmp_path,
         field = fs.parse_field_spec(spec, mesh.dim)
     order = int(args[args.index("--quad-order") + 1]) \
         if "--quad-order" in args else 4
-    want = fs.mesh_quality_summary(mesh, fs.InverseOf(field), order)
+    want = fs.mesh_quality_summary(
+        fs.ProblemContext(mesh, fs.InverseOf(field), order))
     for key in ("h_global", "max_q_eq", "max_q_ali", "max_q_m"):
         assert quality[key] == pytest.approx(getattr(want, key), rel=1e-14)
 
@@ -138,6 +139,21 @@ def test_analyze_lanczos_flag_implies_method(capsys):
     assert payload["method"].startswith("lanczos(steps=5,seed=2")
     # the secured estimate stays above the provable lower bound
     assert payload["lambda_exact"] >= payload["lambda_diag_lower"]
+
+
+def test_analyze_piecewise_field_from_a_regions_file(tmp_path, capsys):
+    # the README's field spec for region-tagged tensors on a saved mesh
+    mesh_file = tmp_path / "gw.mesh"
+    regions = tmp_path / "coeffs.txt"
+    regions.write_text("# tag m11 m12 m22\n0 1 0 1\n1 1e-6 0 1e-6\n")
+    assert main(["gen", "--groundwater", "-o", str(mesh_file)]) == 0
+    capsys.readouterr()
+    assert main(["analyze", "--mesh", str(mesh_file),
+                 "--field", f"piecewise:file={regions}"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    ref = fs.stability_report(*fs.gen_groundwater_like())
+    assert payload["lambda_exact"] == pytest.approx(ref.lambda_exact,
+                                                    rel=1e-12)
 
 
 def test_analyze_validation_errors(tmp_path, capsys):
@@ -259,6 +275,22 @@ def test_experiment_end_to_end(tmp_path, capsys):
     assert (out_dir / "p.csv").exists()
     data = json.loads((out_dir / "summary.json").read_text())
     assert {r["mass_kind"] for r in data["per1d"]} == {"full", "lumped"}
+
+
+def test_experiment_unknown_bound_fails_before_any_section_runs(tmp_path,
+                                                                capsys):
+    ini = tmp_path / "two.ini"
+    ini.write_text("[zd2d]\noutput = z.csv\n\n"
+                   "[per1d]\nsizes = 8\nbounds = geom\noutput = p.csv\n")
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    assert main(["experiment", str(ini), "--out-dir", str(out_dir)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert "[per1d]" in err[0] and "unknown bound 'geom'" in err[0]
+    assert list(out_dir.iterdir()) == []
 
 
 def test_experiment_bad_spec(tmp_path, capsys):

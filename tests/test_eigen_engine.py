@@ -26,10 +26,8 @@ settings.register_profile(
 
 
 def pencil(mesh, field, kind):
-    dof = fs.DofMap(mesh)
-    M = fs.assemble_mass(mesh, dof)
-    return (bounds_mod._mass_tilde(mesh, kind, dof, M),
-            fs.assemble_stiffness(mesh, field, 4, dof))
+    ctx = fs.ProblemContext(mesh, field, 4)
+    return ctx.mass_tilde(kind), ctx.A
 
 
 @settings(settings.get_profile("eigen-engine"))

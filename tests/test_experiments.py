@@ -76,9 +76,10 @@ def test_aligned_mesh_layout():
 def test_aligned_mesh_cells_follow_the_coefficient():
     kappa = 1000.0
     mesh = fs.gen_metric_aligned(kappa, n_long=4, n_short=12)
-    q = fs.mesh_quality_summary(mesh, fs.InverseOf(fs.aniso2d(kappa)))
-    ref = fs.mesh_quality_summary(fs.gen_structured_2d(8, 8),
-                                  fs.InverseOf(fs.aniso2d(kappa)))
+    metric = fs.InverseOf(fs.aniso2d(kappa))
+    q = fs.mesh_quality_summary(fs.ProblemContext(mesh, metric))
+    ref = fs.mesh_quality_summary(
+        fs.ProblemContext(fs.gen_structured_2d(8, 8), metric))
     assert q.max_q_ali < 5.0            # aligned: close to matching
     assert ref.max_q_ali > 20.0         # axis-aligned grid: badly misaligned
 

@@ -205,7 +205,7 @@ def test_context_inverse_average_shares_one_evaluation(monkeypatch):
 def test_quality_identities_on_jittered_mesh():
     mesh = jittered_mesh_2d(np.random.default_rng(5))
     for metric in (fs.identity(2), fs.InverseOf(fs.aniso2d(30.0))):
-        q = fs.mesh_quality_summary(mesh, metric)
+        q = fs.mesh_quality_summary(fs.ProblemContext(mesh, metric))
         assert np.mean(1.0 / np.asarray(q.q_eq)) == pytest.approx(1.0,
                                                                   abs=1e-10)
         assert (np.asarray(q.q_ali) >= 1.0 - 1e-12).all()
@@ -217,7 +217,7 @@ def test_quality_identities_on_jittered_mesh():
 
 def test_equilateral_lattice_is_metric_uniform():
     mesh = equilateral_lattice()
-    q = fs.mesh_quality_summary(mesh, fs.identity(2))
+    q = fs.mesh_quality_summary(fs.ProblemContext(mesh, fs.identity(2)))
     assert q.max_q_ali == pytest.approx(1.0, abs=1e-12)
     assert q.max_q_eq == pytest.approx(1.0, abs=1e-12)
     assert q.max_q_m == pytest.approx(1.0, abs=1e-12)
@@ -225,7 +225,7 @@ def test_equilateral_lattice_is_metric_uniform():
 
 def test_uniform_grid_equidistributes_identity_metric():
     mesh = fs.gen_structured_2d(4, 4)
-    q = fs.mesh_quality_summary(mesh, fs.identity(2))
+    q = fs.mesh_quality_summary(fs.ProblemContext(mesh, fs.identity(2)))
     assert np.allclose(q.q_eq, 1.0, rtol=1e-12)   # equal areas
     assert q.h_global == pytest.approx((1.0 / 32) ** 0.5, rel=1e-12)
 
@@ -233,7 +233,7 @@ def test_uniform_grid_equidistributes_identity_metric():
 def test_quality_1d_adapted_mesh_is_uniform_in_inverse_metric():
     f = fs.per1d()
     mesh = fs.gen_equidistributed_1d(64, fs.adapted_weight(f))
-    q = fs.mesh_quality_summary(mesh, fs.InverseOf(f))
+    q = fs.mesh_quality_summary(fs.ProblemContext(mesh, fs.InverseOf(f)))
     # per-cell metric volumes agree up to quadrature error
     assert q.max_q_eq < 1.02
     assert np.allclose(q.q_ali, 1.0, atol=1e-12)  # 1D alignment is trivial
@@ -247,10 +247,11 @@ def test_quality_identities_on_drawn_meshes(problem):
     # Q_D(K), where Q_D(K) = q_m(K) for an element-constant D
     mesh, field, _ = problem
     d = mesh.dim
-    q = fs.mesh_quality_summary(mesh, fs.InverseOf(field))
+    q = fs.mesh_quality_summary(
+        fs.ProblemContext(mesh, fs.InverseOf(field)))
     assert np.mean(1.0 / q.q_eq) == pytest.approx(1.0, abs=1e-10)
     assert q.max_q_eq >= 1.0 - 1e-12
-    g = fs.geometric_bound(mesh, field)
+    g = fs.geometric_bound(fs.ProblemContext(mesh, field))
     vols = mesh.volumes()
 
     def patch_sum(per_element):
@@ -276,22 +277,24 @@ def test_inscribed_diameter_equilateral_identity():
     mesh = fs.SimplicialMesh(nodes, np.array([[0, 1, 2]]),
                              np.array([fs.DIRICHLET, fs.NEUMANN,
                                        fs.NEUMANN]))
-    rho = fs.mesh_quality_summary(mesh, fs.Constant(np.eye(2))).rho_metric
+    rho = fs.mesh_quality_summary(
+        fs.ProblemContext(mesh, fs.Constant(np.eye(2)))).rho_metric
     assert rho[0] == pytest.approx(ell / math.sqrt(3), rel=1e-13)
 
 
 def test_inscribed_diameter_1d_metric_scaling():
     mesh = fs.SimplicialMesh(np.array([[0.0], [0.25]]),
                              np.array([[0, 1]]), np.array([1, 2]))
-    q = fs.mesh_quality_summary(mesh, fs.Constant(np.array([[16.0]])))
+    q = fs.mesh_quality_summary(
+        fs.ProblemContext(mesh, fs.Constant(np.array([[16.0]]))))
     assert q.rho_metric[0] == pytest.approx(1.0, rel=1e-14)
 
 
 def test_inscribed_diameter_3d_not_defined():
     mesh = fs.gen_structured_3d(2, 2, 2)
-    q = fs.mesh_quality_summary(mesh, fs.Constant(np.eye(3)))
+    q = fs.mesh_quality_summary(
+        fs.ProblemContext(mesh, fs.Constant(np.eye(3))))
     assert q.rho_metric is None
-    assert q.element(0).rho_metric is None
 
 
 def test_alignment_bounded_by_inscribed_ratio():
@@ -307,9 +310,9 @@ def test_alignment_bounded_by_inscribed_ratio():
         B = rng.uniform(-1.0, 1.0, (2, 2))
         metric_mat = B @ B.T + 0.05 * np.eye(2)
         metric = fs.Constant(metric_mat)
-        q = fs.mesh_quality_summary(mesh, metric)
-        rho = q.element(0).rho_metric
-        h_elem = q.element(0).h_elem
+        q = fs.mesh_quality_summary(fs.ProblemContext(mesh, metric))
+        rho = q.rho_metric[0]
+        h_elem = q.h_elem[0]
         assert q.q_ali[0] <= hhat2 * (h_elem / rho) ** 2 * (1.0 + 1e-10)
 
 
@@ -331,7 +334,7 @@ def test_nonobtuse_rejects_obtuse_pair():
 
 def test_export_quality_csv_deterministic(tmp_path):
     mesh = fs.gen_structured_2d(3, 3)
-    q = fs.mesh_quality_summary(mesh, fs.identity(2))
+    q = fs.mesh_quality_summary(fs.ProblemContext(mesh, fs.identity(2)))
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
     fs.export_quality_csv(mesh, q, str(p1))
     fs.export_quality_csv(mesh, q, str(p2))
