@@ -17,9 +17,8 @@ import scipy.io
 import scipy.sparse as sp
 
 from .fields import InverseOf
-from .mesh import build_patches
-from .quality import (_inverse_averages, _reference_map_inverses,
-                      element_averages, is_nonobtuse_wrt)
+from .mesh import build_patches, reference_edge_matrix
+from .quality import _inverse_averages, element_averages, is_nonobtuse_wrt
 
 MASS_KINDS = ("full", "lumped", "lumped_rowsum")
 
@@ -128,26 +127,21 @@ def assemble_stiffness(mesh, field, quad_order=4, dofmap=None, context=None):
     """
     ctx = _problem_context(mesh, field, quad_order, context)
     dof = dofmap or ctx.dofmap
-    d = mesh.dim
-    E = mesh.element_matrices()
-    Einv = np.linalg.inv(E)
-    # unit-simplex shape gradients: rows of [-1...-1; I] mapped through E^-1
-    Gh = np.vstack([-np.ones(d), np.eye(d)])
-    grads = np.einsum("ab,nbc->nac", Gh, Einv)
-    vols = mesh.volumes()
-    local = np.einsum("n,nid,nde,nje->nij", vols, grads, ctx.Dk, grads)
-    return _symmetric_csr(dof.n_free, *_scatter(mesh, dof, local))
+    return _symmetric_csr(dof.n_free,
+                          *_scatter(mesh, dof, ctx.element_stiffness))
 
 
 class ProblemContext:
     """The per-element quantities of one (mesh, field, quad_order) problem.
 
     Assembly, the bounds and the quality measures all read the element
-    averages D_K and D^-1_K, the reference maps, the patches, the
-    operators M and A and the nonobtuseness of A.  A context computes each
-    on first use and keeps it for its own lifetime, so build one per call
-    (one report, one CLI command) and let it go with the call; the field
-    is evaluated at most once per context.
+    averages D_K and D^-1_K, the P1 basis gradients `grads`, the reference
+    maps, the element stiffness matrices, the patches, the operators M and
+    A and the nonobtuseness of A.  The edge matrices are inverted once, in
+    `grads`; the reference maps are read from it.  A context computes each
+    quantity on first use and keeps it for its own lifetime, so build one
+    per call (one report, one CLI command) and let it go with the call;
+    the field is evaluated at most once per context.
     """
 
     def __init__(self, mesh, field, quad_order=4):
@@ -169,8 +163,21 @@ class ProblemContext:
         return DofMap(self.mesh)
 
     @cached_property
+    def grads(self):
+        """(ne, d+1, d) P1 basis gradients, row i that of vertex i: the
+        unit-simplex shape gradients, rows of [-1 ... -1; I], mapped
+        through E_K^-1, the one inversion of the edge matrices."""
+        d = self.mesh.dim
+        Gh = np.vstack([-np.ones(d), np.eye(d)])
+        return np.einsum("ab,nbc->nac", Gh,
+                         np.linalg.inv(self.mesh.element_matrices()))
+
+    @cached_property
     def reference_map_inverses(self):
-        return _reference_map_inverses(self.mesh)
+        """(ne, d, d) inverses F'^-1 = E-hat E_K^-1 of the maps from the
+        regular unit-volume reference simplex onto each element; E_K^-1
+        is rows 1..d of `grads`."""
+        return reference_edge_matrix(self.mesh.dim) @ self.grads[:, 1:]
 
     @cached_property
     def Dk(self):
@@ -187,6 +194,13 @@ class ProblemContext:
         Dk = self.Dk
         points, self._points = self._points, None
         return _inverse_averages(Dk, points)
+
+    @cached_property
+    def element_stiffness(self):
+        """(ne, d+1, d+1) element stiffness matrices
+        |K| grad(phi_i)^T D_K grad(phi_j), the entries A is summed from."""
+        return np.einsum("n,nid,nde,nje->nij", self.mesh.volumes(),
+                         self.grads, self.Dk, self.grads)
 
     @cached_property
     def patches(self):
@@ -222,10 +236,11 @@ class ProblemContext:
     @cached_property
     def inverse(self):
         """Context of the pointwise inverse field on the same mesh: the two
-        averages swap and the reference maps are shared."""
+        averages swap, and the gradients and reference maps are shared."""
         inv = ProblemContext(self.mesh, InverseOf(self.field),
                              self.quad_order)
         inv.Dk, inv.Dinv = self.Dinv, self.Dk
+        inv.grads = self.grads
         inv.reference_map_inverses = self.reference_map_inverses
         return inv
 

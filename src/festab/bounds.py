@@ -487,39 +487,6 @@ def muniform_bound(ctx, metric_ctx, lumped=False):
                          max_q_m=summary.max_q_m, argmax_node=node)
 
 
-def _face_volumes_sq(mesh, weight=None):
-    """(ne, d+1) squared (d-1)-volumes of the faces opposite each vertex.
-
-    With `weight` (ne, d, d) the face edge vectors are measured in that
-    per-element metric (Gram determinant under W).
-    """
-    d = mesh.dim
-    p = mesh.nodes[mesh.elements]
-    ne = mesh.num_elements
-    out = np.empty((ne, d + 1))
-    for i in range(d + 1):
-        others = [j for j in range(d + 1) if j != i]
-        if d == 2:
-            e = p[:, others[1]] - p[:, others[0]]
-            if weight is None:
-                out[:, i] = np.einsum("ni,ni->n", e, e)
-            else:
-                out[:, i] = np.einsum("ni,nij,nj->n", e, weight, e)
-        else:
-            u = p[:, others[1]] - p[:, others[0]]
-            v = p[:, others[2]] - p[:, others[0]]
-            if weight is None:
-                uu = np.einsum("ni,ni->n", u, u)
-                vv = np.einsum("ni,ni->n", v, v)
-                uv = np.einsum("ni,ni->n", u, v)
-            else:
-                uu = np.einsum("ni,nij,nj->n", u, weight, u)
-                vv = np.einsum("ni,nij,nj->n", v, weight, v)
-                uv = np.einsum("ni,nij,nj->n", u, weight, v)
-            out[:, i] = 0.25 * (uu * vv - uv * uv)
-    return np.maximum(out, 0.0)
-
-
 def _volume_ratio_c1(mesh, mode="face"):
     """Largest volume ratio between neighboring elements.
 
@@ -562,7 +529,9 @@ def _volume_ratio_c1(mesh, mode="face"):
 def zhu_du_bound(ctx, neighbor_mode="face"):
     """Face-volume bracket for the full-mass pencil of `ctx` (d >= 2).
 
-    Z_K = ((d+1)/d^2) sum_i |V_i|^2 / |K|^2 over the faces of K;
+    Z_K = ((d+1)/d^2) sum_i |V_i|^2 / |K|^2 over the faces V_i of K,
+    computed as (d+1) sum_i |grad(phi_i)|^2 from the context's basis
+    gradients: the face opposite vertex i has |V_i| = d |K| |grad(phi_i)|.
     upper = (d+2) max_K lmax(D_K) Z_K and
     lower = max_K lmin(D_K) Z_K / (d (1 + c1 p_max (d+2))), where c1 is
     the largest neighbor volume ratio and p_max the largest patch count.
@@ -573,8 +542,7 @@ def zhu_du_bound(ctx, neighbor_mode="face"):
         raise ValueError("the face-volume bracket is defined for d >= 2")
     patches = ctx.patches
     ev = np.linalg.eigvalsh(ctx.Dk)
-    vols = mesh.volumes()
-    zk = ((d + 1) / d ** 2) * _face_volumes_sq(mesh).sum(axis=1) / vols ** 2
+    zk = (d + 1) * np.einsum("nid,nid->n", ctx.grads, ctx.grads)
 
     upper_vals = ev[:, -1] * zk
     k_up = int(np.argmax(upper_vals))
@@ -592,7 +560,12 @@ def shewchuk_bound(ctx, m_lump=None):
     S_K = (1/d^2) sum over vertices i of K of
     (|K| / Mlump_ii) |V_i|_{D^-1}^2 / |K|_{D^-1}^2, with face volumes
     measured in D_K^-1 and |K|_{D^-1} = |K| det(D_K)^{-1/2}.  Then
-    (1/d) max_K S_K <= lambda_max <= p_max max_K S_K.
+    (1/d) max_K S_K <= lambda_max <= p_max max_K S_K.  In the metric
+    D_K^-1 the face opposite vertex i has
+    |V_i|_{D^-1} / |K|_{D^-1} = d |D_K^{1/2} grad(phi_i)|, so
+    S_K = sum_i A^K_ii / Mlump_ii is computed from the diagonal of the
+    context's element stiffness matrices A^K: the element-local form of
+    the ratio A_ii / M_ii of `diag_ratio_bound`.
 
     The lumped diagonal is the geometric patch sums sum |K|/(d+1); a
     vector `m_lump` over the free nodes (any lumping convention) replaces
@@ -620,13 +593,8 @@ def shewchuk_bound(ctx, m_lump=None):
     if (mfull <= 0.0).any():
         raise ValueError("nonpositive lumped mass entry")
 
-    Dk = ctx.Dk
-    W = np.linalg.inv(Dk)
-    vol_dinv_sq = vols ** 2 / np.linalg.det(Dk)
-    faces_sq = _face_volumes_sq(mesh, weight=W)
-    minv = 1.0 / mfull[mesh.elements]                     # (ne, d+1)
-    sk = (vols[:, None] * minv * faces_sq).sum(axis=1) \
-        / (d ** 2 * vol_dinv_sq)
+    ak = np.diagonal(ctx.element_stiffness, axis1=1, axis2=2)  # (ne, d+1)
+    sk = (ak / mfull[mesh.elements]).sum(axis=1)
     k_max = int(np.argmax(sk))
     smax = float(sk[k_max])
     return ShewchukBound(lower=smax / d, upper=patches.p_max * smax,

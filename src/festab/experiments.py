@@ -44,6 +44,7 @@ from .fields import (PiecewiseConstantPerElement, adapted_weight, aniso2d,
                      identity, nonper1d, per1d)
 from .assembly import ProblemContext
 from .bounds import BOUND_NAMES, _check_bound_names, stability_report
+from .quality import simplex_rule
 
 FAMILIES = ("per1d", "nonper1d", "zd2d", "groundwater_like", "aniso2d")
 
@@ -195,6 +196,7 @@ class ExperimentSpec:
                              f"got {self.lumping!r}")
         if self.stages < 1:
             raise ValueError("stages must be >= 1")
+        simplex_rule(1, self.quad_order)          # refuses an unknown order
         _check_bound_names(self.bounds)
 
     def mass_kinds(self):

@@ -66,6 +66,12 @@ def reference_edge_matrix(d):
     return (v[1:] - v[0]).T.copy()
 
 
+def _edge_matrices(nodes, elements):
+    """(ne, d, d) edge matrices with columns x_j - x_0 of each element."""
+    p = nodes[elements]
+    return np.swapaxes(p[:, 1:, :] - p[:, :1, :], 1, 2)
+
+
 class SimplicialMesh:
     """Conforming simplicial mesh with per-node boundary markers.
 
@@ -80,8 +86,7 @@ class SimplicialMesh:
     positive (the last two vertices are swapped where needed).
     """
 
-    def __init__(self, nodes, elements, node_markers, region_tags=None,
-                 validate=True):
+    def __init__(self, nodes, elements, node_markers, region_tags=None):
         nodes = np.array(nodes, dtype=float)
         if nodes.ndim == 1:
             nodes = nodes[:, None]
@@ -95,10 +100,7 @@ class SimplicialMesh:
             region_tags = np.zeros(len(elements), dtype=np.int64)
         self.region_tags = np.array(region_tags, dtype=np.int64)
 
-        self._canonicalize_orientation()
-        self._volumes = None
-        if validate:
-            self.validate()
+        self.validate()
 
     # ------------------------------------------------------------------
     @property
@@ -115,15 +117,10 @@ class SimplicialMesh:
 
     def element_matrices(self):
         """(ne, d, d) array of edge matrices E_K with columns x_j - x_0."""
-        p = self.nodes[self.elements]
-        return np.swapaxes(p[:, 1:, :] - p[:, :1, :], 1, 2)
-
-    def signed_volumes(self):
-        return np.linalg.det(self.element_matrices()) / math.factorial(self.dim)
+        return _edge_matrices(self.nodes, self.elements)
 
     def volumes(self):
-        if self._volumes is None:
-            self._volumes = self.signed_volumes()
+        """(ne,) element volumes det(E_K) / d!, all positive."""
         return self._volumes
 
     def free_nodes(self):
@@ -131,17 +128,9 @@ class SimplicialMesh:
         return np.flatnonzero(self.node_markers != DIRICHLET)
 
     # ------------------------------------------------------------------
-    def _canonicalize_orientation(self):
-        if self.num_elements == 0:
-            return
-        neg = np.linalg.det(self.element_matrices()) < 0.0
-        if np.any(neg):
-            elems = self.elements
-            elems[neg, -1], elems[neg, -2] = (
-                elems[neg, -2].copy(), elems[neg, -1].copy())
-
     def validate(self):
-        """Check all mesh invariants; raise ValueError on the first failure."""
+        """Check all mesh invariants, raising ValueError on the first
+        failure; orients the elements and caches their volumes on the way."""
         d = self.dim
         if d not in (1, 2, 3):
             raise ValueError(f"unsupported dimension {d}")
@@ -167,15 +156,29 @@ class SimplicialMesh:
                              "1 (dirichlet) or 2 (neumann)")
         if self.region_tags.shape != (self.num_elements,):
             raise ValueError("region_tags length does not match element count")
-        vols = self.signed_volumes()
+        vols = self._orient()
         if not (vols > 0.0).all():
             k = int(np.argmin(vols))
             raise ValueError(f"degenerate element {k} (volume {vols[k]:g})")
+        self._volumes = vols
         if (self.node_markers == DIRICHLET).sum() == 0:
             raise ValueError("no Dirichlet nodes (the problem would be "
                              "singular for pure-Neumann data)")
         if len(self.free_nodes()) == 0:
             raise ValueError("no free nodes")
+
+    def _orient(self):
+        """Signed volumes after swapping the last two vertices of every
+        negatively oriented element.  The determinant is taken once per
+        element and again only for the swapped ones: a column swap need
+        not negate it bit for bit, and volumes() is det(E_K)/d! exactly."""
+        det = np.linalg.det(self.element_matrices())
+        neg = np.flatnonzero(det < 0.0)
+        if len(neg):
+            elems = self.elements
+            elems[neg, -2], elems[neg, -1] = elems[neg, -1], elems[neg, -2]
+            det[neg] = np.linalg.det(_edge_matrices(self.nodes, elems[neg]))
+        return det / math.factorial(self.dim)
 
 
 class PatchIndex:

@@ -18,7 +18,6 @@ import numpy as np
 from scipy.special import roots_jacobi
 
 from .fields import check_spd
-from .mesh import reference_edge_matrix
 
 
 # ----------------------------------------------------------------------
@@ -173,14 +172,6 @@ class MeshQualitySummary:
         self.max_q_m = float(self.q_m.max())
         self.max_q_eq = float(self.q_eq.max())
         self.max_q_ali = float(self.q_ali.max())
-
-
-def _reference_map_inverses(mesh):
-    """(ne, d, d) inverses F'^-1 of the maps from the regular unit-volume
-    reference simplex onto each element."""
-    Fp = mesh.element_matrices() @ np.linalg.inv(
-        reference_edge_matrix(mesh.dim))
-    return np.linalg.inv(Fp)
 
 
 def _metric_geometry(mesh, metric_elems, Finv):

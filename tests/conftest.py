@@ -1,5 +1,6 @@
 """Shared mesh builders and case lists for the test suite."""
 
+import math
 import warnings
 
 import numpy as np
@@ -126,6 +127,35 @@ def volume_ratio_c1_oracle(mesh, mode="face"):
                 r = vols[k] / vols[other]
                 c1 = max(c1, r, 1.0 / r)
     return float(c1)
+
+
+def face_bracket_oracle(mesh, Dk, m_node):
+    """Oracle: per-element (Z_K, S_K) of the face-volume brackets, element
+    by element from the Gram determinants of the faces (the formula the
+    gradient form of `zhu_du_bound` and `shewchuk_bound` replaced).
+
+    Z_K = ((d+1)/d^2) sum_i |V_i|^2 / |K|^2 and
+    S_K = (1/d^2) sum_i (|K| / m_i) |V_i|_W^2 / |K|_W^2 in the metric
+    W = D_K^-1, with |K|_W^2 = |K|^2 / det(D_K) and `m_node` the lumped
+    mass of every mesh node.
+    """
+    d = mesh.dim
+    ne = mesh.num_elements
+    zk, sk = np.empty(ne), np.empty(ne)
+    for k, el in enumerate(mesh.elements):
+        p = mesh.nodes[el]
+        vol = abs(np.linalg.det((p[1:] - p[0]).T)) / math.factorial(d)
+        W = np.linalg.inv(Dk[k])
+        z = s = 0.0
+        for i in range(d + 1):
+            face = np.delete(p, i, axis=0)
+            F = (face[1:] - face[0]).T                  # (d, d-1) edges
+            scale = math.factorial(d - 1) ** 2
+            z += np.linalg.det(F.T @ F) / scale
+            s += (vol / m_node[el[i]]) * np.linalg.det(F.T @ W @ F) / scale
+        zk[k] = (d + 1) / d ** 2 * z / vol ** 2
+        sk[k] = s / (d ** 2 * vol ** 2 / np.linalg.det(Dk[k]))
+    return zk, sk
 
 
 def equidistributed_1d_oracle(n, w):

@@ -135,11 +135,10 @@ def test_dofmap_layout_and_errors():
     assert list(dof.free) == [1, 2, 3]
     assert dof.index[0] == -1
     assert list(dof.index[dof.free]) == [0, 1, 2]
-    # an unvalidated mesh whose nodes are all Dirichlet reaches the check
-    clamped = fs.SimplicialMesh([[0.0], [1.0]], [[0, 1]],
-                                [fs.DIRICHLET, fs.DIRICHLET], validate=False)
+    # a mesh whose nodes are all Dirichlet is refused on construction
     with pytest.raises(ValueError, match="no free nodes"):
-        fs.DofMap(clamped)
+        fs.SimplicialMesh([[0.0], [1.0]], [[0, 1]],
+                          [fs.DIRICHLET, fs.DIRICHLET])
 
 
 def test_sparse_sym_from_triplets_mirrors_and_sums():

@@ -11,9 +11,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import festab as fs
 from festab import assembly as assembly_mod
 from festab import bounds as bounds_mod
-from conftest import (equilateral_lattice, jittered_mesh_2d,
-                      jittered_mesh_3d, two_triangle_square,
-                      volume_ratio_c1_oracle)
+from conftest import (PROPERTY, equilateral_lattice, face_bracket_oracle,
+                      jittered_mesh_2d, jittered_mesh_3d, problems,
+                      two_triangle_square, volume_ratio_c1_oracle)
 
 
 def pencil_max(Mt, A):
@@ -478,6 +478,40 @@ def test_lumped_face_bracket_guards():
     with pytest.raises(ValueError):
         fs.shewchuk_bound(fs.ProblemContext(fs.gen_uniform_1d(4),
                                             fs.identity(1)))
+
+
+def _assert_rel(value, expected, rtol=1e-13):
+    assert abs(value - expected) <= rtol * abs(expected)
+
+
+@PROPERTY
+@given(problems().filter(lambda p: p[0].dim >= 2))
+def test_face_brackets_match_face_volume_oracle(problem):
+    mesh, field, _ = problem
+    d = mesh.dim
+    ctx = fs.ProblemContext(mesh, field)
+    ev = np.linalg.eigvalsh(ctx.Dk)
+    p_max = np.bincount(mesh.elements.ravel()).max()
+    m_node = np.zeros(mesh.num_nodes)
+    for el, vol in zip(mesh.elements, mesh.volumes()):
+        m_node[el] += vol / (d + 1)
+
+    zk, sk = face_bracket_oracle(mesh, ctx.Dk, m_node)
+    zd = fs.zhu_du_bound(ctx)
+    _assert_rel(zd.upper, (d + 2) * np.max(ev[:, -1] * zk))
+    c1 = volume_ratio_c1_oracle(mesh)
+    _assert_rel(zd.lower, np.max(ev[:, 0] * zk)
+                / (d * (1.0 + c1 * p_max * (d + 2))))
+    sh = fs.shewchuk_bound(ctx)
+    _assert_rel(sh.lower, sk.max() / d)
+    _assert_rel(sh.upper, p_max * sk.max())
+
+    rowsum = ctx.mass_tilde("lumped_rowsum").diagonal()
+    m_node[ctx.dofmap.free] = rowsum
+    sk = face_bracket_oracle(mesh, ctx.Dk, m_node)[1]
+    sh = fs.shewchuk_bound(ctx, m_lump=rowsum)
+    _assert_rel(sh.lower, sk.max() / d)
+    _assert_rel(sh.upper, p_max * sk.max())
 
 
 def _one_dirichlet(n_nodes):

@@ -6,7 +6,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import festab as fs
@@ -277,11 +276,13 @@ def test_experiment_end_to_end(tmp_path, capsys):
     assert {r["mass_kind"] for r in data["per1d"]} == {"full", "lumped"}
 
 
-def test_experiment_unknown_bound_fails_before_any_section_runs(tmp_path,
-                                                                capsys):
+def _assert_second_section_refused_first(tmp_path, capsys, per1d_key,
+                                         message):
+    """A good [zd2d] section, then a [per1d] section with one bad key: the
+    file is refused with exit 2 before any section runs or writes."""
     ini = tmp_path / "two.ini"
     ini.write_text("[zd2d]\noutput = z.csv\n\n"
-                   "[per1d]\nsizes = 8\nbounds = geom\noutput = p.csv\n")
+                   f"[per1d]\nsizes = 8\n{per1d_key}\noutput = p.csv\n")
     out_dir = tmp_path / "out"
     out_dir.mkdir()
     assert main(["experiment", str(ini), "--out-dir", str(out_dir)]) == 2
@@ -289,8 +290,20 @@ def test_experiment_unknown_bound_fails_before_any_section_runs(tmp_path,
     assert captured.out == ""
     err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
-    assert "[per1d]" in err[0] and "unknown bound 'geom'" in err[0]
+    assert "[per1d]" in err[0] and message in err[0]
     assert list(out_dir.iterdir()) == []
+
+
+def test_experiment_unknown_bound_fails_before_any_section_runs(tmp_path,
+                                                                capsys):
+    _assert_second_section_refused_first(tmp_path, capsys, "bounds = geom",
+                                         "unknown bound 'geom'")
+
+
+def test_experiment_bad_quad_order_fails_before_any_section_runs(tmp_path,
+                                                                 capsys):
+    _assert_second_section_refused_first(tmp_path, capsys, "quad_order = 3",
+                                         "quad_order must be 1, 2 or 4")
 
 
 def test_experiment_bad_spec(tmp_path, capsys):

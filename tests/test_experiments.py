@@ -2,7 +2,6 @@
 
 import json
 import math
-import os
 
 import numpy as np
 import pytest
@@ -97,6 +96,8 @@ def test_spec_validation_errors():
         fs.ExperimentSpec(name="per1d", lumping="rowsum")
     with pytest.raises(ValueError, match="stages"):
         fs.ExperimentSpec(name="per1d", stages=0)
+    with pytest.raises(ValueError, match="quad_order must be 1, 2 or 4"):
+        fs.ExperimentSpec(name="per1d", quad_order=3)
 
 
 def test_spec_mass_kind_conventions():

@@ -1,0 +1,46 @@
+"""Lint: no module of the package or the test suite imports a name at
+module level that it never reads."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+MODULES = sorted([*(ROOT / "src" / "festab").glob("*.py"),
+                  *(ROOT / "tests").glob("*.py")])
+
+
+def unused_imports(source):
+    """Names bound by module-level imports of `source` that the module
+    never reads; a name listed in `__all__` counts as read."""
+    tree = ast.parse(source)
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                bound[name] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)):
+            read |= set(ast.literal_eval(node.value))
+    return sorted((line, name) for name, line in bound.items()
+                  if name not in read)
+
+
+def test_scan_finds_unused_and_honours_all():
+    source = ("import os\nimport numpy as np\nfrom a import b, c as d\n"
+              "__all__ = ['b']\nx = np.zeros(1)\n")
+    assert unused_imports(source) == [(1, "os"), (3, "d")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_module_level_imports(path):
+    assert unused_imports(path.read_text()) == [], path.relative_to(ROOT)

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import festab as fs
-from festab.quality import _reference_map_inverses
 from scipy.integrate import quad
 from conftest import equidistributed_1d_oracle
 
@@ -90,7 +89,8 @@ def test_reference_map_determinant_is_volume():
     nodes = rng.uniform(0.0, 1.0, (4, 3))
     mesh = fs.SimplicialMesh(nodes, np.array([[0, 1, 2, 3]]),
                              np.array([1, 0, 2, 2]))
-    Fp = np.linalg.inv(_reference_map_inverses(mesh)[0])
+    Finv = fs.ProblemContext(mesh, fs.identity(3)).reference_map_inverses
+    Fp = np.linalg.inv(Finv[0])
     assert abs(np.linalg.det(Fp)) == pytest.approx(mesh.volumes()[0],
                                                    rel=1e-12)
     # x = x_0 + F' (xhat - xhat_0) sends the reference simplex onto the
@@ -211,6 +211,33 @@ def test_generated_meshes_are_conforming(name):
     assert set(count.tolist()) <= {1, 2}
     assert np.isin(mesh.node_markers[faces[count == 1]],
                    boundary_markers).all()
+
+
+def _mixed_orientation_mesh(d):
+    """Jittered grid with the first two vertices of every other element
+    swapped, so construction reorients half the elements."""
+    if d == 2:
+        base = fs.gen_structured_2d(6, 5)
+    else:
+        base = fs.gen_structured_3d(3, 3, 3)
+    rng = np.random.default_rng(11)
+    nodes = base.nodes + 0.02 * rng.uniform(-1.0, 1.0, base.nodes.shape)
+    elements = base.elements.copy()
+    elements[::2, [0, 1]] = elements[::2, [1, 0]]
+    return fs.SimplicialMesh(nodes, elements, base.node_markers)
+
+
+@pytest.mark.parametrize("name", sorted(_GENERATORS) + ["mixed2d",
+                                                      "mixed3d"])
+def test_volumes_are_edge_determinants_bitwise(name):
+    if name.startswith("mixed"):
+        mesh = _mixed_orientation_mesh(int(name[-2]))
+    else:
+        mesh = _GENERATORS[name][0]()
+    expected = (np.linalg.det(mesh.element_matrices())
+                / math.factorial(mesh.dim))
+    assert mesh.volumes().tobytes() == expected.tobytes()
+    assert (mesh.volumes() > 0.0).all()
 
 
 # ---------------------------------------------------------------------------
