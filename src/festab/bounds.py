@@ -24,7 +24,7 @@ import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 
 from .assembly import _problem_context
-from .quality import mesh_quality_summary
+from .quality import _max_sandwich_eig, mesh_quality_summary
 
 LANCZOS_MAX_STEPS = 50
 SHIFT_LANCZOS_STEPS = 10      # Lanczos steps behind the first shift
@@ -438,13 +438,6 @@ def _free_patch_max(ctx, per_element):
     return float(free_vals[j]), int(free[j])
 
 
-def _alignment_norms(ctx):
-    """Per-element ||F'^-1 D_K F'^-T||_2 with the unit-volume reference."""
-    Finv = ctx.reference_map_inverses
-    S = Finv @ ctx.Dk @ np.swapaxes(Finv, 1, 2)
-    return np.linalg.eigvalsh(0.5 * (S + np.swapaxes(S, 1, 2)))[:, -1]
-
-
 def geometric_bound(ctx, lumped=False):
     """Patch-geometry upper bound on lambda_max for the problem `ctx`.
 
@@ -455,7 +448,8 @@ def geometric_bound(ctx, lumped=False):
     C* C# h^-2 max_i sum (|K|/|omega_i|) Q_D(K).
     """
     d = ctx.mesh.dim
-    value, node = _free_patch_max(ctx, _alignment_norms(ctx))
+    value, node = _free_patch_max(
+        ctx, _max_sandwich_eig(ctx.reference_map_inverses, ctx.Dk))
     value = c_star(d, lumped, ctx.nonobtuse) * c_sharp(d) * value
     return GeometricBound(value=value, argmax_node=node,
                           nonobtuse=ctx.nonobtuse)
@@ -475,8 +469,7 @@ def muniform_bound(ctx, metric_ctx, lumped=False):
         raise ValueError("metric context built for another mesh")
     d = ctx.mesh.dim
     L = np.linalg.cholesky(metric_ctx.Dk)
-    B = np.swapaxes(L, 1, 2) @ ctx.Dk @ L
-    prod_norm = np.linalg.eigvalsh(0.5 * (B + np.swapaxes(B, 1, 2)))[:, -1]
+    prod_norm = _max_sandwich_eig(np.swapaxes(L, 1, 2), ctx.Dk)
 
     summary = mesh_quality_summary(metric_ctx)
     value, node = _free_patch_max(ctx, prod_norm)
@@ -487,25 +480,10 @@ def muniform_bound(ctx, metric_ctx, lumped=False):
                          max_q_m=summary.max_q_m, argmax_node=node)
 
 
-def _volume_ratio_c1(mesh, mode="face"):
-    """Largest volume ratio between neighboring elements.
-
-    "face" pairs elements sharing a (d-1)-face; "vertex" compares within
-    each node patch.  Returns 1.0 when no pair exists.
-    """
+def _volume_ratio_c1(mesh):
+    """Largest volume ratio between elements sharing a (d-1)-face; 1.0
+    when no pair exists."""
     vols = mesh.volumes()
-    if mode == "vertex":
-        flat = mesh.elements.ravel()
-        d1 = mesh.dim + 1
-        rep = np.repeat(vols, d1)
-        vmax = np.full(mesh.num_nodes, -np.inf)
-        vmin = np.full(mesh.num_nodes, np.inf)
-        np.maximum.at(vmax, flat, rep)
-        np.minimum.at(vmin, flat, rep)
-        ok = np.isfinite(vmax)
-        return float(np.max(vmax[ok] / vmin[ok]))
-    if mode != "face":
-        raise ValueError(f"unknown neighbor mode {mode!r}")
     # face i of element k, as a sorted vertex tuple, is row k*d1 + i; a
     # stable sort groups equal faces in element order, and the 2nd, 4th, ...
     # element of a group is paired with the one before it
@@ -526,7 +504,7 @@ def _volume_ratio_c1(mesh, mode="face"):
     return float(max(1.0, r.max(), (1.0 / r).max()))
 
 
-def zhu_du_bound(ctx, neighbor_mode="face"):
+def zhu_du_bound(ctx):
     """Face-volume bracket for the full-mass pencil of `ctx` (d >= 2).
 
     Z_K = ((d+1)/d^2) sum_i |V_i|^2 / |K|^2 over the faces V_i of K,
@@ -534,7 +512,8 @@ def zhu_du_bound(ctx, neighbor_mode="face"):
     gradients: the face opposite vertex i has |V_i| = d |K| |grad(phi_i)|.
     upper = (d+2) max_K lmax(D_K) Z_K and
     lower = max_K lmin(D_K) Z_K / (d (1 + c1 p_max (d+2))), where c1 is
-    the largest neighbor volume ratio and p_max the largest patch count.
+    the largest volume ratio of two elements sharing a face and p_max the
+    largest patch count.
     """
     mesh = ctx.mesh
     d = mesh.dim
@@ -547,7 +526,7 @@ def zhu_du_bound(ctx, neighbor_mode="face"):
     upper_vals = ev[:, -1] * zk
     k_up = int(np.argmax(upper_vals))
     upper = (d + 2) * float(upper_vals[k_up])
-    c1 = _volume_ratio_c1(mesh, neighbor_mode)
+    c1 = _volume_ratio_c1(mesh)
     lower = float(np.max(ev[:, 0] * zk)) / (d * (1.0 + c1 * patches.p_max
                                                  * (d + 2)))
     return ZhuDuBound(lower=lower, upper=upper, c1=c1,
@@ -660,14 +639,15 @@ def _check_bound_names(names):
 
 
 def stability_report(mesh, field, mass_kind="full", s=1, quad_order=4,
-                     method="exact", lanczos_steps=5, seed=2, security=1.1,
+                     lanczos_steps=None, seed=2, security=1.1,
                      include=BOUND_NAMES, mesh_id="", context=None):
     """Assemble, solve and bound one configuration; returns StabilityReport.
 
     `mass_kind` selects the surrogate mass: "full", "lumped" (full-space
     row sums) or "lumped_rowsum" (row sums of the eliminated mass matrix).
-    `method` selects the eigenvalue computation: exact (the certified
-    sparse solve; "dense" is accepted as an alias) or lanczos.
+    lambda_max comes from the certified sparse solve (`lambda_max_exact`)
+    or, when `lanczos_steps` is a step count, from `lambda_max_lanczos`
+    with that count, `seed` and `security`.
     `include` names the bounds to evaluate, from "diag", "geo", "zhudu"
     and "shewchuk"; any other name raises ValueError.
     `context`, a `ProblemContext` of (mesh, field, quad_order), lets
@@ -683,13 +663,11 @@ def stability_report(mesh, field, mass_kind="full", s=1, quad_order=4,
     nonobtuse = ctx.nonobtuse
     cst = c_star(mesh.dim, lumped, nonobtuse)
 
-    if method in ("exact", "dense"):
+    if lanczos_steps is None:
         est = lambda_max_exact(Mt, A)
-    elif method == "lanczos":
+    else:
         est = lambda_max_lanczos(Mt, A, steps=lanczos_steps, seed=seed,
                                  security=security)
-    else:
-        raise ValueError(f"unknown eigenvalue method {method!r}")
 
     diag = diag_ratio_bound(Mt, A, cst)
     taus = tau_values(est, s, cst, diag.min_ratio)

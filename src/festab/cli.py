@@ -121,10 +121,7 @@ def _build_mesh(args):
         return mesh, None, f"equi1d-{args.equi1d}"
     if args.grid:
         nx, ny = args.grid
-        grading = "uniform"
-        if args.ratio_x != 1.0 or args.ratio_y != 1.0:
-            grading = "geometric"
-        mesh = gen_structured_2d(nx, ny, grading=grading, diagonal=args.diag,
+        mesh = gen_structured_2d(nx, ny, diagonal=args.diag,
                                  ratio_x=args.ratio_x, ratio_y=args.ratio_y)
         return mesh, None, f"grid-{nx}x{ny}-{args.diag}"
     if args.grid3d:
@@ -167,16 +164,12 @@ def cmd_gen(args):
 def cmd_analyze(args):
     mesh, builtin_field, mesh_id = _build_mesh(args)
     field = _resolve_field(args, mesh, builtin_field)
-    method = args.eig
-    if args.lanczos is not None:
-        method = "lanczos"
     mass_kind = args.mass.replace("-", "_")
 
     ctx = ProblemContext(mesh, field, args.quad_order)
     report = stability_report(
         mesh, field, mass_kind=mass_kind, s=args.stages,
-        quad_order=args.quad_order, method=method,
-        lanczos_steps=args.lanczos if args.lanczos is not None else 5,
+        quad_order=args.quad_order, lanczos_steps=args.lanczos,
         seed=args.seed, security=args.security,
         include=tuple(args.bounds.split(",")), mesh_id=mesh_id, context=ctx)
 
@@ -286,13 +279,10 @@ def _build_parser():
     p_an.add_argument("--mass", choices=("full", "lumped", "lumped-rowsum"),
                       default="full")
     p_an.add_argument("--quad-order", type=int, choices=(1, 2, 4), default=4)
-    p_an.add_argument("--eig", choices=("exact", "dense", "lanczos"),
-                      default="exact",
-                      help="eigenvalue method: certified sparse solve "
-                           "(exact; dense is an alias) or lanczos")
     p_an.add_argument("--lanczos", type=_positive_int, metavar="STEPS",
-                      default=None, help="Lanczos step count (implies "
-                                         "--eig lanczos)")
+                      default=None, help="estimate lambda_max by STEPS "
+                                         "Lanczos steps instead of the "
+                                         "certified sparse solve")
     p_an.add_argument("--security", type=_positive_float, default=1.1,
                       help="multiplier on the iterative estimate")
     p_an.add_argument("--seed", type=int, default=2,
@@ -352,10 +342,7 @@ def main(argv=None):
         return exc.code
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except (ValueError, AssertionError, RuntimeError) as exc:
+    except (OSError, ValueError, AssertionError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

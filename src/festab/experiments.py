@@ -55,19 +55,22 @@ _DEFAULT_SIZES = (64, 128, 256, 512, 1024)
 # builtin mesh builders beyond the structured generators
 # ----------------------------------------------------------------------------
 
-def gen_groundwater_like(n=25, contrast=1e-6):
+GROUNDWATER_CELLS = 25
+
+
+def gen_groundwater_like(contrast=1e-6):
     """Layered-aquifer benchmark on (0,100)^2; returns (mesh, field).
 
     Two horizontal strips y in [40,44] and [64,68], truncated to
     x in [20,80], carry diffusion ``contrast * I`` (nearly impermeable);
     everywhere else the diffusion is the identity.  Flow is driven top to
     bottom: y=0 and y=100 are Dirichlet, the vertical sides are no-flux.
-    With ``n`` a multiple of 25 the grid lines pass exactly through the
-    strip boundaries and corners, so the strips are resolved sharply.
+    The grid has GROUNDWATER_CELLS cells per side, a multiple of 25, so
+    its lines pass exactly through the strip boundaries and corners and
+    the strips are resolved sharply.
     """
-    if n < 5:
-        raise ValueError("groundwater grid needs n >= 5")
-    base = gen_structured_2d(n, n, diagonal="right")
+    base = gen_structured_2d(GROUNDWATER_CELLS, GROUNDWATER_CELLS,
+                             diagonal="right")
     nodes = 100.0 * base.nodes
     x, y = nodes[:, 0], nodes[:, 1]
     markers = np.zeros(len(nodes), dtype=np.int64)
@@ -87,9 +90,9 @@ def gen_groundwater_like(n=25, contrast=1e-6):
     return mesh, diffusion
 
 
-def _rot_dirs(kappa):
-    """Unit direction fields of the rotating-anisotropy benchmark."""
-    del kappa  # orientation does not depend on the aspect ratio
+def _rot_dirs():
+    """Unit direction fields of the rotating-anisotropy benchmark (they do
+    not depend on the aspect ratio kappa)."""
 
     def principal(p):
         th = math.pi * math.sin(p[0]) * math.cos(p[1])
@@ -124,30 +127,30 @@ def _march(p0, f, steps_fwd, steps_back, h):
 # (even, odd) cell splits of the aligned patch in (row, spine) offsets
 _ALIGNED_SPLITS = ((((0, 0), (0, 1), (1, 1)), ((0, 0), (1, 1), (1, 0))),
                    (((0, 0), (0, 1), (1, 0)), ((0, 1), (1, 1), (1, 0))))
+_ALIGNED_SEED = (0.45, 0.35)    # the middle point of the spine
+_ALIGNED_STEP = 0.02            # arc-length step along the spine
 
 
-def gen_metric_aligned(kappa=1000.0, seed_point=(0.45, 0.35),
-                       n_long=16, n_short=100,
-                       step_long=0.02, step_short=None):
+def gen_metric_aligned(kappa=1000.0, n_long=16, n_short=100):
     """Structured patch whose cells follow the rotating-anisotropy axes.
 
-    Starting from ``seed_point``, a spine is traced along the principal
-    diffusion direction by RK4 arc-length stepping; from each spine point a
-    transversal is traced along the perpendicular direction with the step
-    shrunk by sqrt(kappa).  The resulting logically rectangular point set is
-    split into triangles (alternating diagonals), giving elements that are
-    long across the strong-diffusion axis and short across the weak one --
-    the shape that maximizes the stable time step for this coefficient.
-    The patch boundary is clamped (Dirichlet).
+    Starting from _ALIGNED_SEED, a spine of ``n_long`` steps of length
+    _ALIGNED_STEP is traced along the principal diffusion direction by RK4
+    arc-length stepping; from each spine point a transversal of
+    ``n_short`` steps is traced along the perpendicular direction with the
+    step shrunk by sqrt(kappa).  The resulting logically rectangular point
+    set is split into triangles (alternating diagonals), giving elements
+    that are long across the strong-diffusion axis and short across the
+    weak one -- the shape that maximizes the stable time step for this
+    coefficient.  The patch boundary is clamped (Dirichlet).
     """
     if n_long < 2 or n_short < 2:
         raise ValueError("aligned patch needs n_long, n_short >= 2")
-    if step_short is None:
-        step_short = step_long / math.sqrt(kappa)
-    principal, transverse = _rot_dirs(kappa)
+    step_short = _ALIGNED_STEP / math.sqrt(kappa)
+    principal, transverse = _rot_dirs()
 
-    spine = _march(seed_point, principal,
-                   n_long // 2, n_long - n_long // 2, step_long)
+    spine = _march(_ALIGNED_SEED, principal,
+                   n_long // 2, n_long - n_long // 2, _ALIGNED_STEP)
     rows = [_march(p, transverse, n_short // 2, n_short - n_short // 2,
                    step_short) for p in spine]
     pts = np.array(rows)  # (n_long+1, n_short+1, 2)
@@ -265,14 +268,13 @@ def _cases_zd2d(spec):
     diffusion = identity(2)
     yield "zd2d-32x32", gen_structured_2d(32, 32), diffusion
     yield "zd2d-4x256", gen_structured_2d(4, 256), diffusion
-    yield ("zd2d-bl-4x16",
-           gen_structured_2d(4, 16, grading="geometric", ratio_y=1.15),
-           diffusion)
+    yield "zd2d-bl-4x16", gen_structured_2d(4, 16, ratio_y=1.15), diffusion
 
 
 def _cases_groundwater(spec):
     mesh, diffusion = gen_groundwater_like(contrast=spec.contrast)
-    yield "groundwater-25x25", mesh, diffusion
+    yield (f"groundwater-{GROUNDWATER_CELLS}x{GROUNDWATER_CELLS}", mesh,
+           diffusion)
     for path in spec.mesh_files:
         if not os.path.exists(path):
             yield f"missing:{path}", None, None
@@ -425,12 +427,18 @@ def parse_experiment_file(path):
     List-valued keys (sizes, bounds, mesh_files) are whitespace-separated.
     """
     parser = configparser.ConfigParser()
-    with open(path) as fh:
-        parser.read_file(fh, source=path)
+    try:
+        with open(path) as fh:
+            parser.read_file(fh, source=path)
+        # items() interpolates '%' references, so it can fail here too
+        sections = [(name, parser.items(name)) for name in parser.sections()]
+    except configparser.Error as exc:
+        # on one line: the parser's messages quote the offending lines
+        raise ValueError(f"{path}: {' '.join(str(exc).split())}") from None
     specs = []
-    for section in parser.sections():
+    for section, items in sections:
         kwargs = {"name": section}
-        for key, raw in parser.items(section):
+        for key, raw in items:
             if key == "name":
                 continue
             if key in _FLOAT_KEYS:

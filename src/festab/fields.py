@@ -40,13 +40,18 @@ def _as_points(x, dim=None):
 
 
 def check_spd(mats, context="field evaluation"):
-    """Raise ValueError unless every matrix is symmetric with lmin > 0.
+    """Raise ValueError unless every matrix is finite and symmetric with
+    lmin > 0.
 
     The positivity threshold is relative: lmin > SPD_RTOL * lmax.
     """
     mats = np.asarray(mats, dtype=float)
     if mats.ndim == 2:
         mats = mats[None]
+    finite = np.isfinite(mats).all(axis=(-2, -1))
+    if not finite.all():
+        k = int(np.flatnonzero(~finite)[0])
+        raise ValueError(f"{context}: matrix {k} has a non-finite entry")
     asym = np.abs(mats - np.swapaxes(mats, -1, -2)).max()
     scale = np.abs(mats).max()
     if asym > 1e-12 * max(scale, 1e-300):
@@ -70,7 +75,7 @@ class Constant(TensorField):
         if matrix.ndim == 0:
             if dim is None:
                 raise ValueError("scalar Constant needs an explicit dim")
-            matrix = float(matrix) * np.eye(dim)
+            matrix = np.diag(np.full(dim, float(matrix)))
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise ValueError("Constant needs a square matrix")
         check_spd(matrix, "Constant field")
@@ -133,7 +138,7 @@ class PiecewiseConstantPerElement(TensorField):
             if mat.ndim == 0:
                 if dim is None:
                     raise ValueError("scalar entries need an explicit dim")
-                mat = float(mat) * np.eye(dim)
+                mat = np.diag(np.full(dim, float(mat)))
             check_spd(mat, f"piecewise field, region {tag}")
             self.table[int(tag)] = mat
             if dim is None:

@@ -136,6 +136,10 @@ class SimplicialMesh:
             raise ValueError(f"unsupported dimension {d}")
         if self.num_nodes == 0 or self.num_elements == 0:
             raise ValueError("empty mesh")
+        finite = np.isfinite(self.nodes).all(axis=1)
+        if not finite.all():
+            raise ValueError(f"node {np.flatnonzero(~finite)[0]} has a "
+                             "non-finite coordinate")
         if self.elements.shape[1] != d + 1:
             raise ValueError(
                 f"elements must have {d + 1} vertices in dimension {d}, "
@@ -144,6 +148,11 @@ class SimplicialMesh:
             bad = np.flatnonzero((self.elements < 0).any(axis=1) |
                                  (self.elements >= self.num_nodes).any(axis=1))
             raise ValueError(f"element {bad[0]} has out-of-range node index")
+        orphan = np.bincount(self.elements.ravel(),
+                             minlength=self.num_nodes) == 0
+        if orphan.any():
+            raise ValueError(f"node {np.flatnonzero(orphan)[0]} belongs to "
+                             "no element")
         sorted_el = np.sort(self.elements, axis=1)
         dup = (np.diff(sorted_el, axis=1) == 0).any(axis=1)
         if dup.any():
@@ -200,9 +209,6 @@ class PatchIndex:
                                    minlength=mesh.num_nodes)
         self.counts = counts
         self.p_max = int(counts.max())
-        if not (self.volumes > 0.0).all():
-            i = int(np.argmin(self.volumes))
-            raise ValueError(f"node {i} has an empty element patch")
 
     def elements_of(self, i):
         return self._elems[self._ptr[i]:self._ptr[i + 1]]
@@ -282,7 +288,7 @@ def load_mesh(path):
         try:
             nodes[i] = [float(p) for p in parts[:d]]
             markers[i] = int(parts[d])
-        except ValueError:
+        except (ValueError, OverflowError):
             raise ValueError(f"{path}:{ln}: malformed node line") from None
     if len(block) < n:
         raise ValueError(f"{path}:{at}: declares {n} nodes, but the file "
@@ -300,11 +306,11 @@ def load_mesh(path):
                              f"indices (+ optional region tag)")
         try:
             vals = [int(p) for p in parts]
-        except ValueError:
+            elements[k] = vals[:d + 1]
+            if len(vals) == d + 2:
+                tags[k] = vals[d + 1]
+        except (ValueError, OverflowError):
             raise ValueError(f"{path}:{ln}: malformed element line") from None
-        elements[k] = vals[:d + 1]
-        if len(vals) == d + 2:
-            tags[k] = vals[d + 1]
     if len(block) < ne:
         raise ValueError(f"{path}:{at}: declares {ne} elements, but the "
                          f"file holds only {len(block)}")
@@ -539,24 +545,19 @@ def _spacings(n, ratio):
     return g / total
 
 
-def gen_structured_2d(nx, ny, grading="uniform", diagonal="right",
-                      ratio_x=1.0, ratio_y=1.0):
+def gen_structured_2d(nx, ny, diagonal="right", ratio_x=1.0, ratio_y=1.0):
     """Triangulated nx-by-ny grid on the unit square; boundary all Dirichlet.
 
     ``diagonal`` selects the cell split: "right" (all diagonals from the
     lower-left to the upper-right corner), "left" (the mirror image) or
-    "alternating" (checkerboard of the two).  With ``grading="geometric"``
-    node spacings follow a geometric progression with the given ratio, so
-    ratios > 1 refine towards x=0 / y=0.
+    "alternating" (checkerboard of the two).  Node spacings along x and y
+    follow geometric progressions with ratios ``ratio_x`` and ``ratio_y``:
+    ratio 1 is uniform, ratios > 1 refine towards x=0 / y=0.
     """
     if nx < 1 or ny < 1:
         raise ValueError("grid needs at least one cell per direction")
-    if grading not in ("uniform", "geometric"):
-        raise ValueError(f"unknown grading {grading!r}")
     if diagonal not in _SPLITS_2D:
         raise ValueError(f"unknown diagonal pattern {diagonal!r}")
-    if grading == "uniform":
-        ratio_x = ratio_y = 1.0
 
     xs = np.concatenate(([0.0], np.cumsum(_spacings(nx, ratio_x))))
     ys = np.concatenate(([0.0], np.cumsum(_spacings(ny, ratio_y))))

@@ -174,6 +174,15 @@ class MeshQualitySummary:
         self.max_q_ali = float(self.q_ali.max())
 
 
+def _max_sandwich_eig(F, X):
+    """Per-element largest eigenvalue of the symmetric part of
+    F_K X_K F_K^T, for stacks (ne, d, d) of matrices F and X.  With F the
+    reference-map inverses F'^-1 this is the alignment norm
+    ||F'^-1 X_K F'^-T||_2."""
+    S = F @ X @ np.swapaxes(F, 1, 2)
+    return np.linalg.eigvalsh(0.5 * (S + np.swapaxes(S, 1, 2)))[:, -1]
+
+
 def _metric_geometry(mesh, metric_elems, Finv):
     """Per-element |K|_M, reference-map alignment norms and rho_{K,M}, the
     diameter of the largest inscribed ball in the metric (d=1: the metric
@@ -183,9 +192,7 @@ def _metric_geometry(mesh, metric_elems, Finv):
     det_m = np.linalg.det(metric_elems)
     vol_metric = vols * np.sqrt(det_m)
 
-    Minv = np.linalg.inv(metric_elems)
-    S = Finv @ Minv @ np.swapaxes(Finv, 1, 2)
-    norm_fdf = np.linalg.eigvalsh(0.5 * (S + np.swapaxes(S, 1, 2)))[:, -1]
+    norm_fdf = _max_sandwich_eig(Finv, np.linalg.inv(metric_elems))
 
     if d == 1:
         rho = vol_metric.copy()
@@ -229,15 +236,19 @@ def mesh_quality_summary(ctx):
         q_m=q_m, rho_metric=rho, norm_fdf=norm_fdf)
 
 
-def is_nonobtuse_wrt(A, rtol=1e-12):
+NONOBTUSE_RTOL = 1e-12
+
+
+def is_nonobtuse_wrt(A):
     """Algebraic nonobtuseness test of a mesh w.r.t. the metric D^-1.
 
     True iff the assembled stiffness matrix A (of diffusion D on the mesh)
     has no positive off-diagonal entry and no negative row sum, both up to
-    rtol * max|A|.  When true the sharpened bracket constants apply.
+    NONOBTUSE_RTOL * max|A|.  When true the sharpened bracket constants
+    apply.
     """
     scale = np.abs(A.data).max() if A.nnz else 1.0
-    tol = rtol * scale
+    tol = NONOBTUSE_RTOL * scale
     coo = A.tocoo()
     off = coo.data[coo.row != coo.col]
     if off.size and off.max() > tol:

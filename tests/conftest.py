@@ -99,21 +99,11 @@ def dense_lambda_max(Mt, A):
     return float(dense_pencil_eigvals(Mt, A)[-1])
 
 
-def volume_ratio_c1_oracle(mesh, mode="face"):
-    """Oracle: largest neighbor volume ratio by a dict over the faces,
+def volume_ratio_c1_oracle(mesh):
+    """Oracle: largest face-neighbor volume ratio by a dict over the faces,
     pairing elements in element order (the loop the vectorized
     `_volume_ratio_c1` replaced)."""
     vols = mesh.volumes()
-    if mode == "vertex":
-        flat = mesh.elements.ravel()
-        d1 = mesh.dim + 1
-        rep = np.repeat(vols, d1)
-        vmax = np.full(mesh.num_nodes, -np.inf)
-        vmin = np.full(mesh.num_nodes, np.inf)
-        np.maximum.at(vmax, flat, rep)
-        np.minimum.at(vmin, flat, rep)
-        ok = np.isfinite(vmax)
-        return float(np.max(vmax[ok] / vmin[ok]))
     faces = {}
     c1 = 1.0
     d1 = mesh.dim + 1
@@ -271,7 +261,7 @@ def suite_cases():
         ("2d-8x8-alt", fs.gen_structured_2d(8, 8, diagonal="alternating"),
          None),
         ("2d-bl-4x16",
-         fs.gen_structured_2d(4, 16, grading="geometric", ratio_y=1.15),
+         fs.gen_structured_2d(4, 16, ratio_y=1.15),
          None),
         ("2d-two-triangle", two_triangle_square(), None),
         ("2d-equilateral", equilateral_lattice(), None),

@@ -332,8 +332,7 @@ def test_square_grid_step_tables():
     table = [
         ("32x32", fs.gen_structured_2d(32, 32, diagonal="right")),
         ("4x256", fs.gen_structured_2d(4, 256, diagonal="right")),
-        ("bl-4x16", fs.gen_structured_2d(4, 16, grading="geometric",
-                                         ratio_y=1.15)),
+        ("bl-4x16", fs.gen_structured_2d(4, 16, ratio_y=1.15)),
     ]
     for name, mesh in table:
         full = _report(mesh, field, "full", include=("zhudu",))
@@ -425,8 +424,7 @@ def test_lanczos_step_estimates_within_band():
          fs.identity(2)),
         ("4x256", fs.gen_structured_2d(4, 256, diagonal="right"),
          fs.identity(2)),
-        ("bl-4x16", fs.gen_structured_2d(4, 16, grading="geometric",
-                                         ratio_y=1.15), fs.identity(2)),
+        ("bl-4x16", fs.gen_structured_2d(4, 16, ratio_y=1.15), fs.identity(2)),
         ("groundwater", gw_mesh, gw_field),
     ]
     bad = []

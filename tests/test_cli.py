@@ -164,29 +164,69 @@ def test_analyze_validation_errors(tmp_path, capsys):
                  "--field", "aniso2d:kappa=10"]) == 2
 
 
+_ANALYZE_FILE = ("analyze", "--mesh", "{input}")
+_EXPERIMENT = ("experiment", "{input}", "--out-dir", "{dir}/out")
+_MESH_1D = "dim 1\nnodes 3\n0 1\n0.5 0\n1 1\n"
+
+# case: (text of the input file or None, argv with "{input}" for the input
+# file and "{dir}" for an existing directory, text of the error line)
 _BAD_INPUTS = {
     "mesh-huge-count": ("dim 1\nnodes 99999999999999\n0.0 1\n",
-                        "declares 99999999999999 nodes"),
-    "mesh-trailing-elements": ("dim 1\nnodes 3\n0 1\n0.5 0\n1 1\n"
-                               "elements 1\n0 1\n1 2\n0 1\n",
+                        _ANALYZE_FILE, "declares 99999999999999 nodes"),
+    "mesh-trailing-elements": (_MESH_1D + "elements 1\n0 1\n1 2\n0 1\n",
+                               _ANALYZE_FILE,
                                ":8: content after the element block"),
-    "mesh-bad-count": ("dim 1\nnodes x\n", ":2: 'nodes' needs a non-negative"),
-    "bounds": (None, "unknown bound 'geom'"),
-    "experiment-bounds": ("[zd2d]\nbounds = diag geom\n",
+    "mesh-bad-count": ("dim 1\nnodes x\n", _ANALYZE_FILE,
+                       ":2: 'nodes' needs a non-negative"),
+    "mesh-int64-index": (_MESH_1D + "elements 2\n0 1\n"
+                         "1 2 99999999999999999999999\n", _ANALYZE_FILE,
+                         ":8: malformed element line"),
+    "mesh-node-in-no-element": (
+        _MESH_1D + "elements 1\n0 1\n",
+        ("gen", "--mesh", "{input}", "-o", "{dir}/out.mesh"),
+        "node 2 belongs to no element"),
+    "bounds": (None, ("analyze", "--grid", "4x4", "--bounds", "geom"),
+               "unknown bound 'geom'"),
+    "experiment-bounds": ("[zd2d]\nbounds = diag geom\n", _EXPERIMENT,
                           "unknown bound 'geom'"),
+    "field-nan": (None, ("analyze", "--grid", "3x3",
+                         "--field", "constant:value=nan"),
+                  "Constant field: matrix 0 has a non-finite entry"),
+    "field-inf": (None, ("analyze", "--grid", "3x3",
+                         "--field", "aniso2d:kappa=inf"),
+                  "field aniso2d(kappa=inf): matrix 0 has a non-finite"),
+    "field-region-overflow": (
+        "0 1e999 0 1\n",
+        ("analyze", "--groundwater", "--field", "piecewise:file={input}"),
+        "piecewise field, region 0: matrix 0 has a non-finite entry"),
+    "ini-duplicate-section": ("[zd2d]\n[zd2d]\n", _EXPERIMENT,
+                              "section 'zd2d' already exists"),
+    "ini-no-section-header": (_MESH_1D, _EXPERIMENT,
+                              "File contains no section headers"),
+    "ini-key-without-equals": ("[zd2d]\noutput\n", _EXPERIMENT,
+                               "[line 2]: 'output\\n'"),
+    "ini-bad-interpolation": ("[zd2d]\noutput = 50%.csv\n", _EXPERIMENT,
+                              "'%' must be followed by '%' or '('"),
+    "gen-output-is-a-directory": (
+        None, ("gen", "--grid", "2x2", "-o", "{dir}"), "Is a directory"),
+    "analyze-output-is-a-directory": (
+        None, ("analyze", "--grid", "2x2", "-o", "{dir}"), "Is a directory"),
+    "integrate-output-is-a-directory": (
+        None, ("integrate", "--grid", "2x2", "--steps", "1", "-o", "{dir}"),
+        "Is a directory"),
+    "experiment-out-dir-is-a-file": (
+        "[zd2d]\n", ("experiment", "{input}", "--out-dir", "{input}"),
+        "File exists"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(_BAD_INPUTS))
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, case):
-    text, message = _BAD_INPUTS[case]
+    text, argv, message = _BAD_INPUTS[case]
     path = tmp_path / "input.txt"
     if text is not None:
         path.write_text(text)
-    argv = {"bounds": ["analyze", "--grid", "4x4", "--bounds", "geom"],
-            "experiment-bounds": ["experiment", str(path),
-                                  "--out-dir", str(tmp_path)],
-            }.get(case, ["analyze", "--mesh", str(path)])
+    argv = [a.format(input=path, dir=tmp_path) for a in argv]
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -342,6 +382,7 @@ def test_removed_options_are_usage_errors(capsys):
     for argv in (["analyze", "--uniform1d", "4", "--reproducible"],
                  ["analyze", "--uniform1d", "4", "--threads", "2"],
                  ["analyze", "--uniform1d", "4", "--eig", "power"],
+                 ["analyze", "--uniform1d", "4", "--eig", "exact"],
                  ["integrate", "--uniform1d", "4", "--steps", "1",
                   "--reproducible"],
                  ["experiment", "spec.ini", "--threads", "1"]):

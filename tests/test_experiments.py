@@ -31,8 +31,6 @@ def test_groundwater_mesh_layout():
     assert (cent[tagged, 0] >= 20.0).all() and (cent[tagged, 0] <= 80.0).all()
     assert np.allclose(field.matrix_for(0), np.eye(2))
     assert np.allclose(field.matrix_for(1), 1e-6 * np.eye(2))
-    with pytest.raises(ValueError):
-        fs.gen_groundwater_like(n=4)
 
 
 def test_groundwater_full_mass_eigenvalue_frozen():

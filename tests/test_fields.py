@@ -19,6 +19,10 @@ def test_constant_rejects_non_spd():
         fs.Constant(np.array([[1.0, 2.0], [2.0, 1.0]]))  # indefinite
     with pytest.raises(ValueError):
         fs.Constant(np.array([[1.0, 0.5], [0.4, 1.0]]))  # nonsymmetric
+    for value in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="Constant field: matrix 0 has "
+                                             "a non-finite entry"):
+            fs.Constant(value, dim=2)
 
 
 def test_per1d_closed_form():
@@ -129,3 +133,9 @@ def test_check_spd_catches_bad_matrices():
     neg[2] = -np.eye(2)
     with pytest.raises(ValueError, match="positive"):
         fs.check_spd(neg, "negative")
+    for value in (math.nan, math.inf, -math.inf):
+        nonfinite = good.copy()
+        nonfinite[1, 1, 1] = value
+        with pytest.raises(ValueError,
+                           match="nonfinite: matrix 1 has a non-finite"):
+            fs.check_spd(nonfinite, "nonfinite")

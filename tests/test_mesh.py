@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import festab as fs
 from scipy.integrate import quad
-from conftest import equidistributed_1d_oracle
+from conftest import PROPERTY, equidistributed_1d_oracle, problems
 
 
 # ---------------------------------------------------------------------------
@@ -77,6 +77,22 @@ def test_validate_needs_free_and_dirichlet_nodes():
         fs.SimplicialMesh(nodes, elements, np.array([0, 0]))
 
 
+def test_validate_refuses_a_node_in_no_element():
+    nodes = np.array([[0.0], [0.5], [1.0], [2.0]])
+    elements = np.array([[0, 1], [1, 2]])
+    with pytest.raises(ValueError, match="node 3 belongs to no element"):
+        fs.SimplicialMesh(nodes, elements, np.array([1, 0, 1, 0]))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_validate_refuses_nonfinite_coordinates(value):
+    nodes = np.array([[0.0], [0.5], [1.0]])
+    nodes[1, 0] = value
+    with pytest.raises(ValueError, match="node 1 has a non-finite"):
+        fs.SimplicialMesh(nodes, np.array([[0, 1], [1, 2]]),
+                          np.array([1, 0, 1]))
+
+
 def test_validate_marker_range():
     nodes = np.array([[0.0], [0.5], [1.0]])
     elements = np.array([[0, 1], [1, 2]])
@@ -142,11 +158,13 @@ def test_gen_structured_2d_counts_and_volume():
 
 
 def test_gen_structured_2d_geometric_grading():
-    mesh = fs.gen_structured_2d(2, 5, grading="geometric", ratio_y=1.3)
+    mesh = fs.gen_structured_2d(2, 5, ratio_y=1.3)
     ys = np.unique(mesh.nodes[:, 1])
     spacings = np.diff(ys)
     assert np.allclose(spacings[1:] / spacings[:-1], 1.3, rtol=1e-12)
     assert ys[-1] == 1.0
+    # ratio 1 is the uniform spacing
+    assert np.unique(mesh.nodes[:, 0]).tolist() == [0.0, 0.5, 1.0]
 
 
 def test_gen_structured_2d_errors():
@@ -155,9 +173,7 @@ def test_gen_structured_2d_errors():
     with pytest.raises(ValueError):
         fs.gen_structured_2d(4, 4, diagonal="diagonal")
     with pytest.raises(ValueError):
-        fs.gen_structured_2d(4, 4, grading="graded")
-    with pytest.raises(ValueError):
-        fs.gen_structured_2d(4, 4, grading="geometric", ratio_y=-2.0)
+        fs.gen_structured_2d(4, 4, ratio_y=-2.0)
 
 
 def test_gen_structured_3d_counts_and_volume():
@@ -188,8 +204,7 @@ _GENERATORS = {
     "grid-left": (lambda: fs.gen_structured_2d(5, 4, diagonal="left"),
                   (fs.DIRICHLET,)),
     "grid-alternating-graded": (lambda: fs.gen_structured_2d(
-        5, 4, grading="geometric", diagonal="alternating", ratio_x=0.9,
-        ratio_y=1.15), (fs.DIRICHLET,)),
+        5, 4, diagonal="alternating", ratio_x=0.9, ratio_y=1.15), (fs.DIRICHLET,)),
     "grid3d": (lambda: fs.gen_structured_3d(2, 3, 4), (fs.DIRICHLET,)),
     "aligned": (lambda: fs.gen_metric_aligned(100.0, n_long=5, n_short=7),
                 (fs.DIRICHLET,)),
@@ -384,10 +399,27 @@ def test_save_load_round_trip_3d(tmp_path):
     assert np.array_equal(mesh.elements, back.elements)
 
 
+_HUGE = "99999999999999999999999"          # beyond int64
+
+
 def test_load_mesh_reports_line_numbers(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("dim 1\nnodes 2\n0.0 1\nbogus 1\n")
     with pytest.raises(ValueError, match=":4: malformed"):
+        fs.load_mesh(str(path))
+
+
+@pytest.mark.parametrize("text, match", [
+    (f"dim 1\nnodes 2\n0.0 1\n1.0 {_HUGE}\n", ":4: malformed node line"),
+    (f"dim 1\nnodes 2\n0 1\n1 1\nelements 1\n0 {_HUGE}\n",
+     ":6: malformed element line"),
+    (f"dim 1\nnodes 2\n0 1\n1 1\nelements 1\n0 1 {_HUGE}\n",
+     ":6: malformed element line"),
+], ids=["marker", "index", "tag"])
+def test_load_mesh_refuses_integers_beyond_int64(tmp_path, text, match):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=match):
         fs.load_mesh(str(path))
 
 
@@ -413,6 +445,58 @@ def test_load_mesh_refuses_bad_counts_and_trailing_content(tmp_path, text,
     path.write_text(text)
     with pytest.raises(ValueError, match=match):
         fs.load_mesh(str(path))
+
+
+@PROPERTY
+@given(problems())
+def test_save_load_round_trip_is_bitwise(tmp_path_factory, problem):
+    mesh = problem[0]
+    path = tmp_path_factory.mktemp("round-trip") / "mesh.txt"
+    fs.save_mesh(mesh, str(path))
+    back = fs.load_mesh(str(path))
+    for name in ("nodes", "elements", "node_markers", "region_tags"):
+        a, b = getattr(mesh, name), getattr(back, name)
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes(), name
+
+
+_CORRUPTIONS = (_HUGE, "nan", "inf", "-1", "x", None)  # None drops it
+
+
+@PROPERTY
+@given(problems(), st.data())
+def test_load_mesh_refuses_a_corrupted_token_with_value_error(
+        tmp_path_factory, problem, data):
+    mesh = problem[0]
+    path = tmp_path_factory.mktemp("corrupt") / "mesh.txt"
+    fs.save_mesh(mesh, str(path))
+    lines = path.read_text().splitlines()
+    i = data.draw(st.integers(0, len(lines) - 1), label="line")
+    tokens = lines[i].split()
+    j = data.draw(st.integers(0, len(tokens) - 1), label="token")
+    new = data.draw(st.sampled_from(_CORRUPTIONS), label="corruption")
+    tokens[j:j + 1] = [] if new is None else [new]
+    lines[i] = " ".join(tokens)
+    path.write_text("\n".join(lines) + "\n")
+
+    d, n = mesh.dim, mesh.num_nodes
+    node_line = 2 <= i < 2 + n
+    element_line = i > 2 + n
+    coordinate = node_line and j < d
+    tag = element_line and j == d + 1
+    # a corrupted token that no valid file holds at its place: a letter, a
+    # NaN or an infinity anywhere, a negative or out-of-int64 integer, a
+    # token missing from a header, a node line or an untagged element line
+    invalid = (new in ("x", "nan", "inf")
+               or (new == _HUGE and not coordinate)
+               or (new == "-1" and not (coordinate or tag))
+               or (new is None
+                   and not (element_line and len(tokens) == d + 1)))
+    try:
+        fs.load_mesh(str(path))
+    except ValueError:
+        return
+    assert not invalid, (i, j, new)
 
 
 def test_load_mesh_missing_file():
