@@ -3,12 +3,13 @@
 For the P1 diffusion system, the largest permissible explicit step of an
 s-stage first-order Chebyshev scheme is tau_max = 2 s^2 / lambda_max.
 This module computes lambda_max exactly (sparse shift-invert, certified by
-Sylvester inertia) or iteratively (Lanczos, power method) and evaluates the
-computable surrogates: the diagonal-ratio bracket with its sharp constant
-C*, the patch-geometry upper bound, the metric-matching bound, and the
-comparison estimates based on face volumes (with and without lumped-mass
-weighting).  Mtilde and A are symmetric `scipy.sparse` matrices of one
-size (see `_check_pencil`).
+an RCM-ordered banded Cholesky: K is SPD iff every pivot is positive) or
+iteratively (Lanczos, power method) and evaluates the computable
+surrogates: the diagonal-ratio bracket with its sharp constant C*, the
+patch-geometry upper bound, the metric-matching bound, and the comparison
+estimates based on face volumes (with and without lumped-mass weighting).
+Mtilde and A are symmetric `scipy.sparse` matrices of one size (see
+`_check_pencil`).
 """
 
 from __future__ import annotations
@@ -21,7 +22,10 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dpbtrf, dpbtrs
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .assembly import _problem_context
 from .quality import _max_sandwich_eig, mesh_quality_summary
@@ -66,7 +70,7 @@ def c_star(d, lumped, nonobtuse):
 class EigEstimate:
     """An eigenvalue with its provenance.  `shift`, `solves` and
     `certified` describe the certified sparse solve (shift-invert shift,
-    linear solves with it, inertia certificate); estimates leave them at
+    linear solves with it, Cholesky certificate); estimates leave them at
     None, 0 and False."""
     value: float
     method: str
@@ -104,41 +108,95 @@ def _is_diagonal(X):
     return bool((coo.row == coo.col).all())
 
 
-def _mass_solver(Mtilde):
+class _Banded:
+    """Symmetric sparse matrices of one size in LAPACK upper band storage,
+    under one reverse Cuthill-McKee ordering of their joint pattern
+    (Cuthill & McKee 1969; George & Liu 1981), or under the given order
+    when that band is narrower.
+
+    `perm` is the ordering and `bw` the half bandwidth of every matrix
+    under it.  `bands[k]` is the (bw + 1, n) array holding entry (i, j),
+    i <= j, of mats[k][perm][:, perm] at [bw + i - j, j]; only the upper
+    triangle is read.  Each band is (bw + 1) n doubles, known before any
+    of them is allocated.
+    """
+
+    def __init__(self, *mats):
+        n = mats[0].shape[0]
+        coos = [X.tocoo() for X in mats]
+        row = np.concatenate([c.row for c in coos])
+        col = np.concatenate([c.col for c in coos])
+        pattern = sp.csr_array((np.ones(len(row)), (row, col)), shape=(n, n))
+        # RCM is a heuristic: the given order is kept when its band is
+        # narrower (a lattice numbering against a stencil whose cancelled
+        # entries left a sparser graph)
+        self.bw = None
+        for perm in (reverse_cuthill_mckee(pattern, symmetric_mode=True),
+                     np.arange(n)):
+            pos = np.empty(n, dtype=np.intp)          # inverse of perm
+            pos[perm] = np.arange(n)
+            bw = int(np.abs(pos[row] - pos[col]).max(initial=0))
+            if self.bw is None or bw < self.bw:
+                self.perm, self.pos, self.bw = perm, pos, bw
+        try:
+            self.bands = [self._band(c) for c in coos]
+        except MemoryError as exc:
+            raise self._out_of_memory() from exc
+
+    def _band(self, coo):
+        i, j = self.pos[coo.row], self.pos[coo.col]
+        up = i <= j
+        ld, n = self.bw + 1, len(self.pos)
+        flat = (self.bw + i[up] - j[up]) + ld * j[up]
+        return np.bincount(flat, weights=coo.data[up],
+                           minlength=ld * n).reshape((ld, n), order="F")
+
+    def _out_of_memory(self):
+        return ValueError(f"banded Cholesky of an n = {len(self.pos)} matrix "
+                          f"(half bandwidth {self.bw}) ran out of memory")
+
+    def cholesky(self, *coeffs):
+        """Solver for K = sum_k coeffs[k] mats[k] from its banded Cholesky
+        factor, or None if K is not SPD: a symmetric K is SPD exactly when
+        every pivot of the factorization is positive."""
+        try:
+            ab = sum(c * band for c, band in zip(coeffs, self.bands) if c)
+            chol, info = dpbtrf(ab, overwrite_ab=1)
+        except MemoryError as exc:
+            raise self._out_of_memory() from exc
+        if info != 0:
+            return None
+        perm, pos = self.perm, self.pos
+        return lambda b: dpbtrs(chol, b[perm], overwrite_b=1)[0][pos]
+
+
+def _spd_factor(K):
+    """Solver for the symmetric sparse matrix K, or None if K is not SPD.
+
+    RCM-ordered banded Cholesky (`_Banded`); K is SPD iff every pivot is
+    positive.  The factorization reads only the upper triangle, so a K
+    that is not exactly symmetric raises ValueError.
+    """
+    if (K != K.T).nnz:
+        raise ValueError("matrix is not symmetric")
+    return _Banded(K).cholesky(1.0)
+
+
+def _mass_solver(Mtilde, pencil=None):
     """Exact solver for the mass surrogate Mtilde, which must be SPD:
-    division by its diagonal, or its inertia-checked LU (`_spd_factor`)."""
+    division by its diagonal, or its RCM-ordered banded Cholesky factor
+    (`_spd_factor`; K is SPD iff every pivot is positive).  `pencil`, a
+    `_Banded` whose first matrix is Mtilde, lends its ordering and band."""
     if _is_diagonal(Mtilde):
         dm = Mtilde.diagonal()
         if (dm > 0.0).all():
             return lambda b: b / dm
     else:
-        lu = _spd_factor(Mtilde)
-        if lu is not None:
-            return lu.solve
+        solve = _spd_factor(Mtilde) if pencil is None \
+            else pencil.cholesky(1.0)
+        if solve is not None:
+            return solve
     raise ValueError("mass matrix has a nonpositive eigenvalue")
-
-
-def _spd_factor(K):
-    """Sparse LU of the symmetric matrix K, or None if K is not SPD.
-
-    The factorization pivots on the diagonal only (symmetric ordering,
-    zero pivot threshold), so U's diagonal holds the pivots of an LDL^T
-    factorization and, by Sylvester's law of inertia, K is positive
-    definite exactly when no off-diagonal pivot was taken and every pivot
-    is positive.
-    """
-    try:
-        lu = spla.splu(K.tocsc(), permc_spec="MMD_AT_PLUS_A",
-                       diag_pivot_thresh=0.0,
-                       options={"SymmetricMode": True})
-    except RuntimeError:                 # exactly singular
-        return None
-    except MemoryError as exc:
-        raise ValueError(f"sparse factorization of an n = {K.shape[0]} "
-                         "matrix ran out of memory") from exc
-    if np.array_equal(lu.perm_r, lu.perm_c) and (lu.U.diagonal() > 0.0).all():
-        return lu
-    return None
 
 
 def _lanczos(Mtilde, A, solve, steps, seed):
@@ -211,29 +269,29 @@ def _rayleigh(Mtilde, A, x):
     return rho, x, resid
 
 
-def _certified(Mtilde, A, rho):
+def _certified(pencil, rho):
     """True when rho (1 + CERT_RTOL) Mt - A is SPD, i.e. rho is within
-    CERT_RTOL of the top of the spectrum from below."""
-    sigma = rho * (1.0 + CERT_RTOL)
-    return _spd_factor(sigma * Mtilde - A) is not None
+    CERT_RTOL of the top of the spectrum from below; `pencil` is the
+    `_Banded` of (Mt, A)."""
+    return pencil.cholesky(rho * (1.0 + CERT_RTOL), -1.0) is not None
 
 
-def _shift_invert(Mtilde, A, sigma, seed):
+def _shift_invert(pencil, Mtilde, A, sigma, seed):
     """One shift-invert ARPACK solve from a shift raised until sigma Mt - A
     is SPD (so above lambda_max); returns (sigma, x, solves), with x None
-    when ARPACK fails."""
+    when ARPACK fails.  `pencil` is the `_Banded` of (Mt, A)."""
     # terminates: Mt is SPD, so sigma Mt - A is SPD once sigma > lambda_max
-    lu = _spd_factor(sigma * Mtilde - A)
-    while lu is None:
+    shifted = pencil.cholesky(sigma, -1.0)
+    while shifted is None:
         sigma *= SHIFT_GROWTH
-        lu = _spd_factor(sigma * Mtilde - A)
+        shifted = pencil.cholesky(sigma, -1.0)
 
     solves = 0
 
     def op_inv(b):
         nonlocal solves
         solves += 1
-        return -lu.solve(b)
+        return -shifted(b)
 
     n = A.shape[0]
     v0 = np.random.default_rng(seed).standard_normal(n)
@@ -250,18 +308,22 @@ def _top_eigpair(Mtilde, A):
     """Certified top eigenpair of the pencil (A, Mtilde).
 
     Checks the pencil's shape and symmetry (`_check_pencil`) and that
-    Mtilde and A are SPD by their inertia, then runs ARPACK in
-    shift-invert mode at a shift above lambda_max (a Lanczos Ritz value,
-    raised until sigma Mt - A is SPD; n <= EXHAUSTED_N uses Lanczos on the
-    whole space instead).  The returned Rayleigh quotient rho is a lower
-    bound for lambda_max; it is certified by the inertia of
-    rho (1 + CERT_RTOL) Mt - A.  Failed certificates retry with a new start
-    vector and a tighter shift; the last failure raises ValueError.
+    Mtilde and A are SPD, then runs ARPACK in shift-invert mode at a shift
+    above lambda_max (a Lanczos Ritz value, raised until sigma Mt - A is
+    SPD; n <= EXHAUSTED_N uses Lanczos on the whole space instead).  The
+    returned Rayleigh quotient rho is a lower bound for lambda_max; it is
+    certified when rho (1 + CERT_RTOL) Mt - A is SPD.  Every SPD test and
+    solve is an RCM-ordered banded Cholesky (K is SPD iff every pivot is
+    positive) under one ordering of the joint pattern of Mt and A
+    (`_Banded`): the bands of Mt and A are built once and combined per
+    shift.  Failed certificates retry with a new start vector and a
+    tighter shift; the last failure raises ValueError.
     """
     _check_pencil(Mtilde, A)
     n = A.shape[0]
-    solve = _mass_solver(Mtilde)
-    if _spd_factor(A) is None:
+    pencil = _Banded(Mtilde, A)
+    solve = _mass_solver(Mtilde, pencil)
+    if pencil.cholesky(0.0, 1.0) is None:
         raise ValueError("pencil has a nonpositive eigenvalue; "
                          "A is not positive definite")
 
@@ -274,12 +336,12 @@ def _top_eigpair(Mtilde, A):
         if sigma is None:
             x = _lanczos(Mtilde, A, solve, n, seed)[1]
         else:
-            sigma, x, used = _shift_invert(Mtilde, A, sigma, seed)
+            sigma, x, used = _shift_invert(pencil, Mtilde, A, sigma, seed)
             solves += used
             if x is None:
                 continue
         rho, x, resid = _rayleigh(Mtilde, A, x)
-        if _certified(Mtilde, A, rho):
+        if _certified(pencil, rho):
             break
         if sigma is not None:
             # a shift nearer rho separates the top eigenvalue better; it is
@@ -299,7 +361,7 @@ def _top_eigpair(Mtilde, A):
 
 
 def lambda_max_exact(Mtilde, A):
-    """Largest eigenvalue of the pencil (A, Mtilde), inertia-certified.
+    """Largest eigenvalue of the pencil (A, Mtilde), Cholesky-certified.
 
     Sparse shift-invert solve; see `_top_eigpair`.  Raises ValueError when
     the pencil is not square, symmetric and SPD, or no certificate is

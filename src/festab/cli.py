@@ -162,6 +162,14 @@ def cmd_gen(args):
 
 
 def cmd_analyze(args):
+    # the Lanczos options left unset keep stability_report's defaults
+    lanczos_opts = {key: value for key, value in (("seed", args.seed),
+                                                  ("security", args.security))
+                    if value is not None}
+    if lanczos_opts and args.lanczos is None:
+        print("festab analyze: error: --seed and --security need --lanczos",
+              file=sys.stderr)
+        return EXIT_USAGE
     mesh, builtin_field, mesh_id = _build_mesh(args)
     field = _resolve_field(args, mesh, builtin_field)
     mass_kind = args.mass.replace("-", "_")
@@ -170,8 +178,8 @@ def cmd_analyze(args):
     report = stability_report(
         mesh, field, mass_kind=mass_kind, s=args.stages,
         quad_order=args.quad_order, lanczos_steps=args.lanczos,
-        seed=args.seed, security=args.security,
-        include=tuple(args.bounds.split(",")), mesh_id=mesh_id, context=ctx)
+        include=tuple(args.bounds.split(",")), mesh_id=mesh_id, context=ctx,
+        **lanczos_opts)
 
     payload = asdict(report)
     # the quality of the mesh in the metric D^-1, from the report's averages
@@ -283,10 +291,12 @@ def _build_parser():
                       default=None, help="estimate lambda_max by STEPS "
                                          "Lanczos steps instead of the "
                                          "certified sparse solve")
-    p_an.add_argument("--security", type=_positive_float, default=1.1,
-                      help="multiplier on the iterative estimate")
-    p_an.add_argument("--seed", type=int, default=2,
-                      help="start-vector seed for iterative eigensolvers")
+    p_an.add_argument("--security", type=_positive_float, default=None,
+                      help="multiplier on the Lanczos estimate (default "
+                           "1.1; needs --lanczos)")
+    p_an.add_argument("--seed", type=int, default=None,
+                      help="Lanczos start-vector seed (default 2; needs "
+                           "--lanczos)")
     p_an.add_argument("--stages", type=_positive_int, default=1,
                       help="Chebyshev stage count s")
     p_an.add_argument("--bounds", default=",".join(BOUND_NAMES),

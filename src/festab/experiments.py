@@ -438,22 +438,22 @@ def parse_experiment_file(path):
     specs = []
     for section, items in sections:
         kwargs = {"name": section}
-        for key, raw in items:
-            if key == "name":
-                continue
-            if key in _FLOAT_KEYS:
-                kwargs[key] = float(raw)
-            elif key in _INT_KEYS:
-                kwargs[key] = int(raw)
-            elif key == "sizes":
-                kwargs[key] = tuple(int(tok) for tok in raw.split())
-            elif key in _TUPLE_KEYS:
-                kwargs[key] = tuple(raw.split())
-            elif key in ("lumping", "output"):
-                kwargs[key] = raw.strip()
-            else:
-                raise ValueError(f"{path} [{section}]: unknown key {key!r}")
         try:
+            for key, raw in items:
+                if key == "name":
+                    continue
+                if key in _FLOAT_KEYS:
+                    kwargs[key] = float(raw)
+                elif key in _INT_KEYS:
+                    kwargs[key] = int(raw)
+                elif key == "sizes":
+                    kwargs[key] = tuple(int(tok) for tok in raw.split())
+                elif key in _TUPLE_KEYS:
+                    kwargs[key] = tuple(raw.split())
+                elif key in ("lumping", "output"):
+                    kwargs[key] = raw.strip()
+                else:
+                    raise ValueError(f"unknown key {key!r}")
             specs.append(ExperimentSpec(**kwargs))
         except ValueError as exc:
             raise ValueError(f"{path} [{section}]: {exc}") from exc

@@ -224,9 +224,9 @@ def load_piecewise(path, dim=None):
     """Read a per-region table: lines `tag` + upper-triangle matrix entries.
 
     1D: `tag m11`; 2D: `tag m11 m12 m22`; 3D: `tag m11 m12 m13 m22 m23 m33`.
-    '#' starts a comment.
+    '#' starts a comment; a tag may appear on one line only.
     """
-    table = {}
+    table, first_line = {}, {}
     with open(path) as f:
         for ln, raw in enumerate(f, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -238,6 +238,10 @@ def load_piecewise(path, dim=None):
                 vals = [float(p) for p in parts[1:]]
             except ValueError:
                 raise ValueError(f"{path}:{ln}: malformed region line") from None
+            if tag in first_line:
+                raise ValueError(f"{path}:{ln}: region tag {tag} repeated "
+                                 f"(first on line {first_line[tag]})")
+            first_line[tag] = ln
             if len(vals) == 1:
                 mat = np.array([[vals[0]]])
             elif len(vals) == 3:

@@ -140,6 +140,17 @@ def test_analyze_lanczos_flag_implies_method(capsys):
     assert payload["lambda_exact"] >= payload["lambda_diag_lower"]
 
 
+@pytest.mark.parametrize("option", [["--seed", "5"], ["--security", "9"]])
+def test_analyze_lanczos_options_need_lanczos(capsys, option):
+    assert main(["analyze", "--grid", "6x6"] + option) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--seed and --security need --lanczos" in captured.err
+    assert main(["analyze", "--grid", "6x6", "--lanczos", "5"] + option) == 0
+    method = json.loads(capsys.readouterr().out)["method"]
+    assert (option[0][2:] + "=" + option[1]) in method
+
+
 def test_analyze_piecewise_field_from_a_regions_file(tmp_path, capsys):
     # the README's field spec for region-tagged tensors on a saved mesh
     mesh_file = tmp_path / "gw.mesh"
@@ -195,6 +206,10 @@ _BAD_INPUTS = {
     "field-inf": (None, ("analyze", "--grid", "3x3",
                          "--field", "aniso2d:kappa=inf"),
                   "field aniso2d(kappa=inf): matrix 0 has a non-finite"),
+    "field-region-repeated": (
+        "0 1 0 1\n0 5 0 5\n1 1 0 1\n",
+        ("analyze", "--groundwater", "--field", "piecewise:file={input}"),
+        ":2: region tag 0 repeated (first on line 1)"),
     "field-region-overflow": (
         "0 1e999 0 1\n",
         ("analyze", "--groundwater", "--field", "piecewise:file={input}"),
@@ -290,7 +305,7 @@ def test_eigen_failures_exit_2_with_one_line(monkeypatch, capsys, argv,
     else:
         def no_memory(*args, **kwargs):
             raise MemoryError
-        monkeypatch.setattr(bounds_mod.spla, "splu", no_memory)
+        monkeypatch.setattr(bounds_mod, "dpbtrf", no_memory)
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -329,8 +344,8 @@ def _assert_second_section_refused_first(tmp_path, capsys, per1d_key,
     captured = capsys.readouterr()
     assert captured.out == ""
     err = captured.err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: ")
-    assert "[per1d]" in err[0] and message in err[0]
+    assert len(err) == 1 and err[0].startswith(f"error: {ini} [per1d]: ")
+    assert message in err[0]
     assert list(out_dir.iterdir()) == []
 
 
@@ -344,6 +359,17 @@ def test_experiment_bad_quad_order_fails_before_any_section_runs(tmp_path,
                                                                  capsys):
     _assert_second_section_refused_first(tmp_path, capsys, "quad_order = 3",
                                          "quad_order must be 1, 2 or 4")
+
+
+@pytest.mark.parametrize("per1d_key, message", [
+    ("eps = abc", "could not convert string to float: 'abc'"),
+    ("stages = 1.5", "invalid literal for int()"),
+    ("quad_order = four", "invalid literal for int()"),
+])
+def test_experiment_unconvertible_value_names_the_file(tmp_path, capsys,
+                                                       per1d_key, message):
+    _assert_second_section_refused_first(tmp_path, capsys, per1d_key,
+                                         message)
 
 
 def test_experiment_bad_spec(tmp_path, capsys):

@@ -96,6 +96,20 @@ def test_indefinite_mass_is_refused():
             call()
 
 
+def test_nonsymmetric_mass_is_refused_by_the_march():
+    # the banded Cholesky reads one triangle only, so a mass surrogate that
+    # is not symmetric would be solved as another matrix
+    M = sp.csr_array(np.array([[2.0, 0.5, 0.0], [0.0, 2.0, 0.0],
+                               [0.0, 0.0, 2.0]]))
+    A = sp.csr_array(np.array([[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0],
+                               [0.0, -1.0, 2.0]]))
+    sch = fs.ChebyshevScheme(s=1)
+    with pytest.raises(ValueError, match="not symmetric"):
+        fs.step(sch, M, A, np.ones(3), 0.1)
+    with pytest.raises(ValueError, match="not symmetric"):
+        fs.integrate(sch, M, M, A, np.ones(3), 0.1, 3)
+
+
 def test_groundwater_full_mass_returns_the_top_of_a_close_pair(monkeypatch):
     # mirror-symmetric problem (no strips): a symmetric start vector (all
     # ones) misses the top mode and converges to 1.60818597, not 1.60818922;
@@ -144,6 +158,44 @@ def test_inertia_flips_across_lambda_max(kind):
     assert bounds_mod._spd_factor(lam * (1.0 - 1e-8) * Mt - A) is None
     assert bounds_mod._spd_factor(Mt) is not None
     assert bounds_mod._spd_factor(-A) is None
+
+
+@PROPERTY
+@given(problems())
+def test_banded_cholesky_solves_and_decides_definiteness(problem):
+    # the solves the program makes (mass surrogate, shift-invert above
+    # lambda_max) against dense LU, and the SPD verdict on both sides of
+    # lambda_max
+    mesh, field, kind = problem
+    Mt, A = pencil(mesh, field, kind)
+    lam = dense_lambda_max(Mt, A)
+    b = np.random.default_rng(0).standard_normal(A.shape[0])
+    for K in (Mt, 2.0 * lam * Mt - A):
+        want = np.linalg.solve(K.toarray(), b)
+        got = bounds_mod._spd_factor(K)(b)
+        assert np.linalg.norm(got - want) <= ORACLE_RTOL * np.linalg.norm(want)
+    assert bounds_mod._spd_factor(A) is not None
+    assert bounds_mod._spd_factor(lam * (1.0 + 1e-8) * Mt - A) is not None
+    assert bounds_mod._spd_factor(lam * (1.0 - 1e-8) * Mt - A) is None
+    assert bounds_mod._spd_factor(-A) is None
+
+
+@pytest.mark.parametrize("kind", fs.MASS_KINDS)
+def test_one_ordering_per_certified_solve(monkeypatch, kind):
+    # the SPD proof of A, the mass solves, every shift and the certificate
+    # share the ordering of the pencil's joint pattern
+    mesh = fs.gen_structured_2d(8, 8, diagonal="alternating")
+    Mt, A = pencil(mesh, fs.aniso2d(100.0), kind)
+    real = bounds_mod.reverse_cuthill_mckee
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(bounds_mod, "reverse_cuthill_mckee", counted)
+    est = fs.lambda_max_exact(Mt, A)
+    assert est.certified and len(calls) == 1
 
 
 def test_failed_certificate_retries(monkeypatch):
