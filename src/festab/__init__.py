@@ -11,18 +11,16 @@ from .mesh import (INTERIOR, DIRICHLET, NEUMANN, SimplicialMesh, PatchIndex,
                    build_patches, save_mesh, load_mesh, gen_uniform_1d,
                    gen_equidistributed_1d, gen_structured_2d,
                    gen_structured_3d, reference_simplex,
-                   reference_edge_matrix, reference_diameter)
+                   reference_edge_matrix)
 from .fields import (TensorField, Constant, Analytic,
                      PiecewiseConstantPerElement, InverseOf, identity,
                      per1d, nonper1d, aniso2d, load_piecewise,
                      parse_field_spec, adapted_weight, check_spd)
 from .quality import (simplex_rule, conical_product_rule, element_averages,
                       MeshQualitySummary,
-                      mesh_quality_summary, is_nonobtuse_wrt,
-                      export_quality_csv)
+                      mesh_quality_summary, is_nonobtuse_wrt)
 from .assembly import (DofMap, ProblemContext, MASS_KINDS, assemble_mass,
-                       assemble_lumped, row_sum_lumping, assemble_stiffness,
-                       export_matrix_market)
+                       assemble_lumped, row_sum_lumping, assemble_stiffness)
 from .bounds import (c_grad, c_sharp, c_star, EigEstimate, lambda_max_exact,
                      max_eigvec_exact, lambda_max_lanczos, lambda_max_power,
                      DiagRatioBound, diag_ratio_bound, TauValues, tau_values,
@@ -33,7 +31,6 @@ from .bounds import (c_grad, c_sharp, c_star, EigEstimate, lambda_max_exact,
 from .chebyshev import (ChebyshevScheme, stability_poly_eval, step, norms,
                         NormTrace, integrate)
 from .experiments import (FAMILIES, ExperimentSpec, TableRow, run_experiment,
-                          compare_lumping, LumpingSummary,
                           parse_experiment_file, run_experiment_file,
                           write_rows_csv, write_summary_json,
                           gen_groundwater_like, gen_metric_aligned)
@@ -45,16 +42,13 @@ __all__ = [
     "build_patches", "save_mesh", "load_mesh",
     "gen_uniform_1d", "gen_equidistributed_1d", "gen_structured_2d",
     "gen_structured_3d", "reference_simplex", "reference_edge_matrix",
-    "reference_diameter",
     "TensorField", "Constant", "Analytic", "PiecewiseConstantPerElement",
     "InverseOf", "identity", "per1d", "nonper1d", "aniso2d",
     "load_piecewise", "parse_field_spec", "adapted_weight", "check_spd",
     "simplex_rule", "conical_product_rule", "element_averages",
     "MeshQualitySummary", "mesh_quality_summary", "is_nonobtuse_wrt",
-    "export_quality_csv",
     "DofMap", "ProblemContext", "MASS_KINDS", "assemble_mass",
     "assemble_lumped", "row_sum_lumping", "assemble_stiffness",
-    "export_matrix_market",
     "c_grad", "c_sharp", "c_star", "EigEstimate", "lambda_max_exact",
     "max_eigvec_exact", "lambda_max_lanczos", "lambda_max_power",
     "DiagRatioBound", "diag_ratio_bound", "TauValues", "tau_values",
@@ -64,7 +58,6 @@ __all__ = [
     "ChebyshevScheme", "stability_poly_eval", "step", "norms", "NormTrace",
     "integrate",
     "FAMILIES", "ExperimentSpec", "TableRow", "run_experiment",
-    "compare_lumping", "LumpingSummary", "parse_experiment_file",
-    "run_experiment_file", "write_rows_csv", "write_summary_json",
-    "gen_groundwater_like", "gen_metric_aligned",
+    "parse_experiment_file", "run_experiment_file", "write_rows_csv",
+    "write_summary_json", "gen_groundwater_like", "gen_metric_aligned",
 ]

@@ -13,7 +13,6 @@ from __future__ import annotations
 from functools import cached_property
 
 import numpy as np
-import scipy.io
 import scipy.sparse as sp
 
 from .fields import InverseOf
@@ -251,9 +250,3 @@ def _problem_context(mesh, field, quad_order=4, context=None):
         return ProblemContext(mesh, field, quad_order)
     return context.check(mesh, field, quad_order)
 
-
-def export_matrix_market(matrix, path, comment=""):
-    """Write a symmetric sparse matrix in MatrixMarket symmetric coordinate
-    form."""
-    scipy.io.mmwrite(path, matrix.tocoo(),
-                     comment=comment, symmetry="symmetric")

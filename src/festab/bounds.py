@@ -8,8 +8,8 @@ iteratively (Lanczos, power method) and evaluates the computable
 surrogates: the diagonal-ratio bracket with its sharp constant C*, the
 patch-geometry upper bound, the metric-matching bound, and the comparison
 estimates based on face volumes (with and without lumped-mass weighting).
-Mtilde and A are symmetric `scipy.sparse` matrices of one size (see
-`_check_pencil`).
+Mtilde and A are symmetric `scipy.sparse` matrices of one size; one
+`_Pencil` checks them and makes every factorization of a solve.
 """
 
 from __future__ import annotations
@@ -91,46 +91,45 @@ def _lam_value(lam):
 # Exact and iterative eigenvalue computation
 
 
-def _check_pencil(Mtilde, A):
-    """Raise ValueError unless Mtilde and A are square sparse matrices of
-    one size, each exactly equal to its transpose."""
-    for name, X in (("Mtilde", Mtilde), ("A", A)):
-        if X.shape[0] != X.shape[1]:
-            raise ValueError(f"{name} is not square")
-        if (X != X.T).nnz:
-            raise ValueError(f"{name} is not symmetric")
-    if Mtilde.shape != A.shape:
-        raise ValueError("dimension mismatch")
+class _Pencil:
+    """The pencil (A, Mtilde): two square sparse matrices of one size, each
+    exactly equal to its transpose (ValueError otherwise), and every
+    factorization made from them.
 
-
-def _is_diagonal(X):
-    coo = X.tocoo()
-    return bool((coo.row == coo.col).all())
-
-
-class _Banded:
-    """Symmetric sparse matrices of one size in LAPACK upper band storage,
-    under one reverse Cuthill-McKee ordering of their joint pattern
-    (Cuthill & McKee 1969; George & Liu 1981), or under the given order
-    when that band is narrower.
-
-    `perm` is the ordering and `bw` the half bandwidth of every matrix
-    under it.  `bands[k]` is the (bw + 1, n) array holding entry (i, j),
-    i <= j, of mats[k][perm][:, perm] at [bw + i - j, j]; only the upper
-    triangle is read.  Each band is (bw + 1) n doubles, known before any
-    of them is allocated.
+    `cholesky(a, b)` factors K = a Mtilde + b A by LAPACK banded Cholesky
+    under one ordering of the joint pattern: reverse Cuthill-McKee
+    (Cuthill & McKee 1969; George & Liu 1981), or the given order when its
+    band is narrower.  The ordering (`perm`, its inverse `pos`, the half
+    bandwidth `bw`) and the upper bands of A and Mtilde, each (bw + 1) n
+    doubles, are built on the first factorization that needs them.  A
+    diagonal Mtilde is kept as its diagonal `dm` and never stored as a
+    band; `mass_solver` then divides by it.
     """
 
-    def __init__(self, *mats):
-        n = mats[0].shape[0]
-        coos = [X.tocoo() for X in mats]
+    def __init__(self, Mtilde, A):
+        for name, X in (("Mtilde", Mtilde), ("A", A)):
+            if X.shape[0] != X.shape[1]:
+                raise ValueError(f"{name} is not square")
+            if (X != X.T).nnz:
+                raise ValueError(f"{name} is not symmetric")
+        if Mtilde.shape != A.shape:
+            raise ValueError("dimension mismatch")
+        self.M, self.A, self.n = Mtilde, A, A.shape[0]
+        coo = Mtilde.tocoo()
+        self.dm = Mtilde.diagonal() if (coo.row == coo.col).all() else None
+        self.perm = self.pos = self.bw = None
+        self._bands = [None, None]
+        self._mass = None
+
+    def _order(self):
+        coos = (self.M.tocoo(), self.A.tocoo())
         row = np.concatenate([c.row for c in coos])
         col = np.concatenate([c.col for c in coos])
+        n = self.n
         pattern = sp.csr_array((np.ones(len(row)), (row, col)), shape=(n, n))
         # RCM is a heuristic: the given order is kept when its band is
         # narrower (a lattice numbering against a stencil whose cancelled
         # entries left a sparser graph)
-        self.bw = None
         for perm in (reverse_cuthill_mckee(pattern, symmetric_mode=True),
                      np.arange(n)):
             pos = np.empty(n, dtype=np.intp)          # inverse of perm
@@ -138,78 +137,73 @@ class _Banded:
             bw = int(np.abs(pos[row] - pos[col]).max(initial=0))
             if self.bw is None or bw < self.bw:
                 self.perm, self.pos, self.bw = perm, pos, bw
+
+    def _band(self, k):
+        """Upper band of Mtilde (k = 0) or A (k = 1) under `perm`: entry
+        (i, j), i <= j, of X[perm][:, perm] at [bw + i - j, j]."""
+        if self._bands[k] is None:
+            if self.perm is None:
+                self._order()
+            coo = (self.M, self.A)[k].tocoo()
+            i, j = self.pos[coo.row], self.pos[coo.col]
+            up = i <= j
+            ld = self.bw + 1
+            flat = (self.bw + i[up] - j[up]) + ld * j[up]
+            self._bands[k] = np.bincount(
+                flat, weights=coo.data[up],
+                minlength=ld * self.n).reshape((ld, self.n), order="F")
+        return self._bands[k]
+
+    def cholesky(self, a, b):
+        """Solver for K = a Mtilde + b A from its banded Cholesky factor, or
+        None if K is not SPD: a symmetric K is SPD exactly when every pivot
+        of the factorization is positive."""
         try:
-            self.bands = [self._band(c) for c in coos]
-        except MemoryError as exc:
-            raise self._out_of_memory() from exc
-
-    def _band(self, coo):
-        i, j = self.pos[coo.row], self.pos[coo.col]
-        up = i <= j
-        ld, n = self.bw + 1, len(self.pos)
-        flat = (self.bw + i[up] - j[up]) + ld * j[up]
-        return np.bincount(flat, weights=coo.data[up],
-                           minlength=ld * n).reshape((ld, n), order="F")
-
-    def _out_of_memory(self):
-        return ValueError(f"banded Cholesky of an n = {len(self.pos)} matrix "
-                          f"(half bandwidth {self.bw}) ran out of memory")
-
-    def cholesky(self, *coeffs):
-        """Solver for K = sum_k coeffs[k] mats[k] from its banded Cholesky
-        factor, or None if K is not SPD: a symmetric K is SPD exactly when
-        every pivot of the factorization is positive."""
-        try:
-            ab = sum(c * band for c, band in zip(coeffs, self.bands) if c)
+            if self.dm is None and not b:
+                ab = a * self._band(0)          # Mtilde alone: no band of A
+            else:
+                ab = b * self._band(1)
+                if self.dm is not None:
+                    ab[self.bw] += a * self.dm[self.perm]
+                elif a:
+                    ab += a * self._band(0)
             chol, info = dpbtrf(ab, overwrite_ab=1)
         except MemoryError as exc:
-            raise self._out_of_memory() from exc
+            raise ValueError(f"banded Cholesky of an n = {self.n} matrix "
+                             f"(half bandwidth {self.bw}) ran out of "
+                             "memory") from exc
         if info != 0:
             return None
         perm, pos = self.perm, self.pos
         return lambda b: dpbtrs(chol, b[perm], overwrite_b=1)[0][pos]
 
-
-def _spd_factor(K):
-    """Solver for the symmetric sparse matrix K, or None if K is not SPD.
-
-    RCM-ordered banded Cholesky (`_Banded`); K is SPD iff every pivot is
-    positive.  The factorization reads only the upper triangle, so a K
-    that is not exactly symmetric raises ValueError.
-    """
-    if (K != K.T).nnz:
-        raise ValueError("matrix is not symmetric")
-    return _Banded(K).cholesky(1.0)
-
-
-def _mass_solver(Mtilde, pencil=None):
-    """Exact solver for the mass surrogate Mtilde, which must be SPD:
-    division by its diagonal, or its RCM-ordered banded Cholesky factor
-    (`_spd_factor`; K is SPD iff every pivot is positive).  `pencil`, a
-    `_Banded` whose first matrix is Mtilde, lends its ordering and band."""
-    if _is_diagonal(Mtilde):
-        dm = Mtilde.diagonal()
-        if (dm > 0.0).all():
-            return lambda b: b / dm
-    else:
-        solve = _spd_factor(Mtilde) if pencil is None \
-            else pencil.cholesky(1.0)
-        if solve is not None:
-            return solve
-    raise ValueError("mass matrix has a nonpositive eigenvalue")
+    def mass_solver(self):
+        """Exact solver for Mtilde, made once: division by its diagonal, or
+        its banded Cholesky factor.  Raises ValueError unless Mtilde is
+        SPD."""
+        if self._mass is None:
+            if self.dm is not None:
+                dm = self.dm
+                if (dm > 0.0).all():
+                    self._mass = lambda b: b / dm
+            else:
+                self._mass = self.cholesky(1.0, 0.0)
+            if self._mass is None:
+                raise ValueError("mass matrix has a nonpositive eigenvalue")
+        return self._mass
 
 
-def _lanczos(Mtilde, A, solve, steps, seed):
+def _lanczos(pencil, steps, seed):
     """Top Ritz pair of `steps` Lanczos iterations in the Mtilde inner
     product, with full reorthogonalization from a seeded random start.
 
     Returns (theta, ritz vector, residual estimate, steps taken).
     Premature breakdown restarts with a fresh seed, at most 3 times.
     """
-    n = A.shape[0]
+    Mtilde, A, solve = pencil.M, pencil.A, pencil.mass_solver()
     for restart in range(4):
         rng = np.random.default_rng(seed + 1000 * restart)
-        q = rng.standard_normal(n)
+        q = rng.standard_normal(pencil.n)
         mq = Mtilde @ q
         nrm = math.sqrt(q @ mq)
         if nrm <= 0.0:
@@ -256,13 +250,13 @@ def _lanczos(Mtilde, A, solve, steps, seed):
                      "(zero Krylov vectors)")
 
 
-def _rayleigh(Mtilde, A, x):
+def _rayleigh(pencil, x):
     """(rho, x, residual) with x scaled to unit Mtilde-norm and the relative
     residual ||A x - rho Mt x|| / (rho ||Mt x||)."""
-    mx = Mtilde @ x
+    mx = pencil.M @ x
     nrm = math.sqrt(x @ mx)
     x, mx = x / nrm, mx / nrm
-    ax = A @ x
+    ax = pencil.A @ x
     rho = float(x @ ax)
     resid = float(np.linalg.norm(ax - rho * mx)
                   / (abs(rho) * np.linalg.norm(mx)))
@@ -271,15 +265,14 @@ def _rayleigh(Mtilde, A, x):
 
 def _certified(pencil, rho):
     """True when rho (1 + CERT_RTOL) Mt - A is SPD, i.e. rho is within
-    CERT_RTOL of the top of the spectrum from below; `pencil` is the
-    `_Banded` of (Mt, A)."""
+    CERT_RTOL of the top of the spectrum from below."""
     return pencil.cholesky(rho * (1.0 + CERT_RTOL), -1.0) is not None
 
 
-def _shift_invert(pencil, Mtilde, A, sigma, seed):
+def _shift_invert(pencil, sigma, seed):
     """One shift-invert ARPACK solve from a shift raised until sigma Mt - A
     is SPD (so above lambda_max); returns (sigma, x, solves), with x None
-    when ARPACK fails.  `pencil` is the `_Banded` of (Mt, A)."""
+    when ARPACK fails."""
     # terminates: Mt is SPD, so sigma Mt - A is SPD once sigma > lambda_max
     shifted = pencil.cholesky(sigma, -1.0)
     while shifted is None:
@@ -293,36 +286,32 @@ def _shift_invert(pencil, Mtilde, A, sigma, seed):
         solves += 1
         return -shifted(b)
 
-    n = A.shape[0]
+    n = pencil.n
     v0 = np.random.default_rng(seed).standard_normal(n)
     opinv = spla.LinearOperator((n, n), matvec=op_inv, dtype=float)
     try:
-        _, vecs = spla.eigsh(A, k=1, M=Mtilde, sigma=sigma, which="LM",
-                             OPinv=opinv, tol=EIGSH_TOL, v0=v0)
+        _, vecs = spla.eigsh(pencil.A, k=1, M=pencil.M, sigma=sigma,
+                             which="LM", OPinv=opinv, tol=EIGSH_TOL, v0=v0)
     except spla.ArpackError:              # no convergence included
         return sigma, None, solves
     return sigma, vecs[:, 0], solves
 
 
-def _top_eigpair(Mtilde, A):
+def _top_eigpair(pencil):
     """Certified top eigenpair of the pencil (A, Mtilde).
 
-    Checks the pencil's shape and symmetry (`_check_pencil`) and that
-    Mtilde and A are SPD, then runs ARPACK in shift-invert mode at a shift
-    above lambda_max (a Lanczos Ritz value, raised until sigma Mt - A is
-    SPD; n <= EXHAUSTED_N uses Lanczos on the whole space instead).  The
-    returned Rayleigh quotient rho is a lower bound for lambda_max; it is
-    certified when rho (1 + CERT_RTOL) Mt - A is SPD.  Every SPD test and
-    solve is an RCM-ordered banded Cholesky (K is SPD iff every pivot is
-    positive) under one ordering of the joint pattern of Mt and A
-    (`_Banded`): the bands of Mt and A are built once and combined per
-    shift.  Failed certificates retry with a new start vector and a
-    tighter shift; the last failure raises ValueError.
+    Checks that Mtilde and A are SPD, then runs ARPACK in shift-invert mode
+    at a shift above lambda_max (a Lanczos Ritz value, raised until
+    sigma Mt - A is SPD; n <= EXHAUSTED_N uses Lanczos on the whole space
+    instead).  The returned Rayleigh quotient rho is a lower bound for
+    lambda_max; it is certified when rho (1 + CERT_RTOL) Mt - A is SPD.
+    Every SPD test and solve is a banded Cholesky factorization of the
+    pencil (`_Pencil.cholesky`; K is SPD iff every pivot is positive).
+    Failed certificates retry with a new start vector and a tighter shift;
+    the last failure raises ValueError.
     """
-    _check_pencil(Mtilde, A)
-    n = A.shape[0]
-    pencil = _Banded(Mtilde, A)
-    solve = _mass_solver(Mtilde, pencil)
+    n = pencil.n
+    pencil.mass_solver()                # refuses an Mtilde that is not SPD
     if pencil.cholesky(0.0, 1.0) is None:
         raise ValueError("pencil has a nonpositive eigenvalue; "
                          "A is not positive definite")
@@ -330,17 +319,17 @@ def _top_eigpair(Mtilde, A):
     solves = 0
     sigma = None
     if n > EXHAUSTED_N:
-        theta = _lanczos(Mtilde, A, solve, SHIFT_LANCZOS_STEPS, 0)[0]
+        theta = _lanczos(pencil, SHIFT_LANCZOS_STEPS, 0)[0]
         sigma = SHIFT_START * theta
     for seed in range(CERT_ATTEMPTS):
         if sigma is None:
-            x = _lanczos(Mtilde, A, solve, n, seed)[1]
+            x = _lanczos(pencil, n, seed)[1]
         else:
-            sigma, x, used = _shift_invert(pencil, Mtilde, A, sigma, seed)
+            sigma, x, used = _shift_invert(pencil, sigma, seed)
             solves += used
             if x is None:
                 continue
-        rho, x, resid = _rayleigh(Mtilde, A, x)
+        rho, x, resid = _rayleigh(pencil, x)
         if _certified(pencil, rho):
             break
         if sigma is not None:
@@ -367,12 +356,12 @@ def lambda_max_exact(Mtilde, A):
     the pencil is not square, symmetric and SPD, or no certificate is
     found.
     """
-    return _top_eigpair(Mtilde, A)[0]
+    return _top_eigpair(_Pencil(Mtilde, A))[0]
 
 
 def max_eigvec_exact(Mtilde, A):
     """(lambda_max, eigenvector scaled to unit Mtilde-norm), certified."""
-    est, x = _top_eigpair(Mtilde, A)
+    est, x = _top_eigpair(_Pencil(Mtilde, A))
     return est.value, x
 
 
@@ -388,9 +377,8 @@ def lambda_max_lanczos(Mtilde, A, steps=5, seed=2, security=1.1):
         raise ValueError("need at least one step")
     if steps > LANCZOS_MAX_STEPS:
         raise ValueError(f"at most {LANCZOS_MAX_STEPS} steps supported")
-    _check_pencil(Mtilde, A)
-    theta, _, resid, taken = _lanczos(Mtilde, A, _mass_solver(Mtilde),
-                                      min(steps, A.shape[0]), seed)
+    pencil = _Pencil(Mtilde, A)
+    theta, _, resid, taken = _lanczos(pencil, min(steps, pencil.n), seed)
     method = f"lanczos(steps={taken},seed={seed},security={security:g})"
     return EigEstimate(value=security * theta, method=method, residual=resid)
 
@@ -406,13 +394,11 @@ def lambda_max_power(Mtilde, A, tol=1e-10, warm_start=None, seed=0,
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    _check_pencil(Mtilde, A)
-    n = A.shape[0]
-    solve = _mass_solver(Mtilde)
+    solve = _Pencil(Mtilde, A).mass_solver()
     if warm_start is not None:
         v = np.asarray(warm_start, dtype=float).copy()
     else:
-        v = np.random.default_rng(seed).standard_normal(n)
+        v = np.random.default_rng(seed).standard_normal(A.shape[0])
     nrm = math.sqrt(v @ (Mtilde @ v))
     if nrm <= 0.0:
         raise ValueError("zero start vector")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import _mass_solver
+from .bounds import _Pencil
 
 
 def _cheb_t(s, x):
@@ -81,12 +81,13 @@ def stability_poly_eval(scheme, z):
         / _cheb_t(scheme.s, np.asarray(w0))
 
 
-def _step_with_solver(scheme, solve, A, U, tau):
+def _step_with_pencil(scheme, pencil, U, tau):
     """One step via the stage recurrence V_j = 2(w0 V - w1 tau B V) - V_prev
     for V_j = T_j(w0 - w1 tau B) U, with B = Mtilde^-1 A."""
     w0 = scheme.omega0
     w1 = scheme.omega1
     s = scheme.s
+    solve, A = pencil.mass_solver(), pencil.A
 
     def apply_arg(v):
         return w0 * v - w1 * tau * solve(A @ v)
@@ -104,7 +105,7 @@ def step(scheme, Mtilde, A, U, tau):
     if tau <= 0.0:
         raise ValueError("tau must be positive")
     U = np.asarray(U, dtype=float)
-    return _step_with_solver(scheme, _mass_solver(Mtilde), A, U, tau)
+    return _step_with_pencil(scheme, _Pencil(Mtilde, A), U, tau)
 
 
 def norms(U, M_full, A):
@@ -159,7 +160,7 @@ def integrate(scheme, Mtilde, M_full, A, U0, tau, steps):
     if tau <= 0.0:
         raise ValueError("tau must be positive")
     U = np.asarray(U0, dtype=float).copy()
-    solve = _mass_solver(Mtilde)
+    pencil = _Pencil(Mtilde, A)
 
     l2 = np.empty(steps + 1)
     en = np.empty(steps + 1)
@@ -167,7 +168,7 @@ def integrate(scheme, Mtilde, M_full, A, U0, tau, steps):
     unstable_at = None
     n_done = steps
     for n in range(1, steps + 1):
-        U = _step_with_solver(scheme, solve, A, U, tau)
+        U = _step_with_pencil(scheme, pencil, U, tau)
         a, b = norms(U, M_full, A)
         l2[n], en[n] = a, b
         if not (np.isfinite(a) and np.isfinite(b)) or max(a, b) > OVERFLOW_LIMIT:

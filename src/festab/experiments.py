@@ -377,40 +377,6 @@ def write_summary_json(path, rows_by_experiment):
         fh.write("\n")
 
 
-def compare_lumping(rows):
-    """Per-mesh tau_max(lumped)/tau_max(full) plus aggregate min/max.
-
-    Requires exactly one full-mass row and one lumped row per mesh id;
-    anything else raises ValueError (unmatched rows).
-    """
-    by_mesh = {}
-    for row in rows:
-        if math.isnan(row.lambda_max):
-            continue
-        by_mesh.setdefault(row.mesh_id, {})[row.mass_kind] = row
-    ratios = {}
-    for mesh_id, kinds in by_mesh.items():
-        lumped_keys = [k for k in kinds if k != "full"]
-        if "full" not in kinds or len(lumped_keys) != 1:
-            raise ValueError(f"unmatched rows for mesh {mesh_id!r}: "
-                             f"have kinds {sorted(kinds)}, need 'full' plus "
-                             f"exactly one lumped kind")
-        full = kinds["full"]
-        lump = kinds[lumped_keys[0]]
-        ratios[mesh_id] = lump.tau_max_over_s2 / full.tau_max_over_s2
-    if not ratios:
-        raise ValueError("no comparable rows")
-    vals = list(ratios.values())
-    return LumpingSummary(ratios, min(vals), max(vals))
-
-
-@dataclass
-class LumpingSummary:
-    per_mesh: dict
-    min_ratio: float
-    max_ratio: float
-
-
 # ----------------------------------------------------------------------------
 # experiment files
 # ----------------------------------------------------------------------------

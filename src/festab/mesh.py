@@ -49,17 +49,6 @@ def reference_simplex(d):
     raise ValueError(f"unsupported dimension {d}")
 
 
-def reference_diameter(d):
-    """Edge length h-hat of the regular unit-volume reference simplex."""
-    if d == 1:
-        return 1.0
-    if d == 2:
-        return 2.0 / 3.0 ** 0.25
-    if d == 3:
-        return (6.0 * math.sqrt(2.0)) ** (1.0 / 3.0)
-    raise ValueError(f"unsupported dimension {d}")
-
-
 def reference_edge_matrix(d):
     """Matrix E-hat whose columns are the reference edge vectors v_j - v_0."""
     v = reference_simplex(d)

@@ -10,7 +10,6 @@ simplex onto K.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field as dc_field
 
@@ -257,17 +256,3 @@ def is_nonobtuse_wrt(A):
         return False
     return True
 
-
-def export_quality_csv(mesh, summary, path):
-    """Write per-element quality rows: id, |K|, |K|_M, q_eq, q_ali, q_m."""
-    vols = mesh.volumes()
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["element", "vol", "vol_metric",
-                         "q_eq", "q_ali", "q_m"])
-        for k in range(mesh.num_elements):
-            writer.writerow([
-                k, repr(float(vols[k])), repr(float(summary.vol_metric[k])),
-                repr(float(summary.q_eq[k])), repr(float(summary.q_ali[k])),
-                repr(float(summary.q_m[k])),
-            ])

@@ -500,7 +500,8 @@ def test_quality_measure_identities():
                 bad.append(f"{label}: q_m composition off by {err.max():.2e}")
 
     rng = np.random.default_rng(99)
-    hhat2 = fs.reference_diameter(2) ** 2
+    ref = fs.reference_simplex(2)
+    hhat2 = np.sum((ref[1] - ref[0]) ** 2)
     n_done = 0
     while n_done < 1000:
         nodes = rng.uniform(0.0, 1.0, (3, 2))

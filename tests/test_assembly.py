@@ -4,7 +4,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.io
 import scipy.sparse as sp
 from hypothesis import given
 
@@ -200,14 +199,3 @@ def test_mass_sandwiches(problem):
                  M - Ml / (d + 2), 0.5 * (d + 2) * Ml - M):
         assert np.linalg.eigvalsh(diff)[0] >= -slack
 
-
-def test_export_matrix_market_round_trip(tmp_path):
-    mesh = fs.gen_structured_2d(3, 3)
-    A = fs.assemble_stiffness(mesh, fs.identity(2))
-    path = tmp_path / "stiff.mtx"
-    fs.export_matrix_market(A, str(path), comment="free-node stiffness")
-    back = scipy.io.mmread(str(path)).toarray()
-    assert np.allclose(back, A.toarray(), rtol=1e-14)
-    head = path.read_text().splitlines()
-    assert "symmetric" in head[0]
-    assert any("free-node stiffness" in ln for ln in head[:3])

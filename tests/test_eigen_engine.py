@@ -47,8 +47,17 @@ def test_engine_matches_dense_oracle(problem):
         <= RESIDUAL_MAX * lam * np.linalg.norm(Mt @ vec)
 
 
+def march_step(Mt, A):
+    return fs.step(fs.ChebyshevScheme(s=2), Mt, A, np.ones(Mt.shape[0]), 0.1)
+
+
+def march(Mt, A):
+    return fs.integrate(fs.ChebyshevScheme(s=2), Mt, Mt, A,
+                        np.ones(Mt.shape[0]), 0.1, 3)
+
+
 ENTRY_POINTS = (fs.lambda_max_exact, fs.max_eigvec_exact,
-                fs.lambda_max_lanczos, fs.lambda_max_power)
+                fs.lambda_max_lanczos, fs.lambda_max_power, march_step, march)
 
 
 @PROPERTY
@@ -64,14 +73,37 @@ def test_entry_points_reject_bad_pencils(problem):
     wide = sp.csr_array(sp.hstack([A, A]))
     double = sp.csr_array(sp.block_diag([A, A]))
     for entry in ENTRY_POINTS:
-        with pytest.raises(ValueError, match="not symmetric"):
+        with pytest.raises(ValueError, match="^A is not symmetric"):
             entry(Mt, skewed)
-        with pytest.raises(ValueError, match="not square"):
+        with pytest.raises(ValueError, match="^A is not square"):
             entry(Mt, wide)
-        with pytest.raises(ValueError, match="not square"):
+        with pytest.raises(ValueError, match="^Mtilde is not square"):
             entry(wide, A)
-        with pytest.raises(ValueError, match="mismatch"):
+        with pytest.raises(ValueError, match="^dimension mismatch"):
             entry(Mt, double)
+
+
+def test_the_march_checks_the_pencil():
+    # a 3x3 pencil the march once stepped without complaint (A not
+    # symmetric) or failed on inside numpy (A of another size)
+    M = sp.csr_array(np.diag([2.0, 2.0, 2.0]))
+    A = sp.csr_array(np.array([[2.0, -1.0, 0.0], [-0.9, 2.0, -1.0],
+                               [0.0, -1.0, 2.0]]))
+    A4 = sp.csr_array(np.diag([2.0, 2.0, 2.0, 2.0]))
+    for entry in (march_step, march):
+        with pytest.raises(ValueError, match="^A is not symmetric"):
+            entry(M, A)
+        with pytest.raises(ValueError, match="^dimension mismatch"):
+            entry(M, A4)
+
+
+@pytest.mark.parametrize("kind", fs.MASS_KINDS)
+def test_indefinite_stiffness_is_refused(kind):
+    mesh = fs.gen_structured_2d(6, 5, diagonal="alternating")
+    Mt, A = pencil(mesh, fs.aniso2d(100.0), kind)
+    for entry in (fs.lambda_max_exact, fs.max_eigvec_exact):
+        with pytest.raises(ValueError, match="A is not positive definite"):
+            entry(Mt, -A)
 
 
 def test_indefinite_mass_is_refused():
@@ -85,11 +117,9 @@ def test_indefinite_mass_is_refused():
     calls = [lambda entry=entry: entry(M, A) for entry in ENTRY_POINTS]
     calls += [lambda seed=seed: fs.lambda_max_lanczos(M, A, seed=seed)
               for seed in (1, 2)]
-    calls += [lambda: fs.step(sch, M, A, U, 0.1),
-              lambda: fs.integrate(sch, M, M, A, U, 0.1, 3),
-              # a diagonal surrogate with a zero entry
-              lambda: fs.step(sch, sp.csr_array(np.diag([1.0, 0.0, 1.0])),
-                              A, U, 0.1)]
+    # a diagonal surrogate with a zero entry
+    calls.append(lambda: fs.step(sch, sp.csr_array(np.diag([1.0, 0.0, 1.0])),
+                                 A, U, 0.1))
     for call in calls:
         with pytest.raises(ValueError,
                            match="mass matrix has a nonpositive eigenvalue"):
@@ -154,10 +184,11 @@ def test_inertia_flips_across_lambda_max(kind):
     mesh = fs.SimplicialMesh(nodes, base.elements, base.node_markers)
     Mt, A = pencil(mesh, fs.aniso2d(100.0), kind)
     lam = dense_lambda_max(Mt, A)
-    assert bounds_mod._spd_factor(lam * (1.0 + 1e-8) * Mt - A) is not None
-    assert bounds_mod._spd_factor(lam * (1.0 - 1e-8) * Mt - A) is None
-    assert bounds_mod._spd_factor(Mt) is not None
-    assert bounds_mod._spd_factor(-A) is None
+    pen = bounds_mod._Pencil(Mt, A)
+    assert pen.cholesky(lam * (1.0 + 1e-8), -1.0) is not None
+    assert pen.cholesky(lam * (1.0 - 1e-8), -1.0) is None
+    assert pen.cholesky(1.0, 0.0) is not None
+    assert pen.cholesky(0.0, -1.0) is None
 
 
 @PROPERTY
@@ -170,14 +201,16 @@ def test_banded_cholesky_solves_and_decides_definiteness(problem):
     Mt, A = pencil(mesh, field, kind)
     lam = dense_lambda_max(Mt, A)
     b = np.random.default_rng(0).standard_normal(A.shape[0])
-    for K in (Mt, 2.0 * lam * Mt - A):
+    pen = bounds_mod._Pencil(Mt, A)
+    for solve, K in ((pen.mass_solver(), Mt),
+                     (pen.cholesky(2.0 * lam, -1.0), 2.0 * lam * Mt - A)):
         want = np.linalg.solve(K.toarray(), b)
-        got = bounds_mod._spd_factor(K)(b)
+        got = solve(b)
         assert np.linalg.norm(got - want) <= ORACLE_RTOL * np.linalg.norm(want)
-    assert bounds_mod._spd_factor(A) is not None
-    assert bounds_mod._spd_factor(lam * (1.0 + 1e-8) * Mt - A) is not None
-    assert bounds_mod._spd_factor(lam * (1.0 - 1e-8) * Mt - A) is None
-    assert bounds_mod._spd_factor(-A) is None
+    assert pen.cholesky(0.0, 1.0) is not None
+    assert pen.cholesky(lam * (1.0 + 1e-8), -1.0) is not None
+    assert pen.cholesky(lam * (1.0 - 1e-8), -1.0) is None
+    assert pen.cholesky(0.0, -1.0) is None
 
 
 @pytest.mark.parametrize("kind", fs.MASS_KINDS)
@@ -196,6 +229,46 @@ def test_one_ordering_per_certified_solve(monkeypatch, kind):
     monkeypatch.setattr(bounds_mod, "reverse_cuthill_mckee", counted)
     est = fs.lambda_max_exact(Mt, A)
     assert est.certified and len(calls) == 1
+
+
+class _BandedMass(bounds_mod._Pencil):
+    """A pencil that factors a diagonal Mtilde from its full band, as the
+    engine did before it kept the diagonal alone."""
+
+    def cholesky(self, a, b):
+        dm, self.dm = self.dm, None
+        try:
+            return super().cholesky(a, b)
+        finally:
+            self.dm = dm
+
+
+@pytest.mark.parametrize("kind", ["lumped", "lumped_rowsum"])
+def test_lumped_pencil_holds_no_mass_band(kind):
+    mesh = fs.gen_structured_3d(4, 4, 4)
+    Mt, A = pencil(mesh, fs.identity(3), kind)
+    pen = bounds_mod._Pencil(Mt, A)
+    est, vec = bounds_mod._top_eigpair(pen)
+    assert pen.dm is not None and pen._bands[0] is None
+    assert pen._bands[1].shape == (pen.bw + 1, A.shape[0])
+    banded = _BandedMass(Mt, A)
+    want, want_vec = bounds_mod._top_eigpair(banded)
+    assert banded._bands[0] is not None
+    assert est == want and vec.tobytes() == want_vec.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["lumped", "lumped_rowsum"])
+def test_lumped_mass_only_paths_build_no_ordering(monkeypatch, kind):
+    mesh = fs.gen_structured_2d(8, 8, diagonal="alternating")
+    Mt, A = pencil(mesh, fs.aniso2d(100.0), kind)
+    calls = []
+    monkeypatch.setattr(bounds_mod, "reverse_cuthill_mckee",
+                        lambda *args, **kwargs: calls.append(args))
+    fs.lambda_max_lanczos(Mt, A)
+    fs.lambda_max_power(Mt, A, tol=1e-3)
+    march_step(Mt, A)
+    march(Mt, A)
+    assert calls == []
 
 
 def test_failed_certificate_retries(monkeypatch):

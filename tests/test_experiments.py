@@ -168,43 +168,29 @@ def test_adapted_meshes_improve_the_oscillatory_step():
     assert ada.tau_max_over_s2 > uni.tau_max_over_s2
 
 
+def lumped_to_full_tau_ratios(rows):
+    """tau_max(lumped) / tau_max(full) per mesh id."""
+    tau = {(r.mesh_id, r.mass_kind): r.tau_max_over_s2 for r in rows}
+    return {mesh_id: value / tau[mesh_id, "full"]
+            for (mesh_id, kind), value in tau.items() if kind != "full"}
+
+
 def test_compare_lumping_exact_single_node_ratio():
     # one free node: pencils are scalars, tau ratio = Mlump/Mfull = 3/2
     mesh = fs.gen_uniform_1d(2)
     rows = [fs.TableRow.from_report(
         fs.stability_report(mesh, fs.identity(1), mass_kind=k, mesh_id="n2"))
         for k in ("full", "lumped")]
-    summary = fs.compare_lumping(rows)
-    assert summary.per_mesh["n2"] == pytest.approx(1.5, rel=1e-14)
-    assert summary.min_ratio == summary.max_ratio == \
-        pytest.approx(1.5, rel=1e-14)
+    assert lumped_to_full_tau_ratios(rows) == {
+        "n2": pytest.approx(1.5, rel=1e-14)}
 
 
 def test_compare_lumping_over_family_run():
     spec = fs.ExperimentSpec(name="per1d", sizes=(8, 16))
-    rows = fs.run_experiment(spec)
-    summary = fs.compare_lumping(rows)
-    assert len(summary.per_mesh) == 4
-    for ratio in summary.per_mesh.values():
+    ratios = lumped_to_full_tau_ratios(fs.run_experiment(spec))
+    assert len(ratios) == 4
+    for ratio in ratios.values():
         assert 1.0 - 1e-12 <= ratio <= 3.0 + 1e-12     # 1D mass sandwich
-    assert summary.min_ratio <= summary.max_ratio
-
-
-def test_compare_lumping_errors():
-    mesh = fs.gen_uniform_1d(4)
-    full_row = fs.TableRow.from_report(
-        fs.stability_report(mesh, fs.identity(1), mass_kind="full",
-                            mesh_id="m"))
-    with pytest.raises(ValueError, match="unmatched"):
-        fs.compare_lumping([full_row])
-    with pytest.raises(ValueError, match="no comparable"):
-        fs.compare_lumping([])
-    # skip rows (NaN lambda) are ignored, leading to the unmatched error
-    skipped = fs.TableRow(mesh_id="m", n_elements=0, mass_kind="lumped",
-                          lambda_max=float("nan"),
-                          tau_max_over_s2=float("nan"), note="missing")
-    with pytest.raises(ValueError, match="unmatched"):
-        fs.compare_lumping([full_row, skipped])
 
 
 def test_missing_mesh_file_warns_and_skips(tmp_path):

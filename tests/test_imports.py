@@ -44,3 +44,19 @@ def test_scan_finds_unused_and_honours_all():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_module_level_imports(path):
     assert unused_imports(path.read_text()) == [], path.relative_to(ROOT)
+
+
+def test_all_lists_exactly_the_public_imports():
+    # both lists in the package's __init__ are kept by hand
+    init = ROOT / "src" / "festab" / "__init__.py"
+    tree = ast.parse(init.read_text())
+    imported = [alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom)
+                for alias in node.names
+                if not (alias.asname or alias.name).startswith("_")]
+    listed = next(ast.literal_eval(node.value) for node in tree.body
+                  if isinstance(node, ast.Assign)
+                  and any(getattr(t, "id", None) == "__all__"
+                          for t in node.targets))
+    assert len(listed) == len(set(listed)), "__all__ repeats a name"
+    assert sorted(listed) == sorted(set(imported))

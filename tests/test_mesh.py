@@ -30,8 +30,8 @@ def test_reference_simplices_are_equilateral():
         lengths = [np.linalg.norm(verts[i] - verts[j])
                    for i in range(d + 1) for j in range(i)]
         assert np.ptp(lengths) < 1e-13
-        assert fs.reference_diameter(d) == pytest.approx(lengths[0],
-                                                         rel=1e-14)
+        side = {2: 2.0 / 3.0 ** 0.25, 3: (6.0 * math.sqrt(2.0)) ** (1.0 / 3.0)}
+        assert side[d] == pytest.approx(lengths[0], rel=1e-14)
 
 
 def test_reference_edge_matrix_matches_vertices():

@@ -300,7 +300,8 @@ def test_inscribed_diameter_3d_not_defined():
 def test_alignment_bounded_by_inscribed_ratio():
     # q_ali <= (reference diameter)^2 * (h_metric / rho_metric)^2
     rng = np.random.default_rng(99)
-    hhat2 = fs.reference_diameter(2) ** 2
+    ref = fs.reference_simplex(2)
+    hhat2 = np.sum((ref[1] - ref[0]) ** 2)
     for _ in range(50):
         nodes = rng.uniform(0.0, 1.0, (3, 2))
         if abs(np.linalg.det(nodes[1:] - nodes[0])) < 1e-3:
@@ -317,7 +318,7 @@ def test_alignment_bounded_by_inscribed_ratio():
 
 
 # ---------------------------------------------------------------------------
-# nonobtuse test and CSV export
+# nonobtuse test
 # ---------------------------------------------------------------------------
 
 def test_nonobtuse_structured_grid():
@@ -331,13 +332,3 @@ def test_nonobtuse_rejects_obtuse_pair():
     A = fs.assemble_stiffness(mesh, fs.identity(2))
     assert not fs.is_nonobtuse_wrt(A)
 
-
-def test_export_quality_csv_deterministic(tmp_path):
-    mesh = fs.gen_structured_2d(3, 3)
-    q = fs.mesh_quality_summary(fs.ProblemContext(mesh, fs.identity(2)))
-    p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    fs.export_quality_csv(mesh, q, str(p1))
-    fs.export_quality_csv(mesh, q, str(p2))
-    assert p1.read_bytes() == p2.read_bytes()
-    header = p1.read_text().splitlines()[0]
-    assert header.split(",")[0] == "element"
