@@ -2,9 +2,10 @@
 
 For the P1 diffusion system, the largest permissible explicit step of an
 s-stage first-order Chebyshev scheme is tau_max = 2 s^2 / lambda_max.
-This module computes lambda_max exactly (sparse shift-invert, certified by
-an RCM-ordered banded Cholesky: K is SPD iff every pivot is positive) or
-iteratively (Lanczos, power method) and evaluates the computable
+This module computes lambda_max exactly (Lanczos in shift-invert mode,
+certified by an RCM-ordered banded Cholesky: K is SPD iff every pivot is
+positive) or iteratively (few-step Lanczos, power method); one `_lanczos`
+runs both Lanczos modes.  It also evaluates the computable
 surrogates: the diagonal-ratio bracket with its sharp constant C*, the
 patch-geometry upper bound, the metric-matching bound, and the comparison
 estimates based on face volumes (with and without lumped-mass weighting).
@@ -23,7 +24,6 @@ from dataclasses import asdict, dataclass
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.linalg.lapack import dpbtrf, dpbtrs
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
@@ -34,10 +34,11 @@ LANCZOS_MAX_STEPS = 50
 SHIFT_LANCZOS_STEPS = 10      # Lanczos steps behind the first shift
 SHIFT_START = 1.02            # first shift = SHIFT_START * Ritz value
 SHIFT_GROWTH = 1.1            # shift growth until sigma Mt - A is SPD
-EIGSH_TOL = 1e-10
+SHIFT_INVERT_MAX_STEPS = 300  # basis cap of one shift-invert solve
+RITZ_CHECK_EVERY = 5          # Lanczos steps between convergence tests
+RITZ_TOL = 1e-12              # shift-invert Ritz residual estimate
 CERT_RTOL = 1e-10             # certified: (1 + CERT_RTOL) rho > lambda_max
 CERT_ATTEMPTS = 4
-EXHAUSTED_N = 20              # up to this n, Lanczos spans the whole space
 
 
 def c_grad(d):
@@ -92,9 +93,9 @@ def _lam_value(lam):
 
 
 class _Pencil:
-    """The pencil (A, Mtilde): two square sparse matrices of one size, each
-    exactly equal to its transpose (ValueError otherwise), and every
-    factorization made from them.
+    """The pencil (A, Mtilde): two square sparse matrices of one nonzero
+    size, each exactly equal to its transpose (ValueError otherwise), and
+    every factorization made from them.
 
     `cholesky(a, b)` factors K = a Mtilde + b A by LAPACK banded Cholesky
     under one ordering of the joint pattern: reverse Cuthill-McKee
@@ -114,6 +115,8 @@ class _Pencil:
                 raise ValueError(f"{name} is not symmetric")
         if Mtilde.shape != A.shape:
             raise ValueError("dimension mismatch")
+        if not A.shape[0]:
+            raise ValueError("pencil is empty")
         self.M, self.A, self.n = Mtilde, A, A.shape[0]
         coo = Mtilde.tocoo()
         self.dm = Mtilde.diagonal() if (coo.row == coo.col).all() else None
@@ -193,61 +196,73 @@ class _Pencil:
         return self._mass
 
 
-def _lanczos(pencil, steps, seed):
-    """Top Ritz pair of `steps` Lanczos iterations in the Mtilde inner
-    product, with full reorthogonalization from a seeded random start.
+def _lanczos(pencil, steps, seed, shifted=None):
+    """Top Ritz pair of at most `steps` Lanczos iterations in the Mtilde
+    inner product, with full reorthogonalization from a seeded random
+    start: the engine's one Krylov iteration.
+
+    The operator is Mtilde^-1 A or, given `shifted`, a solver for
+    sigma Mtilde - A, the spectral transformation (sigma Mtilde - A)^-1
+    Mtilde (Ericsson & Ruhe 1980), whose top Ritz value theta gives the
+    eigenvalue sigma - 1/theta nearest the shift.  The latter stops, tested
+    every RITZ_CHECK_EVERY steps, once the Ritz residual estimate
+    |beta_k s_k| / theta is below RITZ_TOL.  An exhausted Krylov space ends
+    either early; it is not restarted.  The basis grows with the steps.
 
     Returns (theta, ritz vector, residual estimate, steps taken).
-    Premature breakdown restarts with a fresh seed, at most 3 times.
     """
-    Mtilde, A, solve = pencil.M, pencil.A, pencil.mass_solver()
-    for restart in range(4):
-        rng = np.random.default_rng(seed + 1000 * restart)
-        q = rng.standard_normal(pencil.n)
-        mq = Mtilde @ q
-        nrm = math.sqrt(q @ mq)
-        if nrm <= 0.0:
-            continue
-        q, mq = q / nrm, mq / nrm
-        Q, MQ = [q], [mq]
-        alphas, betas = [], []
-        exhausted = False
-        for _ in range(steps):
-            aq = A @ Q[-1]
-            w = solve(aq)
-            alpha = float(Q[-1] @ aq)
-            alphas.append(alpha)
-            w = w - alpha * Q[-1]
-            if len(Q) > 1:
-                w = w - betas[-1] * Q[-2]
-            # full reorthogonalization against the whole basis
-            for qi, mqi in zip(Q, MQ):
-                w = w - (w @ mqi) * qi
-            mw = Mtilde @ w
-            beta = math.sqrt(max(w @ mw, 0.0))
-            scale = max(abs(a) for a in alphas)
-            if beta <= 1e-13 * max(scale, 1e-300):
-                exhausted = True
-                break
-            betas.append(beta)
-            Q.append(w / beta)
-            MQ.append(mw / beta)
-        if not alphas:
-            continue
-        if exhausted and len(alphas) < steps and restart < 3:
-            # premature breakdown: an invariant subspace was hit before the
-            # requested step count; try a different start vector
-            continue
+    Mtilde, A, n = pencil.M, pencil.A, pencil.n
+    solve = None if shifted else pencil.mass_solver()
+    steps = min(steps, n)
+    q = np.random.default_rng(seed).standard_normal(n)
+    mq = Mtilde @ q
+    nrm = math.sqrt(q @ mq)          # > 0: mass_solver refused a non-SPD Mt
+    q, mq = q / nrm, mq / nrm
+    Q = np.empty((min(steps, RITZ_CHECK_EVERY), n))    # Lanczos vectors
+    Q[0] = q
+    alphas, betas, scale = [], [], 0.0
+    while True:
         k = len(alphas)
-        tvals, tvecs = sla.eigh_tridiagonal(np.array(alphas),
-                                            np.array(betas[:k - 1]))
-        theta = float(tvals[-1])
-        beta_last = betas[-1] if len(betas) >= k else 0.0
-        resid = abs(beta_last * tvecs[-1, -1]) / max(abs(theta), 1e-300)
-        x = np.column_stack(Q[:k]) @ tvecs[:, -1]
-        return theta, x, resid, k
-    raise ValueError("Lanczos broke down on every restart "
-                     "(zero Krylov vectors)")
+        if shifted:
+            w = shifted(mq)
+            alpha = float(mq @ w)
+        else:
+            aq = A @ q
+            w = solve(aq)
+            alpha = float(q @ aq)
+        alphas.append(alpha)
+        scale = max(scale, abs(alpha))
+        w -= alpha * q
+        if k:
+            w -= betas[-1] * Q[k - 1]
+        # full reorthogonalization against the whole basis
+        w -= (Q[:k + 1] @ (Mtilde @ w)) @ Q[:k + 1]
+        mw = Mtilde @ w
+        beta = math.sqrt(max(w @ mw, 0.0))
+        if beta <= 1e-13 * scale:
+            beta = 0.0                          # exhausted Krylov space
+        if not beta or k + 1 == steps or (
+                shifted and (k + 1) % RITZ_CHECK_EVERY == 0
+                and _ritz(alphas, betas, beta)[2] <= RITZ_TOL):
+            break
+        betas.append(beta)
+        q, mq = w / beta, mw / beta
+        if k + 1 == len(Q):
+            grow = min(RITZ_CHECK_EVERY, steps - k - 1)
+            Q = np.concatenate([Q, np.empty((grow, n))])
+        Q[k + 1] = q
+    theta, s, resid = _ritz(alphas, betas, beta)
+    return theta, s @ Q[:k + 1], resid, k + 1
+
+
+def _ritz(alphas, betas, beta):
+    """(theta, s, residual estimate): the top eigenpair of the Lanczos
+    tridiagonal matrix and |beta s_k| / theta for the next beta."""
+    k = len(alphas)
+    tvals, tvecs = sla.eigh_tridiagonal(np.array(alphas), np.array(betas),
+                                        select="i", select_range=(k - 1, k - 1))
+    theta, s = float(tvals[0]), tvecs[:, 0]
+    return theta, s, abs(beta * s[-1]) / max(abs(theta), 1e-300)
 
 
 def _rayleigh(pencil, x):
@@ -269,81 +284,47 @@ def _certified(pencil, rho):
     return pencil.cholesky(rho * (1.0 + CERT_RTOL), -1.0) is not None
 
 
-def _shift_invert(pencil, sigma, seed):
-    """One shift-invert ARPACK solve from a shift raised until sigma Mt - A
-    is SPD (so above lambda_max); returns (sigma, x, solves), with x None
-    when ARPACK fails."""
-    # terminates: Mt is SPD, so sigma Mt - A is SPD once sigma > lambda_max
-    shifted = pencil.cholesky(sigma, -1.0)
-    while shifted is None:
-        sigma *= SHIFT_GROWTH
-        shifted = pencil.cholesky(sigma, -1.0)
-
-    solves = 0
-
-    def op_inv(b):
-        nonlocal solves
-        solves += 1
-        return -shifted(b)
-
-    n = pencil.n
-    v0 = np.random.default_rng(seed).standard_normal(n)
-    opinv = spla.LinearOperator((n, n), matvec=op_inv, dtype=float)
-    try:
-        _, vecs = spla.eigsh(pencil.A, k=1, M=pencil.M, sigma=sigma,
-                             which="LM", OPinv=opinv, tol=EIGSH_TOL, v0=v0)
-    except spla.ArpackError:              # no convergence included
-        return sigma, None, solves
-    return sigma, vecs[:, 0], solves
-
-
 def _top_eigpair(pencil):
     """Certified top eigenpair of the pencil (A, Mtilde).
 
-    Checks that Mtilde and A are SPD, then runs ARPACK in shift-invert mode
-    at a shift above lambda_max (a Lanczos Ritz value, raised until
-    sigma Mt - A is SPD; n <= EXHAUSTED_N uses Lanczos on the whole space
-    instead).  The returned Rayleigh quotient rho is a lower bound for
-    lambda_max; it is certified when rho (1 + CERT_RTOL) Mt - A is SPD.
-    Every SPD test and solve is a banded Cholesky factorization of the
-    pencil (`_Pencil.cholesky`; K is SPD iff every pivot is positive).
-    Failed certificates retry with a new start vector and a tighter shift;
-    the last failure raises ValueError.
+    Checks that Mtilde and A are SPD, then runs `_lanczos` in shift-invert
+    mode at a shift sigma above lambda_max: SHIFT_START times a
+    SHIFT_LANCZOS_STEPS-step Ritz value, raised until sigma Mt - A is SPD.
+    Each solve takes at most SHIFT_INVERT_MAX_STEPS steps.  The Rayleigh
+    quotient rho of its Ritz vector is a lower bound for lambda_max; it is
+    certified when rho (1 + CERT_RTOL) Mt - A is SPD.  Every SPD test and
+    solve is a banded Cholesky factorization of the pencil
+    (`_Pencil.cholesky`; K is SPD iff every pivot is positive).  Failed
+    certificates retry with a new start vector and a tighter shift; the
+    last failure raises ValueError, so no uncertified value is returned.
     """
-    n = pencil.n
     pencil.mass_solver()                # refuses an Mtilde that is not SPD
     if pencil.cholesky(0.0, 1.0) is None:
         raise ValueError("pencil has a nonpositive eigenvalue; "
                          "A is not positive definite")
 
     solves = 0
-    sigma = None
-    if n > EXHAUSTED_N:
-        theta = _lanczos(pencil, SHIFT_LANCZOS_STEPS, 0)[0]
-        sigma = SHIFT_START * theta
+    sigma = SHIFT_START * _lanczos(pencil, SHIFT_LANCZOS_STEPS, 0)[0]
     for seed in range(CERT_ATTEMPTS):
-        if sigma is None:
-            x = _lanczos(pencil, n, seed)[1]
-        else:
-            sigma, x, used = _shift_invert(pencil, sigma, seed)
-            solves += used
-            if x is None:
-                continue
+        # terminates: Mt is SPD, so sigma Mt - A is SPD once sigma > lambda_max
+        shifted = pencil.cholesky(sigma, -1.0)
+        while shifted is None:
+            sigma *= SHIFT_GROWTH
+            shifted = pencil.cholesky(sigma, -1.0)
+        _, x, _, taken = _lanczos(pencil, SHIFT_INVERT_MAX_STEPS, seed,
+                                  shifted)
+        del shifted                     # one factor of K in memory at a time
+        solves += taken
         rho, x, resid = _rayleigh(pencil, x)
         if _certified(pencil, rho):
             break
-        if sigma is not None:
-            # a shift nearer rho separates the top eigenvalue better; it is
-            # raised again if it fell below lambda_max
-            sigma = rho + 0.25 * (sigma - rho)
+        # a shift nearer rho separates the top eigenvalue better; it is
+        # raised again if it fell below lambda_max
+        sigma = rho + 0.25 * (sigma - rho)
     else:
         raise ValueError(f"no certified lambda_max after {CERT_ATTEMPTS} "
                          "attempts")
-    if sigma is None:
-        method = f"lanczos-exhausted(steps={n},certified)"
-    else:
-        method = (f"shift-invert(shift={sigma:.6g},solves={solves},"
-                  "certified)")
+    method = f"shift-invert(shift={sigma:.6g},solves={solves},certified)"
     est = EigEstimate(value=rho, method=method, residual=resid, shift=sigma,
                       solves=solves, certified=True)
     return est, x
@@ -371,14 +352,13 @@ def lambda_max_lanczos(Mtilde, A, steps=5, seed=2, security=1.1):
     Runs `steps` iterations in the Mtilde inner product with full
     reorthogonalization from a seeded random start, then multiplies the
     top Ritz value by `security` (i.e. the induced time step is divided
-    by it).  Breakdown restarts with a fresh seed, at most 3 times.
+    by it).  An exhausted Krylov space ends the iteration early.
     """
     if steps < 1:
         raise ValueError("need at least one step")
     if steps > LANCZOS_MAX_STEPS:
         raise ValueError(f"at most {LANCZOS_MAX_STEPS} steps supported")
-    pencil = _Pencil(Mtilde, A)
-    theta, _, resid, taken = _lanczos(pencil, min(steps, pencil.n), seed)
+    theta, _, resid, taken = _lanczos(_Pencil(Mtilde, A), steps, seed)
     method = f"lanczos(steps={taken},seed={seed},security={security:g})"
     return EigEstimate(value=security * theta, method=method, residual=resid)
 

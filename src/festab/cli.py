@@ -33,6 +33,10 @@ EXIT_VALIDATION = 2
 EXIT_CERTIFICATE = 3
 
 
+class _UsageError(Exception):
+    """A combination of options that argparse cannot refuse (exit 1)."""
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse with usage failures mapped to exit code 1."""
 
@@ -90,24 +94,36 @@ def _add_mesh_args(parser):
                        help="anisotropy-aligned patch for the rotating "
                             "coefficient")
     parser.add_argument("--diag", choices=("right", "left", "alternating"),
-                        default="right", help="grid cell split (default "
-                        "right)")
-    parser.add_argument("--ratio-x", type=_positive_float, default=1.0,
-                        help="geometric x-spacing ratio for --grid")
-    parser.add_argument("--ratio-y", type=_positive_float, default=1.0,
-                        help="geometric y-spacing ratio for --grid")
-    parser.add_argument("--contrast", type=_positive_float, default=1e-6,
-                        help="strip diffusion for --groundwater")
-    parser.add_argument("--kappa", type=_positive_float, default=1000.0,
-                        help="anisotropy ratio for --aligned")
+                        help="grid cell split for --grid (default right)")
+    parser.add_argument("--ratio-x", type=_positive_float,
+                        help="x-spacing growth ratio for --grid (default 1)")
+    parser.add_argument("--ratio-y", type=_positive_float,
+                        help="y-spacing growth ratio for --grid (default 1)")
+    parser.add_argument("--contrast", type=_positive_float,
+                        help="strip diffusion for --groundwater (default "
+                             "1e-6)")
+    parser.add_argument("--kappa", type=_positive_float,
+                        help="anisotropy ratio for --aligned (default 1000)")
     parser.add_argument("--field", metavar="SPEC", default=None,
                         help="tensor field as name:key=value,... "
                              "(identity, constant, per1d, nonper1d, "
                              "aniso2d, piecewise)")
 
 
+# option -> (the mesh source it shapes, its value when unset)
+_SOURCE_OPTIONS = {"diag": ("grid", "right"), "ratio_x": ("grid", 1.0),
+                   "ratio_y": ("grid", 1.0), "contrast": ("groundwater", 1e-6),
+                   "kappa": ("aligned", 1000.0)}
+
+
 def _build_mesh(args):
-    """Resolve the mesh-source flags; returns (mesh, builtin_field, id)."""
+    """Resolve the mesh-source flags; returns (mesh, builtin_field, id).
+    A source option given without its source is a usage error."""
+    for option, (source, default) in _SOURCE_OPTIONS.items():
+        if getattr(args, option) is None:
+            setattr(args, option, default)
+        elif not getattr(args, source):
+            raise _UsageError(f"--{option.replace('_', '-')} needs --{source}")
     if args.mesh:
         mesh = load_mesh(args.mesh)
         return mesh, None, os.path.basename(args.mesh)
@@ -167,9 +183,7 @@ def cmd_analyze(args):
                                                   ("security", args.security))
                     if value is not None}
     if lanczos_opts and args.lanczos is None:
-        print("festab analyze: error: --seed and --security need --lanczos",
-              file=sys.stderr)
-        return EXIT_USAGE
+        raise _UsageError("--seed and --security need --lanczos")
     mesh, builtin_field, mesh_id = _build_mesh(args)
     field = _resolve_field(args, mesh, builtin_field)
     mass_kind = args.mass.replace("-", "_")
@@ -352,6 +366,9 @@ def main(argv=None):
         return exc.code
     try:
         return args.func(args)
+    except _UsageError as exc:
+        print(f"festab {args.command}: error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except (OSError, ValueError, AssertionError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

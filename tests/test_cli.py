@@ -54,6 +54,44 @@ def test_gen_usage_errors(tmp_path):
                  "-o", "x"]) == 1                                # exclusive
 
 
+# (option, a value, a source it does not shape, its source, its default)
+SOURCE_OPTIONS = [
+    ("--ratio-x", "2", ["--grid3d", "2x2x2"], ["--grid", "4x4"], "1"),
+    ("--diag", "left", ["--uniform1d", "8"], ["--grid", "4x4"], "right"),
+    ("--contrast", "5", ["--grid", "4x4"], ["--groundwater"], "1e-6"),
+    ("--kappa", "10", ["--grid", "4x4"], ["--aligned"], "1000"),
+    ("--ratio-y", "3", ["--groundwater"], ["--grid", "4x4"], "1"),
+]
+
+
+@pytest.mark.parametrize("option,value,wrong,right,default", SOURCE_OPTIONS)
+@pytest.mark.parametrize("command", ["gen", "analyze", "integrate"])
+def test_source_option_without_its_source_is_a_usage_error(
+        tmp_path, capsys, command, option, value, wrong, right, default):
+    out = tmp_path / "out"
+    tail = {"gen": ["-o", str(out)], "analyze": ["-o", str(out)],
+            "integrate": ["--steps", "1", "-o", str(out)]}[command]
+    assert main([command] + wrong + [option, value] + tail) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"festab {command}: error: {option} needs {right[0]}"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("option,value,wrong,right,default", SOURCE_OPTIONS)
+def test_source_option_shapes_its_source(capsys, option, value, wrong, right,
+                                         default):
+    # unset is the default; another value reaches the source
+    reports = []
+    for extra in ([], [option, default], [option, value]):
+        assert main(["analyze"] + right + ["--bounds", "diag"] + extra) == 0
+        reports.append(json.loads(capsys.readouterr().out))
+    assert reports[1] == reports[0]
+    assert reports[2]["lambda_exact"] != reports[0]["lambda_exact"] \
+        or reports[2]["mesh_id"] != reports[0]["mesh_id"]
+
+
 # ---------------------------------------------------------------------------
 # analyze
 # ---------------------------------------------------------------------------

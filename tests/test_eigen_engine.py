@@ -4,7 +4,7 @@ Property tests draw jittered and graded meshes in 1D, 2D and 3D (some with
 a Neumann side), constant and piecewise SPD fields and all three mass
 kinds, and check that malformed pencils are refused; fixed regressions
 cover the cases where a shift-invert solve goes wrong without a
-certificate.
+certificate, every small size and the Lanczos step cap.
 """
 
 import numpy as np
@@ -81,6 +81,13 @@ def test_entry_points_reject_bad_pencils(problem):
             entry(wide, A)
         with pytest.raises(ValueError, match="^dimension mismatch"):
             entry(Mt, double)
+
+
+def test_entry_points_reject_an_empty_pencil():
+    Z = sp.csr_array((0, 0))
+    for entry in ENTRY_POINTS:
+        with pytest.raises(ValueError, match="^pencil is empty"):
+            entry(Z, Z)
 
 
 def test_the_march_checks_the_pencil():
@@ -162,8 +169,9 @@ def test_groundwater_full_mass_returns_the_top_of_a_close_pair(monkeypatch):
 
 
 def test_per1d_uniform_512_full_mass_near_degenerate_top_pair():
-    # the top pair is nearly degenerate; a loose shift or tol=0 made ARPACK
-    # take tens of thousands of solves here
+    # the top pair is nearly degenerate, so the shift-invert Lanczos needs
+    # many steps here (85 at the first shift, against 15 for either lumped
+    # mass); it must still converge within its step cap
     mesh = fs.gen_uniform_1d(512)
     Mt, A = pencil(mesh, fs.per1d(2.0 ** -4), "full")
     evals = dense_pencil_eigvals(Mt, A)
@@ -172,6 +180,50 @@ def test_per1d_uniform_512_full_mass_near_degenerate_top_pair():
     assert abs(est.value - evals[-1]) <= ORACLE_RTOL * evals[-1]
     assert est.certified and est.solves <= 500
     assert est.shift > evals[-1]
+
+
+@pytest.mark.parametrize("kind", fs.MASS_KINDS)
+def test_certified_solve_on_every_small_size(kind):
+    # n = 1..25 free nodes: small pencils, once solved by Lanczos over the
+    # whole space and now by the same shift-invert Lanczos as large ones,
+    # which exhausts the Krylov space of the smallest
+    for n in range(1, 26):
+        Mt, A = pencil(fs.gen_uniform_1d(n + 1), fs.per1d(2.0 ** -2), kind)
+        want = dense_lambda_max(Mt, A)
+        est = fs.lambda_max_exact(Mt, A)
+        assert abs(est.value - want) <= ORACLE_RTOL * want, n
+        assert est.certified and est.residual <= RESIDUAL_MAX
+        assert est.method.startswith("shift-invert(shift=")
+        assert 1 <= est.solves <= bounds_mod.CERT_ATTEMPTS * n
+
+
+def test_step_cap_never_returns_an_uncertified_value(monkeypatch):
+    # 3 shift-invert steps cannot resolve the near-degenerate top pair of
+    # per1d 512: the solve either certifies the oracle value or refuses
+    mesh = fs.gen_uniform_1d(512)
+    Mt, A = pencil(mesh, fs.per1d(2.0 ** -4), "full")
+    want = dense_lambda_max(Mt, A)
+    monkeypatch.setattr(bounds_mod, "SHIFT_INVERT_MAX_STEPS", 3)
+    real = bounds_mod._lanczos
+    taken = []
+
+    def spy(pencil, steps, seed, shifted=None):
+        out = real(pencil, steps, seed, shifted)
+        if shifted is not None:
+            taken.append(out[3])
+        return out
+
+    monkeypatch.setattr(bounds_mod, "_lanczos", spy)
+    try:
+        est = fs.lambda_max_exact(Mt, A)
+    except ValueError as exc:
+        assert str(exc).startswith("no certified lambda_max")
+        assert len(taken) == bounds_mod.CERT_ATTEMPTS
+    else:
+        assert est.certified
+        assert abs(est.value - want) <= ORACLE_RTOL * want
+        assert est.solves == sum(taken)
+    assert taken and max(taken) <= 3
 
 
 @pytest.mark.parametrize("kind", fs.MASS_KINDS)
