@@ -84,10 +84,6 @@ class EigEstimate:
         return self.value
 
 
-def _lam_value(lam):
-    return lam.value if isinstance(lam, EigEstimate) else float(lam)
-
-
 # ----------------------------------------------------------------------
 # Exact and iterative eigenvalue computation
 
@@ -443,7 +439,7 @@ def tau_values(lam, s, cstar, min_ratio):
 
     tau_max = 2 s^2 / lambda; tau_h = (2 s^2 / cstar) min_i M_ii/A_ii.
     """
-    lam = _lam_value(lam)
+    lam = float(lam)
     if lam <= 0.0:
         raise ValueError("lambda must be positive")
     if s < 1:

@@ -18,19 +18,9 @@ import numpy as np
 from .bounds import _Pencil
 
 
-def _cheb_t(s, x):
-    """T_s(x) by the three-term recurrence (works on arrays)."""
-    if s == 0:
-        return np.ones_like(np.asarray(x, dtype=float))
-    tkm1 = np.ones_like(np.asarray(x, dtype=float))
-    tk = np.asarray(x, dtype=float).copy()
-    for _ in range(s - 1):
-        tkm1, tk = tk, 2.0 * x * tk - tkm1
-    return tk
-
-
 def _cheb_t_dt(s, x):
-    """(T_s(x), T_s'(x)) for scalar x."""
+    """(T_s(x), T_s'(x)) by the three-term recurrence, for a scalar or an
+    array x."""
     t_prev, t = 1.0, x
     dt_prev, dt = 0.0, 1.0
     if s == 0:
@@ -77,8 +67,8 @@ def stability_poly_eval(scheme, z):
     """R(z) = T_s(w0 + w1 z) / T_s(w0); R(0) = 1, R'(0) = 1."""
     w0 = scheme.omega0
     w1 = scheme.omega1
-    return _cheb_t(scheme.s, w0 + w1 * np.asarray(z, dtype=float)) \
-        / _cheb_t(scheme.s, np.asarray(w0))
+    return _cheb_t_dt(scheme.s, w0 + w1 * np.asarray(z, dtype=float))[0] \
+        / _cheb_t_dt(scheme.s, w0)[0]
 
 
 def _step_with_pencil(scheme, pencil, U, tau):

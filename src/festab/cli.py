@@ -153,12 +153,24 @@ def _build_mesh(args):
     raise ValueError("no mesh source given")
 
 
-def _resolve_field(args, mesh, builtin_field):
+def _add_problem_args(parser):
+    _add_mesh_args(parser)
+    parser.add_argument("--mass", choices=("full", "lumped", "lumped-rowsum"),
+                        default="full")
+    parser.add_argument("--quad-order", type=int, choices=(1, 2, 4),
+                        default=4)
+
+
+def _build_problem(args):
+    """Resolve the mesh, the field (--field, else the source's own, else
+    the identity) and the mass kind; returns (context, mass_kind, id)."""
+    mesh, field, mesh_id = _build_mesh(args)
     if args.field is not None:
-        return parse_field_spec(args.field, mesh.dim)
-    if builtin_field is not None:
-        return builtin_field
-    return identity(mesh.dim)
+        field = parse_field_spec(args.field, mesh.dim)
+    elif field is None:
+        field = identity(mesh.dim)
+    ctx = ProblemContext(mesh, field, args.quad_order)
+    return ctx, args.mass.replace("-", "_"), mesh_id
 
 
 # ----------------------------------------------------------------------------
@@ -166,6 +178,8 @@ def _resolve_field(args, mesh, builtin_field):
 # ----------------------------------------------------------------------------
 
 def cmd_gen(args):
+    if args.field is not None and not args.equi1d:
+        raise _UsageError("--field needs --equi1d")
     mesh, _, _ = _build_mesh(args)
     save_mesh(mesh, args.output)
     vols = mesh.volumes()
@@ -184,13 +198,9 @@ def cmd_analyze(args):
                     if value is not None}
     if lanczos_opts and args.lanczos is None:
         raise _UsageError("--seed and --security need --lanczos")
-    mesh, builtin_field, mesh_id = _build_mesh(args)
-    field = _resolve_field(args, mesh, builtin_field)
-    mass_kind = args.mass.replace("-", "_")
-
-    ctx = ProblemContext(mesh, field, args.quad_order)
+    ctx, mass_kind, mesh_id = _build_problem(args)
     report = stability_report(
-        mesh, field, mass_kind=mass_kind, s=args.stages,
+        ctx.mesh, ctx.field, mass_kind=mass_kind, s=args.stages,
         quad_order=args.quad_order, lanczos_steps=args.lanczos,
         include=tuple(args.bounds.split(",")), mesh_id=mesh_id, context=ctx,
         **lanczos_opts)
@@ -227,11 +237,7 @@ def cmd_analyze(args):
 
 
 def cmd_integrate(args):
-    mesh, builtin_field, _ = _build_mesh(args)
-    field = _resolve_field(args, mesh, builtin_field)
-    mass_kind = args.mass.replace("-", "_")
-
-    ctx = ProblemContext(mesh, field, args.quad_order)
+    ctx, mass_kind, _ = _build_problem(args)
     dof, M, A = ctx.dofmap, ctx.M, ctx.A
     Mt = ctx.mass_tilde(mass_kind)
     scheme = ChebyshevScheme(args.stages, damping=args.damping)
@@ -297,10 +303,7 @@ def _build_parser():
                                           "report",
                           description="Assemble, bound and solve one "
                                       "configuration.")
-    _add_mesh_args(p_an)
-    p_an.add_argument("--mass", choices=("full", "lumped", "lumped-rowsum"),
-                      default="full")
-    p_an.add_argument("--quad-order", type=int, choices=(1, 2, 4), default=4)
+    _add_problem_args(p_an)
     p_an.add_argument("--lanczos", type=_positive_int, metavar="STEPS",
                       default=None, help="estimate lambda_max by STEPS "
                                          "Lanczos steps instead of the "
@@ -328,10 +331,7 @@ def _build_parser():
                           description="Integrate U' = -A U with an s-stage "
                                       "Chebyshev scheme and report whether "
                                       "the norms decay.")
-    _add_mesh_args(p_in)
-    p_in.add_argument("--mass", choices=("full", "lumped", "lumped-rowsum"),
-                      default="full")
-    p_in.add_argument("--quad-order", type=int, choices=(1, 2, 4), default=4)
+    _add_problem_args(p_in)
     p_in.add_argument("--stages", type=_positive_int, default=1)
     p_in.add_argument("--damping", type=float, default=0.0,
                       help="damping parameter eta >= 0")

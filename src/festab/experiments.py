@@ -46,8 +46,6 @@ from .assembly import ProblemContext
 from .bounds import BOUND_NAMES, _check_bound_names, stability_report
 from .quality import simplex_rule
 
-FAMILIES = ("per1d", "nonper1d", "zd2d", "groundwater_like", "aniso2d")
-
 _DEFAULT_SIZES = (64, 128, 256, 512, 1024)
 
 
@@ -184,27 +182,21 @@ class ExperimentSpec:
     bounds: tuple = BOUND_NAMES
     output: str | None = None
     mesh_files: tuple = ()
-    stages: int = 1
     quad_order: int = 4
 
     def __post_init__(self):
-        if self.name not in FAMILIES:
-            raise ValueError(f"unknown experiment family {self.name!r}; "
-                             f"expected one of {FAMILIES}")
+        _family(self.name)
         self.sizes = tuple(int(n) for n in self.sizes)
         if any(n < 4 for n in self.sizes):
             raise ValueError("every mesh size N must be >= 4")
         if self.lumping not in ("both", "full", "lumped"):
             raise ValueError(f"lumping must be both/full/lumped, "
                              f"got {self.lumping!r}")
-        if self.stages < 1:
-            raise ValueError("stages must be >= 1")
         simplex_rule(1, self.quad_order)          # refuses an unknown order
         _check_bound_names(self.bounds)
 
     def mass_kinds(self):
-        lumped_kind = "lumped" if self.name in ("per1d", "nonper1d") \
-            else "lumped_rowsum"
+        lumped_kind = _family(self.name)[1]
         if self.lumping == "full":
             return ("full",)
         if self.lumping == "lumped":
@@ -296,13 +288,27 @@ def _cases_aniso2d(spec):
     yield "aniso2d-aligned", gen_metric_aligned(spec.kappa), diffusion
 
 
-_CASE_BUILDERS = {
-    "per1d": _cases_1d,
-    "nonper1d": _cases_1d,
-    "zd2d": _cases_zd2d,
-    "groundwater_like": _cases_groundwater,
-    "aniso2d": _cases_aniso2d,
+# family -> (case builder, lumped mass kind, the experiment-file keys that
+# shape its tables besides _COMMON_KEYS); a constant coefficient makes
+# quad_order shape nothing in zd2d and groundwater_like
+_FAMILY_TABLE = {
+    "per1d": (_cases_1d, "lumped", ("sizes", "eps", "quad_order")),
+    "nonper1d": (_cases_1d, "lumped", ("sizes", "eps", "quad_order")),
+    "zd2d": (_cases_zd2d, "lumped_rowsum", ()),
+    "groundwater_like": (_cases_groundwater, "lumped_rowsum",
+                         ("contrast", "mesh_files")),
+    "aniso2d": (_cases_aniso2d, "lumped_rowsum", ("kappa", "quad_order")),
 }
+_COMMON_KEYS = ("lumping", "bounds", "output")
+FAMILIES = tuple(_FAMILY_TABLE)
+
+
+def _family(name):
+    """The _FAMILY_TABLE entry of `name`; ValueError for an unknown one."""
+    if name not in _FAMILY_TABLE:
+        raise ValueError(f"unknown experiment family {name!r}; "
+                         f"expected one of {FAMILIES}")
+    return _FAMILY_TABLE[name]
 
 
 # ----------------------------------------------------------------------------
@@ -317,7 +323,7 @@ def run_experiment(spec):
     aborts the run since it would mean the implementation is wrong.
     """
     rows = []
-    for mesh_id, mesh, diffusion in _CASE_BUILDERS[spec.name](spec):
+    for mesh_id, mesh, diffusion in _family(spec.name)[0](spec):
         if mesh is None:
             warnings.warn(f"{spec.name}: skipping missing mesh {mesh_id}")
             rows.append(_skip_row(mesh_id, "missing mesh file"))
@@ -326,7 +332,6 @@ def run_experiment(spec):
         ctx = ProblemContext(mesh, diffusion, spec.quad_order)
         for kind in spec.mass_kinds():
             report = stability_report(mesh, diffusion, mass_kind=kind,
-                                      s=spec.stages,
                                       quad_order=spec.quad_order,
                                       include=spec.bounds, mesh_id=mesh_id,
                                       context=ctx)
@@ -381,16 +386,24 @@ def write_summary_json(path, rows_by_experiment):
 # experiment files
 # ----------------------------------------------------------------------------
 
-_FLOAT_KEYS = {"eps", "kappa", "contrast"}
-_INT_KEYS = {"stages", "quad_order"}
-_TUPLE_KEYS = {"sizes", "bounds", "mesh_files"}
+def _words(raw):
+    return tuple(raw.split())
+
+
+# key -> the conversion of its text to an ExperimentSpec field
+_KEY_TYPES = {"sizes": lambda raw: tuple(int(tok) for tok in raw.split()),
+              "eps": float, "kappa": float, "contrast": float,
+              "quad_order": int, "mesh_files": _words, "bounds": _words,
+              "lumping": str.strip, "output": str.strip}
 
 
 def parse_experiment_file(path):
     """INI-style experiment file -> list of ExperimentSpec.
 
     Section names are the family names; keys mirror ExperimentSpec fields.
-    List-valued keys (sizes, bounds, mesh_files) are whitespace-separated.
+    A section takes only the keys that shape its family's tables, and keys
+    under [DEFAULT] count as its own.  List-valued keys (sizes, bounds,
+    mesh_files) are whitespace-separated.
     """
     parser = configparser.ConfigParser()
     try:
@@ -405,21 +418,11 @@ def parse_experiment_file(path):
     for section, items in sections:
         kwargs = {"name": section}
         try:
+            keys = _family(section)[2] + _COMMON_KEYS
             for key, raw in items:
-                if key == "name":
-                    continue
-                if key in _FLOAT_KEYS:
-                    kwargs[key] = float(raw)
-                elif key in _INT_KEYS:
-                    kwargs[key] = int(raw)
-                elif key == "sizes":
-                    kwargs[key] = tuple(int(tok) for tok in raw.split())
-                elif key in _TUPLE_KEYS:
-                    kwargs[key] = tuple(raw.split())
-                elif key in ("lumping", "output"):
-                    kwargs[key] = raw.strip()
-                else:
+                if key not in keys:
                     raise ValueError(f"unknown key {key!r}")
+                kwargs[key] = _KEY_TYPES[key](raw)
             specs.append(ExperimentSpec(**kwargs))
         except ValueError as exc:
             raise ValueError(f"{path} [{section}]: {exc}") from exc

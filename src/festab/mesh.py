@@ -180,27 +180,18 @@ class SimplicialMesh:
 
 
 class PatchIndex:
-    """Node-to-element incidence with patch volumes.
-
-    ``elements_of(i)`` lists the elements of the patch omega_i,
-    ``volumes[i]`` is |omega_i|, and ``p_max`` the largest incidence count.
+    """Vertex patches omega_i: ``counts[i]`` is the number of elements of
+    omega_i, ``volumes[i]`` is |omega_i|, and ``p_max`` the largest count.
     """
 
     def __init__(self, mesh):
         d1 = mesh.dim + 1
         flat = mesh.elements.ravel()
-        order = np.argsort(flat, kind="stable")
-        counts = np.bincount(flat, minlength=mesh.num_nodes)
-        self._ptr = np.concatenate(([0], np.cumsum(counts)))
-        self._elems = order // d1
+        self.counts = np.bincount(flat, minlength=mesh.num_nodes)
         vols = mesh.volumes()
         self.volumes = np.bincount(flat, weights=np.repeat(vols, d1),
                                    minlength=mesh.num_nodes)
-        self.counts = counts
-        self.p_max = int(counts.max())
-
-    def elements_of(self, i):
-        return self._elems[self._ptr[i]:self._ptr[i + 1]]
+        self.p_max = int(self.counts.max())
 
 
 def build_patches(mesh):

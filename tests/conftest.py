@@ -99,6 +99,11 @@ def dense_lambda_max(Mt, A):
     return float(dense_pencil_eigvals(Mt, A)[-1])
 
 
+def elements_of(mesh, i):
+    """The elements of the vertex patch omega_i, in element order."""
+    return np.flatnonzero((mesh.elements == i).any(axis=1))
+
+
 def volume_ratio_c1_oracle(mesh):
     """Oracle: largest face-neighbor volume ratio by a dict over the faces,
     pairing elements in element order (the loop the vectorized

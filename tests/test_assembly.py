@@ -9,8 +9,9 @@ from hypothesis import given
 
 import festab as fs
 from festab.assembly import _symmetric_csr
-from conftest import (PROPERTY, equilateral_lattice, jittered_mesh_2d,
-                      jittered_mesh_3d, problems, two_triangle_square)
+from conftest import (PROPERTY, elements_of, equilateral_lattice,
+                      jittered_mesh_2d, jittered_mesh_3d, problems,
+                      two_triangle_square)
 
 
 # ---------------------------------------------------------------------------
@@ -82,10 +83,9 @@ def test_stiffness_positive_definite_and_local_row_sums():
     assert A.diagonal()[k] == pytest.approx(6.0 / math.sqrt(3), rel=1e-12)
     # rows of deep-interior vertices (no Dirichlet neighbor) sum to zero
     free = np.flatnonzero(mesh.node_markers != fs.DIRICHLET)
-    patches = fs.build_patches(mesh)
     sums = A @ np.ones(A.shape[0])
     for loc, i in enumerate(free):
-        neigh = np.unique(mesh.elements[patches.elements_of(i)])
+        neigh = np.unique(mesh.elements[elements_of(mesh, i)])
         if (mesh.node_markers[neigh] != fs.DIRICHLET).all():
             assert abs(sums[loc]) < 1e-12
 

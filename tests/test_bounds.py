@@ -11,8 +11,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import festab as fs
 from festab import assembly as assembly_mod
 from festab import bounds as bounds_mod
-from conftest import (PROPERTY, equilateral_lattice, face_bracket_oracle,
-                      jittered_mesh_2d, jittered_mesh_3d, problems,
+from conftest import (PROPERTY, elements_of, equilateral_lattice,
+                      face_bracket_oracle, jittered_mesh_2d, jittered_mesh_3d, problems,
                       two_triangle_square, volume_ratio_c1_oracle)
 
 
@@ -112,10 +112,9 @@ def test_stiffness_diagonal_bracket_via_patch_eigenvalues():
         S = Fi @ Dk @ np.swapaxes(Fi, 1, 2)
         ev = np.linalg.eigvalsh(0.5 * (S + np.swapaxes(S, 1, 2)))
         vols = mesh.volumes()
-        patches = fs.build_patches(mesh)
         diag = A.diagonal()
         for loc, i in enumerate(dof.free):
-            ks = patches.elements_of(i)
+            ks = elements_of(mesh, i)
             lo = fs.c_grad(d) * float(vols[ks] @ ev[ks, 0])
             hi = fs.c_grad(d) * float(vols[ks] @ ev[ks, -1])
             assert lo - 1e-10 * hi <= diag[loc] <= hi * (1.0 + 1e-10)
@@ -126,12 +125,11 @@ def test_stiffness_diagonal_bracket_tight_for_matching_shape():
     mesh = equilateral_lattice()
     dof = fs.DofMap(mesh)
     A = fs.assemble_stiffness(mesh, fs.identity(2))
-    patches = fs.build_patches(mesh)
     vols = mesh.volumes()
     area = vols[0]
     lam = area ** (-1.0)                  # lmin = lmax = |K|^(-2/d), d = 2
     for loc, i in enumerate(dof.free):
-        ks = patches.elements_of(i)
+        ks = elements_of(mesh, i)
         want = fs.c_grad(2) * float(vols[ks].sum()) * lam
         assert A.diagonal()[loc] == pytest.approx(want, rel=1e-12)
 

@@ -54,6 +54,23 @@ def test_gen_usage_errors(tmp_path):
                  "-o", "x"]) == 1                                # exclusive
 
 
+def test_gen_field_needs_equi1d(tmp_path, capsys):
+    out = tmp_path / "g.mesh"
+    assert main(["gen", "--grid", "4x4", "--field", "identity",
+                 "-o", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "festab gen: error: --field needs --equi1d"]
+    assert not out.exists()
+    # with --equi1d the field's weight places the nodes
+    assert main(["gen", "--equi1d", "8", "--field", "per1d:eps=0.25",
+                 "-o", str(out)]) == 0
+    want = fs.gen_equidistributed_1d(8, fs.adapted_weight(fs.per1d(0.25)))
+    assert (fs.load_mesh(str(out)).nodes == want.nodes).all()
+    assert (want.nodes != fs.gen_uniform_1d(8).nodes).any()
+
+
 # (option, a value, a source it does not shape, its source, its default)
 SOURCE_OPTIONS = [
     ("--ratio-x", "2", ["--grid3d", "2x2x2"], ["--grid", "4x4"], "1"),
@@ -130,9 +147,12 @@ def test_analyze_quality_block_is_the_inverse_metric_summary(tmp_path,
                                                              args):
     out = tmp_path / "report.json"
     mesh_file = tmp_path / "mesh.txt"
-    assert main(["gen", *[a for a in args if a not in (
-        "--mass", "lumped-rowsum", "--quad-order", "2")],
-        "-o", str(mesh_file)]) == 0
+    # gen takes the mesh source, and --field only with --equi1d
+    analyze_only = ("--mass", "lumped-rowsum", "--quad-order", "2")
+    if "--equi1d" not in args:
+        analyze_only += ("--field", "aniso2d:kappa=100")
+    assert main(["gen", *[a for a in args if a not in analyze_only],
+                 "-o", str(mesh_file)]) == 0
     assert main(["analyze", *args, "-o", str(out)]) == 0
     quality = json.loads(out.read_text())["quality"]
     mesh = fs.load_mesh(str(mesh_file))
@@ -369,45 +389,102 @@ def test_experiment_end_to_end(tmp_path, capsys):
     assert {r["mass_kind"] for r in data["per1d"]} == {"full", "lumped"}
 
 
-def _assert_second_section_refused_first(tmp_path, capsys, per1d_key,
-                                         message):
-    """A good [zd2d] section, then a [per1d] section with one bad key: the
-    file is refused with exit 2 before any section runs or writes."""
+def _assert_second_section_refused_first(tmp_path, capsys, section, key,
+                                         message, default=""):
+    """A good first section, then [section] with one bad key line (or a
+    [DEFAULT] line that [section] does not take): the file is refused with
+    exit 2 before any section runs or writes."""
+    first = "aniso2d" if section == "zd2d" else "zd2d"
     ini = tmp_path / "two.ini"
-    ini.write_text("[zd2d]\noutput = z.csv\n\n"
-                   f"[per1d]\nsizes = 8\n{per1d_key}\noutput = p.csv\n")
+    ini.write_text(f"[DEFAULT]\n{default}\n\n"
+                   f"[{first}]\noutput = first.csv\n\n"
+                   f"[{section}]\n{key}\noutput = second.csv\n")
     out_dir = tmp_path / "out"
     out_dir.mkdir()
     assert main(["experiment", str(ini), "--out-dir", str(out_dir)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     err = captured.err.splitlines()
-    assert len(err) == 1 and err[0].startswith(f"error: {ini} [per1d]: ")
+    assert len(err) == 1 and err[0].startswith(f"error: {ini} [{section}]: ")
     assert message in err[0]
     assert list(out_dir.iterdir()) == []
 
 
 def test_experiment_unknown_bound_fails_before_any_section_runs(tmp_path,
                                                                 capsys):
-    _assert_second_section_refused_first(tmp_path, capsys, "bounds = geom",
+    _assert_second_section_refused_first(tmp_path, capsys, "per1d",
+                                         "bounds = geom",
                                          "unknown bound 'geom'")
 
 
 def test_experiment_bad_quad_order_fails_before_any_section_runs(tmp_path,
                                                                  capsys):
-    _assert_second_section_refused_first(tmp_path, capsys, "quad_order = 3",
+    _assert_second_section_refused_first(tmp_path, capsys, "per1d",
+                                         "quad_order = 3",
                                          "quad_order must be 1, 2 or 4")
 
 
 @pytest.mark.parametrize("per1d_key, message", [
     ("eps = abc", "could not convert string to float: 'abc'"),
-    ("stages = 1.5", "invalid literal for int()"),
+    ("sizes = 8.5", "invalid literal for int()"),
     ("quad_order = four", "invalid literal for int()"),
 ])
 def test_experiment_unconvertible_value_names_the_file(tmp_path, capsys,
                                                        per1d_key, message):
-    _assert_second_section_refused_first(tmp_path, capsys, per1d_key,
-                                         message)
+    _assert_second_section_refused_first(tmp_path, capsys, "per1d",
+                                         per1d_key, message)
+
+
+# a valid line of each key that shapes some families but not all
+SHAPING_KEYS = {"sizes": "sizes = 8", "eps": "eps = 0.25",
+                "kappa": "kappa = 5", "contrast": "contrast = 1e-3",
+                "quad_order": "quad_order = 2",
+                "mesh_files": "mesh_files = extra.mesh"}
+# family -> the keys of SHAPING_KEYS that shape its tables
+FAMILY_KEYS = {"per1d": {"sizes", "eps", "quad_order"},
+               "nonper1d": {"sizes", "eps", "quad_order"},
+               "zd2d": set(),
+               "groundwater_like": {"contrast", "mesh_files"},
+               "aniso2d": {"kappa", "quad_order"}}
+EXCLUDED_PAIRS = [(family, key) for family, keys in FAMILY_KEYS.items()
+                  for key in SHAPING_KEYS if key not in keys]
+
+
+@pytest.mark.parametrize("family, key", EXCLUDED_PAIRS)
+def test_experiment_key_that_shapes_nothing_is_refused(tmp_path, capsys,
+                                                       family, key):
+    _assert_second_section_refused_first(tmp_path, capsys, family,
+                                         SHAPING_KEYS[key],
+                                         f"unknown key {key!r}")
+
+
+@pytest.mark.parametrize("key", ["stages = 2", "name = per1d"])
+def test_experiment_removed_keys_are_refused(tmp_path, capsys, key):
+    _assert_second_section_refused_first(tmp_path, capsys, "per1d", key,
+                                         f"unknown key {key.split()[0]!r}")
+
+
+def test_experiment_default_key_counts_as_the_sections_own(tmp_path,
+                                                           capsys):
+    # kappa under [DEFAULT] is fine for the first section, aniso2d, and
+    # refused for zd2d, which it does not shape
+    _assert_second_section_refused_first(tmp_path, capsys, "zd2d", "",
+                                         "unknown key 'kappa'",
+                                         default="kappa = 5")
+
+
+def test_experiment_accepts_every_key_of_its_family(tmp_path):
+    lines = {family: [SHAPING_KEYS[key] for key in sorted(keys)]
+             + ["lumping = full", "bounds = diag", "output = t.csv"]
+             for family, keys in FAMILY_KEYS.items()}
+    ini = tmp_path / "all.ini"
+    ini.write_text("".join(f"[{family}]\n" + "\n".join(body) + "\n\n"
+                           for family, body in lines.items()))
+    specs = fs.parse_experiment_file(str(ini))
+    assert [spec.name for spec in specs] == list(fs.FAMILIES)
+    assert specs[0].sizes == (8,) and specs[0].eps == 0.25
+    assert specs[3].mesh_files == ("extra.mesh",)
+    assert specs[4].kappa == 5.0 and specs[4].quad_order == 2
 
 
 def test_experiment_bad_spec(tmp_path, capsys):

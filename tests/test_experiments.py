@@ -92,8 +92,6 @@ def test_spec_validation_errors():
         fs.ExperimentSpec(name="per1d", sizes=(2,))
     with pytest.raises(ValueError, match="lumping"):
         fs.ExperimentSpec(name="per1d", lumping="rowsum")
-    with pytest.raises(ValueError, match="stages"):
-        fs.ExperimentSpec(name="per1d", stages=0)
     with pytest.raises(ValueError, match="quad_order must be 1, 2 or 4"):
         fs.ExperimentSpec(name="per1d", quad_order=3)
 
