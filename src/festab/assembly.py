@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .fields import InverseOf
+from .fields import InverseOf, _inv
 from .mesh import build_patches, reference_edge_matrix
 from .quality import _inverse_averages, element_averages, is_nonobtuse_wrt
 
@@ -168,8 +168,7 @@ class ProblemContext:
         through E_K^-1, the one inversion of the edge matrices."""
         d = self.mesh.dim
         Gh = np.vstack([-np.ones(d), np.eye(d)])
-        return np.einsum("ab,nbc->nac", Gh,
-                         np.linalg.inv(self.mesh.element_matrices()))
+        return Gh @ _inv(self.mesh.element_matrices())
 
     @cached_property
     def reference_map_inverses(self):
@@ -198,8 +197,9 @@ class ProblemContext:
     def element_stiffness(self):
         """(ne, d+1, d+1) element stiffness matrices
         |K| grad(phi_i)^T D_K grad(phi_j), the entries A is summed from."""
-        return np.einsum("n,nid,nde,nje->nij", self.mesh.volumes(),
-                         self.grads, self.Dk, self.grads)
+        G = self.grads
+        return (self.mesh.volumes()[:, None, None]
+                * (G @ self.Dk @ np.swapaxes(G, 1, 2)))
 
     @cached_property
     def patches(self):

@@ -436,14 +436,28 @@ def run_experiment_file(path, out_dir="."):
 
     Per-experiment CSVs go to each spec's ``output`` (resolved against
     ``out_dir`` when relative); a combined ``summary.json`` is always
-    written to ``out_dir``.
+    written to ``out_dir``.  Two sections that resolve to one output file,
+    or an output that is the summary, are refused before any section runs.
     """
     specs = parse_experiment_file(path)
+    summary = os.path.join(out_dir, "summary.json")
+    writer = {os.path.abspath(summary): None}     # resolved path -> section
+    for spec in specs:
+        if not spec.output:
+            continue
+        if not os.path.isabs(spec.output):
+            spec.output = os.path.join(out_dir, spec.output)
+        key = os.path.abspath(spec.output)
+        if key in writer:
+            other = writer[key]
+            owner = (f"the summary {summary!r}" if other is None
+                     else f"also the output of [{other}]")
+            raise ValueError(f"{path} [{spec.name}]: output "
+                             f"{spec.output!r} is {owner}")
+        writer[key] = spec.name
     os.makedirs(out_dir, exist_ok=True)
     results = {}
     for spec in specs:
-        if spec.output and not os.path.isabs(spec.output):
-            spec.output = os.path.join(out_dir, spec.output)
         results[spec.name] = run_experiment(spec)
-    write_summary_json(os.path.join(out_dir, "summary.json"), results)
+    write_summary_json(summary, results)
     return results

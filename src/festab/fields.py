@@ -39,32 +39,120 @@ def _as_points(x, dim=None):
     return x
 
 
+_SCREEN_MARGIN = 1e-8
+
+
+def _clearly_spd(mats):
+    """Mask of the matrices of the stack (..., d, d) whose symmetric parts
+    pass a closed-form Sylvester screen (d <= 3; none pass for larger d):
+    every diagonal entry positive, and each leading principal minor of
+    order k >= 2 above _SCREEN_MARGIN * trace^k.
+
+    A matrix that passes is SPD with lmin/lmax > _SCREEN_MARGIN, since
+    lmin >= det / trace^(d-1), so `eigvalsh` would pass it too.  Rounding
+    lets no other matrix through: given the positive diagonal and the m2
+    margin, an off-diagonal entry well above the trace makes det far
+    negative, and with every entry near or below the trace the minors move
+    by a few eps * trace^k, far below the margin.  A minor that overflows
+    fails the screen.
+    """
+    d = mats.shape[-1]
+    if d > 3:
+        return np.zeros(mats.shape[:-2], dtype=bool)
+
+    def sym(i, j):
+        """Entry (i, j) of the symmetric parts, as `check_spd` forms them."""
+        if i == j:
+            return mats[..., i, i]
+        return 0.5 * (mats[..., i, j] + mats[..., j, i])
+
+    a = sym(0, 0)
+    if d == 1:
+        return a > 0.0
+    b, e = sym(0, 1), sym(1, 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        m2 = a * e - b * b
+        if d == 2:
+            trace = a + e
+            return (a > 0.0) & (e > 0.0) & (m2 > _SCREEN_MARGIN * trace ** 2)
+        c, f, i = sym(0, 2), sym(1, 2), sym(2, 2)
+        trace = a + e + i
+        det = m2 * i - a * f * f - e * c * c + 2.0 * b * c * f
+        return ((a > 0.0) & (e > 0.0) & (i > 0.0)
+                & (m2 > _SCREEN_MARGIN * trace ** 2)
+                & (det > _SCREEN_MARGIN * trace ** 3))
+
+
+def _inv(mats):
+    """Inverses of a stack (..., d, d) of matrices with d <= 3, by the
+    adjugate over the determinant; np.linalg.LinAlgError, as from
+    np.linalg.inv, when a determinant is zero.
+
+    For d = 3 the determinant can lose a factor s1/s2 (singular values
+    s1 >= s2 >= s3) to cancellation, an error that scales the whole
+    inverse: 5e4 eps cond(A) at eigenvalues (1, 1, 1e6).  One Newton step
+    X + X (I - A X) brings it back to the eps cond(A) of np.linalg.inv.
+    """
+    mats = np.asarray(mats, dtype=float)
+    d = mats.shape[-1]
+    if d > 3:
+        raise ValueError(f"_inv supports d <= 3, got {d}x{d} matrices")
+    m = [[mats[..., r, q] for q in range(d)] for r in range(d)]
+    adj = np.empty_like(mats)
+    if d == 1:
+        adj[...] = 1.0
+    elif d == 2:
+        adj[..., 0, 0], adj[..., 0, 1] = m[1][1], -m[0][1]
+        adj[..., 1, 0], adj[..., 1, 1] = -m[1][0], m[0][0]
+    else:
+        # adj[q, r] is the cofactor of m[r][q]
+        for r in range(3):
+            r1, r2 = (r + 1) % 3, (r + 2) % 3
+            for q in range(3):
+                q1, q2 = (q + 1) % 3, (q + 2) % 3
+                adj[..., q, r] = (m[r1][q1] * m[r2][q2]
+                                  - m[r1][q2] * m[r2][q1])
+    det = (adj[..., 0, :] * mats[..., :, 0]).sum(axis=-1)
+    if not det.all():
+        raise np.linalg.LinAlgError("Singular matrix")
+    inv = adj / det[..., None, None]
+    if d == 3:
+        inv += inv @ (np.eye(3) - mats @ inv)
+    return inv
+
+
 def check_spd(mats, context="field evaluation"):
     """Raise ValueError unless every matrix is finite and symmetric with
     lmin > 0.
 
-    The positivity threshold is relative: lmin > SPD_RTOL * lmax.
+    The positivity threshold is relative: lmin > SPD_RTOL * lmax.  For
+    d <= 3 a closed-form Sylvester screen (`_clearly_spd`) clears the
+    matrices it proves SPD with lmin/lmax > 1e-8; only the others reach
+    `eigvalsh`, so every decision and message is the one `eigvalsh` on
+    every matrix would give.
     """
     mats = np.asarray(mats, dtype=float)
-    if mats.ndim == 2:
-        mats = mats[None]
-    finite = np.isfinite(mats).all(axis=(-2, -1))
-    if not finite.all():
+    mats = mats.reshape((-1,) + mats.shape[-2:])
+    if not np.isfinite(mats).all():
+        finite = np.isfinite(mats).all(axis=(-2, -1))
         k = int(np.flatnonzero(~finite)[0])
         raise ValueError(f"{context}: matrix {k} has a non-finite entry")
-    asym = np.abs(mats - np.swapaxes(mats, -1, -2)).max()
+    r, c = np.triu_indices(mats.shape[-1], 1)
+    asym = np.abs(mats[:, r, c] - mats[:, c, r]).max(initial=0.0)
     scale = np.abs(mats).max()
     if asym > 1e-12 * max(scale, 1e-300):
         raise ValueError(f"{context}: matrix not symmetric "
                          f"(asymmetry {asym:g})")
-    ev = np.linalg.eigvalsh(0.5 * (mats + np.swapaxes(mats, -1, -2)))
-    lmin = ev[..., 0]
-    lmax = ev[..., -1]
+    rest = np.flatnonzero(~_clearly_spd(mats))
+    left = mats[rest]
+    ev = np.linalg.eigvalsh(0.5 * (left + np.swapaxes(left, 1, 2)))
+    lmin = ev[:, 0]
+    lmax = ev[:, -1]
     bad = lmin <= SPD_RTOL * np.maximum(lmax, 0.0)
     if bad.any():
-        k = int(np.flatnonzero(bad)[0])
-        raise ValueError(f"{context}: matrix {k} not positive definite "
-                         f"(eigenvalues {ev[k]})")
+        j = int(np.flatnonzero(bad)[0])
+        raise ValueError(f"{context}: matrix {rest[j]} not positive definite "
+                         f"(eigenvalues {ev[j]})")
 
 
 class Constant(TensorField):
@@ -177,11 +265,11 @@ class InverseOf(TensorField):
         self.dim = inner.dim
 
     def __call__(self, x):
-        return np.linalg.inv(self.inner(x))
+        return _inv(self.inner(x))
 
     def element_values(self, region_tags):
         inner = self.inner.element_values(region_tags)
-        return None if inner is None else np.linalg.inv(inner)
+        return None if inner is None else _inv(inner)
 
     def name(self):
         return f"inv({self.inner.name()})"

@@ -11,6 +11,7 @@ cumulative integral and a safeguarded Newton inversion for the nodes.
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 from scipy.special import roots_legendre
@@ -220,11 +221,72 @@ def save_mesh(mesh, path):
 
 
 def _content_lines(path):
+    """(line number, text) of each line of the file that keeps content once
+    its comment is cut and its whitespace stripped; the file is read once."""
     with open(path) as f:
-        for ln, raw in enumerate(f, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if line:
-                yield ln, line
+        raw = f.read().split("\n")
+    return [(ln, line) for ln, text in enumerate(raw, start=1)
+            if (line := text.split("#", 1)[0].strip())]
+
+
+def _bulk_table(block, dtype, widths, usecols=None):
+    """The rows of a content-line block parsed by numpy's C reader, as a
+    2-D array with a column count in `widths`; None when the block is
+    empty, the reader refuses it or the column count is another.
+
+    The reader's number grammar is a subset of Python's `float` and `int`
+    (no underscores, no non-ASCII digits, int64 only) and gives the same
+    value wherever both accept a token, so a block it parses loads exactly
+    as the per-line reader would load it.
+    """
+    if not block:
+        return None
+    try:
+        with warnings.catch_warnings():
+            # numpy < 2 parses an integer via a float ("1.0") with only a
+            # DeprecationWarning; the per-line reader refuses such a token
+            warnings.simplefilter("error", DeprecationWarning)
+            table = np.loadtxt([line for _, line in block], dtype=dtype,
+                               comments=None, usecols=usecols, ndmin=2)
+    except (ValueError, DeprecationWarning):
+        return None
+    return table if table.shape[1] in widths else None
+
+
+def _node_lines(path, block, d):
+    """(nodes, markers) of a node block, parsed line by line."""
+    nodes = np.empty((len(block), d))
+    markers = np.empty(len(block), dtype=np.int64)
+    for i, (ln, line) in enumerate(block):
+        parts = line.split()
+        if len(parts) != d + 1:
+            raise ValueError(f"{path}:{ln}: node line needs {d} coordinates "
+                             f"and a marker, got {len(parts)} fields")
+        try:
+            nodes[i] = [float(p) for p in parts[:d]]
+            markers[i] = int(parts[d])
+        except (ValueError, OverflowError):
+            raise ValueError(f"{path}:{ln}: malformed node line") from None
+    return nodes, markers
+
+
+def _element_lines(path, block, d):
+    """(elements, region tags) of an element block, parsed line by line."""
+    elements = np.empty((len(block), d + 1), dtype=np.int64)
+    tags = np.zeros(len(block), dtype=np.int64)
+    for k, (ln, line) in enumerate(block):
+        parts = line.split()
+        if len(parts) not in (d + 1, d + 2):
+            raise ValueError(f"{path}:{ln}: element line needs {d + 1} node "
+                             f"indices (+ optional region tag)")
+        try:
+            vals = [int(p) for p in parts]
+            elements[k] = vals[:d + 1]
+            if len(vals) == d + 2:
+                tags[k] = vals[d + 1]
+        except (ValueError, OverflowError):
+            raise ValueError(f"{path}:{ln}: malformed element line") from None
+    return elements, tags
 
 
 def load_mesh(path):
@@ -233,8 +295,15 @@ def load_mesh(path):
     Each block must hold exactly the rows its header declares: a file that
     ends early, or has content after the element block, is an error.  The
     arrays are sized by the rows the file holds, never by a declared count.
+
+    The file is read once.  Each block is parsed in bulk by numpy's C
+    reader (the nodes as floats plus an int64 pass over the marker column,
+    the elements as int64 rows of d+1 or d+2 fields); a block the reader
+    refuses, such as one mixing tagged and untagged elements or holding a
+    token only Python reads (``1_0``), is parsed again line by line, which
+    loads it or raises the ``path:line:`` error of its first bad line.
     """
-    lines = list(_content_lines(path))
+    lines = _content_lines(path)
     pos = 0
 
     def header(key, what):
@@ -258,18 +327,13 @@ def load_mesh(path):
 
     at, n = header("nodes", "n")
     block = lines[pos:pos + n]
-    nodes = np.empty((len(block), d))
-    markers = np.empty(len(block), dtype=np.int64)
-    for i, (ln, line) in enumerate(block):
-        parts = line.split()
-        if len(parts) != d + 1:
-            raise ValueError(f"{path}:{ln}: node line needs {d} coordinates "
-                             f"and a marker, got {len(parts)} fields")
-        try:
-            nodes[i] = [float(p) for p in parts[:d]]
-            markers[i] = int(parts[d])
-        except (ValueError, OverflowError):
-            raise ValueError(f"{path}:{ln}: malformed node line") from None
+    table = _bulk_table(block, float, (d + 1,))
+    column = (None if table is None
+              else _bulk_table(block, np.int64, (1,), usecols=d))
+    if column is None:
+        nodes, markers = _node_lines(path, block, d)
+    else:
+        nodes, markers = table[:, :d], column[:, 0]
     if len(block) < n:
         raise ValueError(f"{path}:{at}: declares {n} nodes, but the file "
                          f"holds only {len(block)}")
@@ -277,20 +341,13 @@ def load_mesh(path):
 
     at, ne = header("elements", "N")
     block = lines[pos:pos + ne]
-    elements = np.empty((len(block), d + 1), dtype=np.int64)
-    tags = np.zeros(len(block), dtype=np.int64)
-    for k, (ln, line) in enumerate(block):
-        parts = line.split()
-        if len(parts) not in (d + 1, d + 2):
-            raise ValueError(f"{path}:{ln}: element line needs {d + 1} node "
-                             f"indices (+ optional region tag)")
-        try:
-            vals = [int(p) for p in parts]
-            elements[k] = vals[:d + 1]
-            if len(vals) == d + 2:
-                tags[k] = vals[d + 1]
-        except (ValueError, OverflowError):
-            raise ValueError(f"{path}:{ln}: malformed element line") from None
+    table = _bulk_table(block, np.int64, (d + 1, d + 2))
+    if table is None:
+        elements, tags = _element_lines(path, block, d)
+    else:
+        elements = table[:, :d + 1]
+        tags = (table[:, d + 1] if table.shape[1] == d + 2
+                else np.zeros(len(block), dtype=np.int64))
     if len(block) < ne:
         raise ValueError(f"{path}:{at}: declares {ne} elements, but the "
                          f"file holds only {len(block)}")

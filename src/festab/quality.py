@@ -16,7 +16,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 from scipy.special import roots_jacobi
 
-from .fields import check_spd
+from .fields import _inv, check_spd
 
 
 # ----------------------------------------------------------------------
@@ -143,9 +143,9 @@ def _inverse_averages(avg, points):
     """Element averages of D^-1 from `element_averages(D, with_points)`: the
     quadrature of the inverted point values, as `InverseOf(D)` averages."""
     if points is None:
-        return np.linalg.inv(avg)
+        return _inv(avg)
     wts, vals = points
-    return np.einsum("q,nqij->nij", wts, np.linalg.inv(vals))
+    return np.einsum("q,nqij->nij", wts, _inv(vals))
 
 
 # ----------------------------------------------------------------------
@@ -191,7 +191,7 @@ def _metric_geometry(mesh, metric_elems, Finv):
     det_m = np.linalg.det(metric_elems)
     vol_metric = vols * np.sqrt(det_m)
 
-    norm_fdf = _max_sandwich_eig(Finv, np.linalg.inv(metric_elems))
+    norm_fdf = _max_sandwich_eig(Finv, _inv(metric_elems))
 
     if d == 1:
         rho = vol_metric.copy()

@@ -11,6 +11,7 @@ from scipy.integrate import IntegrationWarning, quad
 from scipy.optimize import brentq
 
 import festab as fs
+from festab.fields import SPD_RTOL
 
 
 def equilateral_lattice(rows=9, cols=8, h=0.125):
@@ -185,6 +186,99 @@ def equidistributed_1d_oracle(n, w):
                 nodes[i] = brentq(g, lo, hi, xtol=1e-14,
                                   rtol=4.0 * np.finfo(float).eps)
     return nodes
+
+
+def load_mesh_by_line(path):
+    """Oracle: the mesh of a mesh file read line by line with Python's
+    `float` and `int` (the reader the bulk numpy parse of `load_mesh`
+    replaced), or its ValueError."""
+    with open(path) as f:
+        lines = [(ln, line) for ln, raw in enumerate(f, start=1)
+                 if (line := raw.split("#", 1)[0].strip())]
+    pos = 0
+
+    def header(key, what):
+        nonlocal pos
+        if pos == len(lines):
+            raise ValueError(f"{path}: unexpected end of file, "
+                             f"expected '{key} <{what}>'")
+        ln, line = lines[pos]
+        pos += 1
+        parts = line.split()
+        if len(parts) != 2 or parts[0] != key:
+            raise ValueError(f"{path}:{ln}: expected '{key} <{what}>'")
+        if not parts[1].isdecimal():
+            raise ValueError(f"{path}:{ln}: '{key}' needs a non-negative "
+                             f"integer, got {parts[1]!r}")
+        return ln, int(parts[1])
+
+    ln, d = header("dim", "d")
+    if d not in (1, 2, 3):
+        raise ValueError(f"{path}:{ln}: unsupported dimension {d}")
+    at, n = header("nodes", "n")
+    block = lines[pos:pos + n]
+    nodes = np.empty((len(block), d))
+    markers = np.empty(len(block), dtype=np.int64)
+    for i, (ln, line) in enumerate(block):
+        parts = line.split()
+        if len(parts) != d + 1:
+            raise ValueError(f"{path}:{ln}: node line needs {d} coordinates "
+                             f"and a marker, got {len(parts)} fields")
+        try:
+            nodes[i] = [float(p) for p in parts[:d]]
+            markers[i] = int(parts[d])
+        except (ValueError, OverflowError):
+            raise ValueError(f"{path}:{ln}: malformed node line") from None
+    if len(block) < n:
+        raise ValueError(f"{path}:{at}: declares {n} nodes, but the file "
+                         f"holds only {len(block)}")
+    pos += n
+    at, ne = header("elements", "N")
+    block = lines[pos:pos + ne]
+    elements = np.empty((len(block), d + 1), dtype=np.int64)
+    tags = np.zeros(len(block), dtype=np.int64)
+    for k, (ln, line) in enumerate(block):
+        parts = line.split()
+        if len(parts) not in (d + 1, d + 2):
+            raise ValueError(f"{path}:{ln}: element line needs {d + 1} node "
+                             f"indices (+ optional region tag)")
+        try:
+            vals = [int(p) for p in parts]
+            elements[k] = vals[:d + 1]
+            if len(vals) == d + 2:
+                tags[k] = vals[d + 1]
+        except (ValueError, OverflowError):
+            raise ValueError(f"{path}:{ln}: malformed element line") from None
+    if len(block) < ne:
+        raise ValueError(f"{path}:{at}: declares {ne} elements, but the "
+                         f"file holds only {len(block)}")
+    if pos + ne < len(lines):
+        raise ValueError(f"{path}:{lines[pos + ne][0]}: content after the "
+                         "element block")
+    return fs.SimplicialMesh(nodes, elements, markers, region_tags=tags)
+
+
+def check_spd_by_eigvalsh(mats, context="field evaluation"):
+    """Oracle: `check_spd` with `eigvalsh` on every matrix (the check the
+    closed-form Sylvester screen of `check_spd` shortcuts)."""
+    mats = np.asarray(mats, dtype=float)
+    if mats.ndim == 2:
+        mats = mats[None]
+    finite = np.isfinite(mats).all(axis=(-2, -1))
+    if not finite.all():
+        k = int(np.flatnonzero(~finite)[0])
+        raise ValueError(f"{context}: matrix {k} has a non-finite entry")
+    asym = np.abs(mats - np.swapaxes(mats, -1, -2)).max()
+    scale = np.abs(mats).max()
+    if asym > 1e-12 * max(scale, 1e-300):
+        raise ValueError(f"{context}: matrix not symmetric "
+                         f"(asymmetry {asym:g})")
+    ev = np.linalg.eigvalsh(0.5 * (mats + np.swapaxes(mats, -1, -2)))
+    bad = ev[..., 0] <= SPD_RTOL * np.maximum(ev[..., -1], 0.0)
+    if bad.any():
+        k = int(np.flatnonzero(bad)[0])
+        raise ValueError(f"{context}: matrix {k} not positive definite "
+                         f"(eigenvalues {ev[k]})")
 
 
 # Settings of the property tests: derandomized, so tier-1 runs are repeatable.

@@ -487,6 +487,29 @@ def test_experiment_accepts_every_key_of_its_family(tmp_path):
     assert specs[4].kappa == 5.0 and specs[4].quad_order == 2
 
 
+@pytest.mark.parametrize("text, message", [
+    ("[DEFAULT]\noutput = t.csv\n[zd2d]\n[groundwater_like]\n",
+     "is also the output of [zd2d]"),
+    ("[zd2d]\noutput = t.csv\n[groundwater_like]\noutput = sub/../t.csv\n",
+     "is also the output of [zd2d]"),
+    ("[zd2d]\n[groundwater_like]\noutput = ./summary.json\n",
+     "is the summary"),
+], ids=["default", "normalized", "summary"])
+def test_experiment_output_written_twice_is_refused(tmp_path, capsys, text,
+                                                    message):
+    ini = tmp_path / "d.ini"
+    ini.write_text(text)
+    out_dir = tmp_path / "out"
+    assert main(["experiment", str(ini), "--out-dir", str(out_dir)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"error: {ini} [groundwater_like]: output ")
+    assert message in err[0]
+    assert not out_dir.exists()
+
+
 def test_experiment_bad_spec(tmp_path, capsys):
     ini = tmp_path / "bad.ini"
     ini.write_text("[warp]\nsizes = 8\n")

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 import festab as fs
+from festab.fields import SPD_RTOL, _clearly_spd, _inv
+from conftest import check_spd_by_eigvalsh, jittered_mesh_3d
 
 
 def test_constant_scalar_becomes_identity_multiple():
@@ -139,3 +141,137 @@ def test_check_spd_catches_bad_matrices():
         with pytest.raises(ValueError,
                            match="nonfinite: matrix 1 has a non-finite"):
             fs.check_spd(nonfinite, "nonfinite")
+
+
+# ---------------------------------------------------------------------------
+# closed-form Sylvester screen of check_spd
+# ---------------------------------------------------------------------------
+
+def _rotated(rng, ev, count=1):
+    """`count` matrices Q diag(ev) Q^T with random orthogonal Q."""
+    d = len(ev)
+    q, _ = np.linalg.qr(rng.standard_normal((count, d, d)))
+    return (q * np.asarray(ev, dtype=float)) @ np.swapaxes(q, 1, 2)
+
+
+def _outcome(check, mats):
+    try:
+        check(mats, "case")
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+SCREEN_CASES = {
+    "2d-1e-15": (1e-15, 1.0),
+    "2d-below-rtol": (SPD_RTOL * (1 - 1e-3), 1.0),
+    "2d-above-rtol": (SPD_RTOL * (1 + 1e-3), 1.0),
+    "2d-1e-9": (1e-9, 1.0),
+    "2d-negative": (-1.0, 2.0),
+    "3d-1e-15": (1e-15, 0.5, 1.0),
+    "3d-below-rtol": (SPD_RTOL * (1 - 1e-3), 0.5, 1.0),
+    "3d-above-rtol": (SPD_RTOL * (1 + 1e-3), 0.5, 1.0),
+    "3d-1e-9": (1e-9, 0.5, 1.0),
+    "3d-double-small-1e-15": (1e-15, 1e-15, 1.0),
+    "3d-double-small-1e-9": (1e-9, 1e-9, 1.0),
+    "3d-double-large-1e-15": (1e-15, 1.0, 1.0),
+    "3d-double-large-1e-9": (1e-9, 1.0, 1.0),
+    "3d-two-negative": (-1.0, -2.0, 3.0),     # determinant +6
+}
+
+
+@pytest.mark.parametrize("name", list(SCREEN_CASES))
+@pytest.mark.parametrize("rotate", [False, True], ids=["diagonal", "rotated"])
+def test_check_spd_screen_keeps_decisions_and_messages(name, rotate):
+    """Each case, alone and at index 5 of a stack of well-conditioned SPD
+    matrices, also with an asymmetry inside the tolerance and with a
+    non-finite or a too asymmetric matrix after it, gets the decision and
+    message of `eigvalsh` on every matrix."""
+    ev = SCREEN_CASES[name]
+    d = len(ev)
+    rng = np.random.default_rng(len(name))
+    case = _rotated(rng, ev) if rotate else np.diag(ev)[None]
+    good = _rotated(rng, np.geomspace(1.0, 1000.0, d), 10)
+    assert _clearly_spd(good).all()
+    assert not _clearly_spd(case).any()
+    stack = np.concatenate([good[:5], case, good[5:]])
+    skewed = stack.copy()
+    skewed[:, 0, -1] += 3e-10                   # 3e-13 of the largest entry
+    nonfinite, asymmetric = stack.copy(), stack.copy()
+    nonfinite[7, -1, 0] = np.nan
+    asymmetric[7, -1, 0] += 1.0
+    for mats in (case, stack, skewed, nonfinite, asymmetric):
+        assert _outcome(fs.check_spd, mats) == \
+            _outcome(check_spd_by_eigvalsh, mats)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_screen_clears_only_matrices_eigvalsh_finds_well_conditioned(d):
+    """Drawn symmetric matrices: definite and indefinite, eigenvalues over
+    twenty decades, off-diagonal entries up to 1e6 times the diagonal."""
+    rng = np.random.default_rng(d)
+    ev = (rng.choice([-1.0, 1.0], (3000, d), p=[0.2, 0.8])
+          * 10.0 ** rng.uniform(-20.0, 0.0, (3000, d)))
+    q, _ = np.linalg.qr(rng.standard_normal((3000, d, d)))
+    rotated = (q * ev[:, None, :]) @ np.swapaxes(q, 1, 2)
+    wild = rng.standard_normal((3000, d, d)) * 10.0 ** rng.uniform(
+        0.0, 6.0, (3000, 1, 1))
+    wild = wild + np.swapaxes(wild, 1, 2)
+    idx = np.arange(d)
+    wild[:, idx, idx] = np.abs(wild[:, idx, idx]) + rng.uniform(0.0, 1.0)
+    for mats in (rotated, wild):
+        cleared = _clearly_spd(mats)
+        ev = np.linalg.eigvalsh(mats[cleared])
+        assert (ev[:, 0] > 0.5e-8 * ev[:, -1]).all()
+    assert 0 < _clearly_spd(rotated).sum() < len(rotated)
+
+
+# ---------------------------------------------------------------------------
+# closed-form inverse
+# ---------------------------------------------------------------------------
+
+def _needle_edges():
+    """Edge matrices of a Kuhn cube squeezed 1000-fold across x: needle
+    tetrahedra with singular values about (1, 1e-3, 1e-3) * h."""
+    cube = fs.gen_structured_3d(4, 4, 4)
+    return fs.SimplicialMesh(cube.nodes * [1.0, 1e-3, 1e-3], cube.elements,
+                             cube.node_markers).element_matrices()
+
+
+INVERSE_STACKS = {
+    "normal-1d": lambda rng: rng.standard_normal((500, 1, 1)),
+    "normal-2d": lambda rng: rng.standard_normal((2000, 2, 2)),
+    "normal-3d": lambda rng: rng.standard_normal((2000, 3, 3)),
+    "spd-2d-1e6": lambda rng: _rotated(rng, (1.0, 1e6), 2000),
+    "spd-3d-geometric": lambda rng: _rotated(rng, (1.0, 31.6, 1e3), 2000),
+    # s1/s2 = 1e6: the determinant alone loses 5e4 eps cond here
+    "spd-3d-fiber": lambda rng: _rotated(rng, (1.0, 1.0, 1e6), 2000),
+    "aligned-1000-edges":
+        lambda rng: fs.gen_metric_aligned(1000.0).element_matrices(),
+    "aligned-1000-averages": lambda rng: fs.ProblemContext(
+        fs.gen_metric_aligned(1000.0), fs.aniso2d(1000.0)).Dk,
+    "boundary-layer-edges": lambda rng: fs.gen_structured_2d(
+        4, 16, ratio_y=1.15).element_matrices(),
+    "needle-3d-edges": lambda rng: _needle_edges(),
+    "jittered-3d-edges":
+        lambda rng: jittered_mesh_3d(rng, n=4).element_matrices(),
+}
+
+
+@pytest.mark.parametrize("name", list(INVERSE_STACKS))
+def test_inverse_residual_is_within_eps_cond(name):
+    A = INVERSE_STACKS[name](np.random.default_rng(17))
+    d = A.shape[-1]
+    resid = np.linalg.norm(A @ _inv(A) - np.eye(d), 2, axis=(-2, -1))
+    assert (resid <= 8.0 * np.finfo(float).eps * np.linalg.cond(A)).all()
+
+
+@pytest.mark.parametrize("singular", [
+    [[0.0]], [[1.0, 2.0], [2.0, 4.0]],
+    [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, 9.0]],
+], ids=["1d", "2d", "3d"])
+def test_inverse_of_a_singular_matrix_raises(singular):
+    A = np.array(singular)
+    eye = np.eye(len(A))
+    with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+        _inv(np.stack([eye, A, 2.0 * eye]))

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 import festab as fs
 from scipy.integrate import quad
 from conftest import (PROPERTY, elements_of, equidistributed_1d_oracle,
-                      problems)
+                      load_mesh_by_line, problems)
 
 
 # ---------------------------------------------------------------------------
@@ -497,6 +497,103 @@ def test_load_mesh_refuses_a_corrupted_token_with_value_error(
     except ValueError:
         return
     assert not invalid, (i, j, new)
+
+
+def _reader_base():
+    """Lines of a small tagged 2D mesh file, the line numbers of one node
+    and one element, and the element's first index (>= 10)."""
+    base = fs.gen_structured_2d(3, 3)
+    mesh = fs.SimplicialMesh(base.nodes, base.elements, base.node_markers,
+                             region_tags=np.arange(base.num_elements) % 2)
+    k = int(np.flatnonzero(mesh.elements[:, 0] >= 10)[0])
+    lines = ["dim 2", f"nodes {mesh.num_nodes}"]
+    lines += [" ".join([f"{c:.16e}" for c in x] + [str(m)])
+              for x, m in zip(mesh.nodes, mesh.node_markers)]
+    lines += [f"elements {mesh.num_elements}"]
+    lines += [" ".join(str(i) for i in [*el, tag])
+              for el, tag in zip(mesh.elements, mesh.region_tags)]
+    return lines, 2 + 5, 3 + mesh.num_nodes + k
+
+
+_ARABIC = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
+# where -> (line, field) in _reader_base: node 5 is interior
+_FIELDS = {"coord": (1, 0), "marker": (1, 2), "index": (2, 0),
+           "tag": (2, 3)}
+_TOKENS = {
+    "coord": ["1_0", "+3", "١٢", "nan", "inf", "1e400", "-0",
+              lambda t: t[:3] + "_" + t[3:], lambda t: "+" + t],
+    "marker": ["1_0", "+0", "١", "٠", "1.0", "0.0", "0x0", "-0"],
+    "index": ["1.0", lambda t: t[0] + "_" + t[1:], lambda t: "+" + t,
+              lambda t: t.translate(_ARABIC), lambda t: t + ".0"],
+    "tag": ["1_0", "١", "+1", "1.0", "99999999999999999999"],
+}
+_TOKEN_CASES = [(where, tok) for where, toks in _TOKENS.items()
+                for tok in toks]
+
+
+def _mixed_widths(lines, node, element):
+    # untag every other element line: rows of 3 and 4 fields
+    return [line.rsplit(" ", 1)[0] if i > element - 4 and i % 2 else line
+            for i, line in enumerate(lines)]
+
+
+_LAYOUTS = {
+    "clean": lambda lines, node, element: lines,
+    "tabs": lambda lines, node, element: [l.replace(" ", "\t")
+                                          for l in lines],
+    "nbsp-and-formfeed": lambda lines, node, element: [
+        l.replace(" ", "\xa0" if i % 2 else " \x0c") for i, l in
+        enumerate(lines)],
+    "mid-line-comments": lambda lines, node, element: [
+        l + f"  # row {i} # again" if i % 3 else l
+        for i, l in enumerate(lines)] + ["# the end"],
+    "blank-and-comment-lines": lambda lines, node, element: [
+        x for l in lines for x in (l, "   ", "#")],
+    "mixed-tag-widths": _mixed_widths,
+    "mixed-widths-and-underscore": lambda lines, node, element:
+        _mixed_widths(lines, node, element)[:element]
+        + ["1_0 " + lines[element].split(" ", 1)[1]]
+        + _mixed_widths(lines, node, element)[element + 1:],
+}
+
+
+def _outcome(loader, path):
+    try:
+        mesh = loader(str(path))
+    except ValueError as exc:
+        return str(exc)
+    return [(a.dtype.str, a.shape, a.tobytes()) for a in (
+        mesh.nodes, mesh.elements, mesh.node_markers, mesh.region_tags)]
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+@pytest.mark.parametrize("layout", list(_LAYOUTS))
+def test_bulk_reader_matches_line_reader_on_layouts(tmp_path, layout,
+                                                    newline):
+    lines, node, element = _reader_base()
+    path = tmp_path / "m.mesh"
+    path.write_bytes((newline.join(_LAYOUTS[layout](lines, node, element))
+                      + newline).encode())
+    loaded = _outcome(fs.load_mesh, path)
+    assert not isinstance(loaded, str), loaded
+    assert loaded == _outcome(load_mesh_by_line, path)
+
+
+@pytest.mark.parametrize("where, token", _TOKEN_CASES,
+                         ids=[f"{w}-{t if isinstance(t, str) else i}"
+                              for i, (w, t) in enumerate(_TOKEN_CASES)])
+def test_bulk_reader_matches_line_reader_on_tokens(tmp_path, where, token):
+    """Tokens where numpy's number grammar and Python's differ: the same
+    arrays, or the same `path:line:` error, as the per-line reader."""
+    lines, node, element = _reader_base()
+    row, field = _FIELDS[where]
+    i = (None, node, element)[row]
+    parts = lines[i].split()
+    parts[field] = token(parts[field]) if callable(token) else token
+    lines[i] = " ".join(parts)
+    path = tmp_path / "m.mesh"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert _outcome(fs.load_mesh, path) == _outcome(load_mesh_by_line, path)
 
 
 def test_load_mesh_missing_file():
