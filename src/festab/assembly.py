@@ -17,7 +17,8 @@ import scipy.sparse as sp
 
 from .fields import InverseOf, _inv
 from .mesh import build_patches, reference_edge_matrix
-from .quality import _inverse_averages, element_averages, is_nonobtuse_wrt
+from .quality import (_inverse_averages, _max_sandwich_eig, element_averages,
+                      is_nonobtuse_wrt)
 
 MASS_KINDS = ("full", "lumped", "lumped_rowsum")
 
@@ -135,9 +136,10 @@ class ProblemContext:
 
     Assembly, the bounds and the quality measures all read the element
     averages D_K and D^-1_K, the P1 basis gradients `grads`, the reference
-    maps, the element stiffness matrices, the patches, the operators M and
-    A and the nonobtuseness of A.  The edge matrices are inverted once, in
-    `grads`; the reference maps are read from it.  A context computes each
+    maps, the alignment norms, the element stiffness matrices, the
+    patches, the operators M and A and the nonobtuseness of A.  The edge
+    matrices are inverted once, in `grads`; the reference maps are read
+    from it.  A context computes each
     quantity on first use and keeps it for its own lifetime, so build one
     per call (one report, one CLI command) and let it go with the call;
     the field is evaluated at most once per context.
@@ -148,6 +150,7 @@ class ProblemContext:
         self.field = field
         self.quad_order = quad_order
         self._points = None
+        self._pointwise = None      # set with Dk: D varies inside elements
 
     def check(self, mesh, field, quad_order):
         """Self, after checking it was built for (mesh, field, quad_order)."""
@@ -182,6 +185,7 @@ class ProblemContext:
         """(ne, d, d) element averages of the field."""
         Dk, self._points = element_averages(self.field, self.mesh,
                                             self.quad_order, with_points=True)
+        self._pointwise = self._points is not None
         return Dk
 
     @cached_property
@@ -192,6 +196,25 @@ class ProblemContext:
         Dk = self.Dk
         points, self._points = self._points, None
         return _inverse_averages(Dk, points)
+
+    @cached_property
+    def alignment(self):
+        """(ne,) alignment norms ||F'^-1 D_K F'^-T||_2 of the averages Dk
+        (`_max_sandwich_eig`)."""
+        return _max_sandwich_eig(self.reference_map_inverses, self.Dk)
+
+    @cached_property
+    def metric_alignment(self):
+        """(ne,) alignment norms ||F'^-1 D_K^-1 F'^-T||_2 of the inverses
+        of the averages Dk: those of the metric Dk in the quality measures.
+        For a field constant on each element, D_K^-1 is the average of the
+        inverse field, so these are the `alignment` of `inverse`; for the
+        inverse context of such a field that is the source's own.
+        Otherwise D_K^-1 is a harmonic average and is inverted here."""
+        Dk = self.Dk                    # sets _pointwise
+        if self._pointwise:
+            return _max_sandwich_eig(self.reference_map_inverses, _inv(Dk))
+        return self.inverse.alignment
 
     @cached_property
     def element_stiffness(self):
@@ -239,8 +262,10 @@ class ProblemContext:
         inv = ProblemContext(self.mesh, InverseOf(self.field),
                              self.quad_order)
         inv.Dk, inv.Dinv = self.Dinv, self.Dk
+        inv._pointwise = self._pointwise
         inv.grads = self.grads
         inv.reference_map_inverses = self.reference_map_inverses
+        inv.inverse = self
         return inv
 
 

@@ -22,9 +22,8 @@ from collections import namedtuple
 from dataclasses import asdict, dataclass
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
-from scipy.linalg.lapack import dpbtrf, dpbtrs
+from scipy.linalg.lapack import dpbtrf, dpbtrs, dstemr
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .assembly import _problem_context
@@ -88,10 +87,29 @@ class EigEstimate:
 # Exact and iterative eigenvalue computation
 
 
+def _canonical(X):
+    """X as a CSR array with sorted, summed indices and no stored zeros,
+    the form in which two matrices are equal exactly when their arrays
+    are; a copy unless X already has it."""
+    C = sp.csr_array(X)
+    if not (C.has_canonical_format and C.data.all()):
+        C = C.copy()
+        C.sum_duplicates()
+        C.eliminate_zeros()
+    return C
+
+
+def _row_indices(X):
+    """Row index of each stored entry of the CSR array X."""
+    return np.repeat(np.arange(X.shape[0]), np.diff(X.indptr))
+
+
 class _Pencil:
     """The pencil (A, Mtilde): two square sparse matrices of one nonzero
     size, each exactly equal to its transpose (ValueError otherwise), and
-    every factorization made from them.
+    every factorization made from them.  Both are kept in canonical CSR
+    form (`_canonical`), where a matrix equals its transpose exactly when
+    their arrays are equal.
 
     `cholesky(a, b)` factors K = a Mtilde + b A by LAPACK banded Cholesky
     under one ordering of the joint pattern: reverse Cuthill-McKee
@@ -100,32 +118,45 @@ class _Pencil:
     bandwidth `bw`) and the upper bands of A and Mtilde, each (bw + 1) n
     doubles, are built on the first factorization that needs them.  A
     diagonal Mtilde is kept as its diagonal `dm` and never stored as a
-    band; `mass_solver` then divides by it.
+    band; `mass_solver` divides by it and `mass` multiplies by it.
     """
 
     def __init__(self, Mtilde, A):
+        mats = []
         for name, X in (("Mtilde", Mtilde), ("A", A)):
             if X.shape[0] != X.shape[1]:
                 raise ValueError(f"{name} is not square")
-            if (X != X.T).nnz:
+            X = _canonical(X)
+            T = X.T.tocsr()             # canonical too: sorted, no zeros
+            if not (np.array_equal(X.indptr, T.indptr)
+                    and np.array_equal(X.indices, T.indices)
+                    and np.array_equal(X.data, T.data)):
                 raise ValueError(f"{name} is not symmetric")
+            mats.append(X)
         if Mtilde.shape != A.shape:
             raise ValueError("dimension mismatch")
         if not A.shape[0]:
             raise ValueError("pencil is empty")
-        self.M, self.A, self.n = Mtilde, A, A.shape[0]
-        coo = Mtilde.tocoo()
-        self.dm = Mtilde.diagonal() if (coo.row == coo.col).all() else None
+        self.M, self.A = mats
+        self.n = A.shape[0]
+        dm = self.M.diagonal()
+        # no stored zeros: diagonal iff every stored entry is a nonzero
+        # diagonal entry
+        self.dm = dm if np.count_nonzero(dm) == self.M.nnz else None
         self.perm = self.pos = self.bw = None
         self._bands = [None, None]
         self._mass = None
 
+    def mass(self, v):
+        """Mtilde v: a vector product for a diagonal Mtilde."""
+        return self.dm * v if self.dm is not None else self.M @ v
+
     def _order(self):
-        coos = (self.M.tocoo(), self.A.tocoo())
-        row = np.concatenate([c.row for c in coos])
-        col = np.concatenate([c.col for c in coos])
+        # the joint pattern of Mtilde and A, from a matrix that has it
+        pattern = (self.A if self.dm is not None
+                   else abs(self.M) + abs(self.A))
         n = self.n
-        pattern = sp.csr_array((np.ones(len(row)), (row, col)), shape=(n, n))
+        row, col = _row_indices(pattern), pattern.indices
         # RCM is a heuristic: the given order is kept when its band is
         # narrower (a lattice numbering against a stencil whose cancelled
         # entries left a sparser graph)
@@ -143,13 +174,13 @@ class _Pencil:
         if self._bands[k] is None:
             if self.perm is None:
                 self._order()
-            coo = (self.M, self.A)[k].tocoo()
-            i, j = self.pos[coo.row], self.pos[coo.col]
+            X = (self.M, self.A)[k]
+            i, j = self.pos[_row_indices(X)], self.pos[X.indices]
             up = i <= j
             ld = self.bw + 1
             flat = (self.bw + i[up] - j[up]) + ld * j[up]
             self._bands[k] = np.bincount(
-                flat, weights=coo.data[up],
+                flat, weights=X.data[up],
                 minlength=ld * self.n).reshape((ld, self.n), order="F")
         return self._bands[k]
 
@@ -203,19 +234,27 @@ def _lanczos(pencil, steps, seed, shifted=None):
     eigenvalue sigma - 1/theta nearest the shift.  The latter stops, tested
     every RITZ_CHECK_EVERY steps, once the Ritz residual estimate
     |beta_k s_k| / theta is below RITZ_TOL.  An exhausted Krylov space ends
-    either early; it is not restarted.  The basis grows with the steps.
+    either early; it is not restarted.
+
+    Each step costs one operator application and one product with
+    Mtilde: the basis Q is kept with its images MQ = Mtilde Q, so the
+    Gram-Schmidt coefficients are MQ w, and the image of the new vector
+    is taken fresh after reorthogonalization, never updated from the
+    stored images (the update drifts when the top eigenvalues cluster).
+    Both arrays grow geometrically up to `steps` rows.
 
     Returns (theta, ritz vector, residual estimate, steps taken).
     """
-    Mtilde, A, n = pencil.M, pencil.A, pencil.n
+    A, n = pencil.A, pencil.n
     solve = None if shifted else pencil.mass_solver()
     steps = min(steps, n)
     q = np.random.default_rng(seed).standard_normal(n)
-    mq = Mtilde @ q
+    mq = pencil.mass(q)
     nrm = math.sqrt(q @ mq)          # > 0: mass_solver refused a non-SPD Mt
     q, mq = q / nrm, mq / nrm
-    Q = np.empty((min(steps, RITZ_CHECK_EVERY), n))    # Lanczos vectors
-    Q[0] = q
+    rows = min(steps, RITZ_CHECK_EVERY)
+    Q, MQ = np.empty((rows, n)), np.empty((rows, n))
+    Q[0], MQ[0] = q, mq
     alphas, betas, scale = [], [], 0.0
     while True:
         k = len(alphas)
@@ -232,8 +271,8 @@ def _lanczos(pencil, steps, seed, shifted=None):
         if k:
             w -= betas[-1] * Q[k - 1]
         # full reorthogonalization against the whole basis
-        w -= (Q[:k + 1] @ (Mtilde @ w)) @ Q[:k + 1]
-        mw = Mtilde @ w
+        w -= (MQ[:k + 1] @ w) @ Q[:k + 1]
+        mw = pencil.mass(w)
         beta = math.sqrt(max(w @ mw, 0.0))
         if beta <= 1e-13 * scale:
             beta = 0.0                          # exhausted Krylov space
@@ -244,27 +283,32 @@ def _lanczos(pencil, steps, seed, shifted=None):
         betas.append(beta)
         q, mq = w / beta, mw / beta
         if k + 1 == len(Q):
-            grow = min(RITZ_CHECK_EVERY, steps - k - 1)
-            Q = np.concatenate([Q, np.empty((grow, n))])
-        Q[k + 1] = q
+            rows = min(2 * len(Q), steps)
+            Q, MQ = (np.concatenate([X, np.empty((rows - len(X), n))])
+                     for X in (Q, MQ))
+        Q[k + 1], MQ[k + 1] = q, mq
     theta, s, resid = _ritz(alphas, betas, beta)
     return theta, s @ Q[:k + 1], resid, k + 1
 
 
 def _ritz(alphas, betas, beta):
     """(theta, s, residual estimate): the top eigenpair of the Lanczos
-    tridiagonal matrix and |beta s_k| / theta for the next beta."""
+    tridiagonal matrix, by one LAPACK dstemr (MRRR; Dhillon, Parlett &
+    Voemel 2006) call on its last index, and |beta s_k| / theta for the
+    next beta."""
     k = len(alphas)
-    tvals, tvecs = sla.eigh_tridiagonal(np.array(alphas), np.array(betas),
-                                        select="i", select_range=(k - 1, k - 1))
-    theta, s = float(tvals[0]), tvecs[:, 0]
+    # dstemr takes an off-diagonal of length k, and overwrites it
+    _, w, z, info = dstemr(alphas, np.append(betas, 0.0), 2, 0.0, 0.0, k, k)
+    if info:
+        raise np.linalg.LinAlgError(f"dstemr failed with info {info}")
+    theta, s = float(w[0]), z[:, 0]
     return theta, s, abs(beta * s[-1]) / max(abs(theta), 1e-300)
 
 
 def _rayleigh(pencil, x):
     """(rho, x, residual) with x scaled to unit Mtilde-norm and the relative
     residual ||A x - rho Mt x|| / (rho ||Mt x||)."""
-    mx = pencil.M @ x
+    mx = pencil.mass(x)
     nrm = math.sqrt(x @ mx)
     x, mx = x / nrm, mx / nrm
     ax = pencil.A @ x
@@ -472,8 +516,7 @@ def geometric_bound(ctx, lumped=False):
     C* C# h^-2 max_i sum (|K|/|omega_i|) Q_D(K).
     """
     d = ctx.mesh.dim
-    value, node = _free_patch_max(
-        ctx, _max_sandwich_eig(ctx.reference_map_inverses, ctx.Dk))
+    value, node = _free_patch_max(ctx, ctx.alignment)
     value = c_star(d, lumped, ctx.nonobtuse) * c_sharp(d) * value
     return GeometricBound(value=value, argmax_node=node,
                           nonobtuse=ctx.nonobtuse)

@@ -14,7 +14,6 @@ import math
 import warnings
 
 import numpy as np
-from scipy.special import roots_legendre
 
 INTERIOR = 0
 DIRICHLET = 1
@@ -454,8 +453,8 @@ def gen_equidistributed_1d(n, w):
 
 # The equidistribution quadrature: Gauss-Legendre nodes on [-1, 1], the
 # 20-point rule for values and the 10-point rule for its error estimate.
-_GAUSS20 = roots_legendre(20)
-_GAUSS10 = roots_legendre(10)
+_GAUSS20 = np.polynomial.legendre.leggauss(20)
+_GAUSS10 = np.polynomial.legendre.leggauss(10)
 _GAUSS_NODES = np.concatenate((_GAUSS20[0], _GAUSS10[0]))
 _EQUI_RTOL = 1e-14
 _EQUI_MAX_DEPTH = 40

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 from .fields import _inv, check_spd
 
@@ -88,6 +87,8 @@ def conical_product_rule(d, n):
     Exact for polynomials of degree 2n-1; weights normalized to sum to 1.
     Serves as the high-order oracle for the fixed tables.
     """
+    from scipy.special import roots_jacobi   # only this oracle needs it
+
     axes = []
     for k in range(d):
         alpha = d - 1 - k
@@ -182,16 +183,18 @@ def _max_sandwich_eig(F, X):
     return np.linalg.eigvalsh(0.5 * (S + np.swapaxes(S, 1, 2)))[:, -1]
 
 
-def _metric_geometry(mesh, metric_elems, Finv):
+def _metric_geometry(ctx):
     """Per-element |K|_M, reference-map alignment norms and rho_{K,M}, the
     diameter of the largest inscribed ball in the metric (d=1: the metric
-    length; d=2: 2 |K|_M over the metric semiperimeter; None for d=3)."""
+    length; d=2: 2 |K|_M over the metric semiperimeter; None for d=3),
+    for the metric M whose element averages are those of `ctx`."""
+    mesh, metric_elems = ctx.mesh, ctx.Dk
     d = mesh.dim
     vols = mesh.volumes()
     det_m = np.linalg.det(metric_elems)
     vol_metric = vols * np.sqrt(det_m)
 
-    norm_fdf = _max_sandwich_eig(Finv, _inv(metric_elems))
+    norm_fdf = ctx.metric_alignment
 
     if d == 1:
         rho = vol_metric.copy()
@@ -213,12 +216,12 @@ def mesh_quality_summary(ctx):
     """Aggregate quality measures of a mesh under a metric field.
 
     `ctx` is a `ProblemContext` whose field is the metric M; its element
-    averages and reference maps are read, not recomputed.  For the quality
-    in the metric D^-1 of a diffusion problem, pass its `ctx.inverse`.
+    averages and alignment norms (`metric_alignment`) are read, not
+    recomputed.  For the quality in the metric D^-1 of a diffusion
+    problem, pass its `ctx.inverse`.
     """
     mesh = ctx.mesh
-    vol_metric, norm_fdf, rho = _metric_geometry(
-        mesh, ctx.Dk, ctx.reference_map_inverses)
+    vol_metric, norm_fdf, rho = _metric_geometry(ctx)
     d = mesh.dim
     ne = mesh.num_elements
 

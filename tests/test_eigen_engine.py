@@ -4,11 +4,15 @@ Property tests draw jittered and graded meshes in 1D, 2D and 3D (some with
 a Neumann side), constant and piecewise SPD fields and all three mass
 kinds, and check that malformed pencils are refused; fixed regressions
 cover the cases where a shift-invert solve goes wrong without a
-certificate, every small size and the Lanczos step cap.
+certificate, every small size and the Lanczos step cap.  The kernel's
+parts are checked on their own: the Ritz pair against a tridiagonal
+oracle, the mass-orthonormality of the Lanczos basis and the pencil's
+symmetry decision.
 """
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 from hypothesis import HealthCheck, assume, given, settings
 
@@ -345,3 +349,182 @@ def test_report_names_the_certified_solve():
     rep = fs.stability_report(mesh, fs.aniso2d(100.0))
     assert rep.method.startswith("shift-invert(shift=")
     assert rep.method.endswith(",certified)")
+
+
+# ---------------------------------------------------------------------------
+# the Lanczos kernel's parts
+# ---------------------------------------------------------------------------
+
+def _random_tridiagonal(k, seed=11):
+    rng = np.random.default_rng(seed)
+    return (list(rng.standard_normal(k)),
+            list(np.abs(rng.standard_normal(k - 1))))
+
+
+def _twin_tridiagonal():
+    # two copies of one tridiagonal joined by a tiny coupling: every
+    # eigenvalue doubled to within about 1e-13
+    a, b = _random_tridiagonal(20)
+    return a + a, b + [1e-13] + b
+
+
+def _per1d_lanczos_tridiagonal():
+    # the Lanczos matrix of a near-degenerate top pair, from the engine
+    Mt, A = pencil(fs.gen_uniform_1d(512), fs.per1d(2.0 ** -4), "full")
+    real, seen = bounds_mod._ritz, []
+
+    def spy(alphas, betas, beta):
+        seen.append((list(alphas), list(betas)))
+        return real(alphas, betas, beta)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bounds_mod, "_ritz", spy)
+        bounds_mod._lanczos(bounds_mod._Pencil(Mt, A), 40, 0)
+    return seen[-1]
+
+
+TRIDIAGONALS = {
+    "k=1": lambda: ([3.5], []),
+    "k=2": lambda: ([1.0, 2.0], [0.5]),
+    **{f"random-{k}": lambda k=k: _random_tridiagonal(k)
+       for k in (3, 10, 60, 300)},
+    "near-degenerate": _twin_tridiagonal,
+    "per1d-512-lanczos": _per1d_lanczos_tridiagonal,
+}
+
+
+@pytest.mark.parametrize("name", list(TRIDIAGONALS))
+def test_ritz_matches_the_tridiagonal_oracle(name):
+    alphas, betas = TRIDIAGONALS[name]()
+    given = (list(alphas), list(betas))
+    k, beta = len(alphas), 0.75
+    vals, vecs = sla.eigh_tridiagonal(np.array(alphas), np.array(betas))
+    theta, s, resid = bounds_mod._ritz(alphas, betas, beta)
+    scale = np.abs(vals).max()
+    assert abs(theta - vals[-1]) <= 1e-14 * scale
+    assert s.shape == (k,) and np.linalg.norm(s) == pytest.approx(1.0)
+    T = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
+    assert np.linalg.norm(T @ s - theta * s) <= 1e-13 * scale
+    if k == 1 or vals[-1] - vals[-2] > 1e-6 * scale:
+        # a separated top eigenvalue: the vector is the oracle's
+        want = vecs[:, -1] * np.sign(vecs[:, -1] @ s)
+        assert np.abs(s - want).max() <= 1e-12
+        assert resid == pytest.approx(abs(beta * want[-1]) / abs(theta),
+                                      rel=1e-8, abs=1e-15)
+    # the inputs are not overwritten (LAPACK writes into its off-diagonal)
+    assert (alphas, betas) == given
+
+
+def test_per1d_uniform_256_lumped_cluster_matches_the_oracle():
+    # the top five eigenvalues lie within 4e-11 relative; a mass image
+    # updated from stored ones, instead of taken fresh, drifts here
+    Mt, A = pencil(fs.gen_uniform_1d(256), fs.per1d(2.0 ** -4), "lumped")
+    evals = dense_pencil_eigvals(Mt, A)
+    assert evals[-1] - evals[-5] < 4e-11 * evals[-1]
+    est = fs.lambda_max_exact(Mt, A)
+    assert abs(est.value - evals[-1]) <= ORACLE_RTOL * evals[-1]
+    assert est.certified and est.residual <= RESIDUAL_MAX
+
+
+class _Recording(bounds_mod._Pencil):
+    """A pencil that keeps every vector the Lanczos kernel multiplies by
+    Mtilde: the start vector, then each new basis vector before scaling."""
+
+    def mass(self, v):
+        self.seen.append(v.copy())
+        return super().mass(v)
+
+
+@pytest.mark.parametrize("kind", ["full", "lumped"])
+@pytest.mark.parametrize("mode", ["mass", "shift-invert"])
+def test_lanczos_basis_stays_mass_orthonormal(monkeypatch, kind, mode):
+    Mt, A = pencil(fs.gen_uniform_1d(256), fs.per1d(2.0 ** -4), kind)
+    pen = _Recording(Mt, A)
+    pen.seen = []
+    shifted = None
+    if mode == "shift-invert":
+        shifted = pen.cholesky(1.02 * dense_lambda_max(Mt, A), -1.0)
+        monkeypatch.setattr(bounds_mod, "RITZ_TOL", 0.0)   # never converged
+    assert bounds_mod._lanczos(pen, 60, 0, shifted)[3] == 60
+    Q = np.array(pen.seen[:60])
+    Q /= np.sqrt(np.einsum("ij,ji->i", Q, Mt @ Q.T))[:, None]
+    assert np.linalg.norm(Q @ (Mt @ Q.T) - np.eye(60), 2) <= 1e-12
+
+
+def _symmetry_cases():
+    """Matrices whose stored arrays and entries differ: X is symmetric as
+    a matrix exactly when (X != X.T).nnz == 0."""
+    dense = np.array([[4.0, -1.0, 0.5], [-1.0, 4.0, -1.0], [0.5, -1.0, 4.0]])
+    base = sp.csr_array(dense)
+
+    def coo(entries):
+        r, c, v = zip(*entries)
+        return sp.coo_array((v, (r, c)), shape=(3, 3))
+
+    def raw_csr(entries):
+        # the entries stored as given, row by row: duplicates and stored
+        # zeros stay
+        entries = sorted(entries, key=lambda e: e[0])
+        r, c, v = (np.array(x) for x in zip(*entries))
+        indptr = np.searchsorted(r, np.arange(4))
+        return sp.csr_array((v.astype(float), c, indptr), shape=(3, 3))
+
+    entries = [(i, j, dense[i, j]) for i in range(3) for j in range(3)]
+    off = base.copy()
+    off.data[1] = np.nextafter(off.data[1], np.inf)
+    unsorted = base.copy()
+    for i in range(3):          # reverse each row's stored order
+        lo, hi = unsorted.indptr[i], unsorted.indptr[i + 1]
+        unsorted.indices[lo:hi] = unsorted.indices[lo:hi][::-1].copy()
+        unsorted.data[lo:hi] = unsorted.data[lo:hi][::-1].copy()
+    unsorted.has_sorted_indices = False
+    unsorted_off = unsorted.copy()
+    unsorted_off.data[0] += 1.0
+    nan = base.copy()
+    nan.data[0] = np.nan
+    zero_corner = [e for e in entries if e[:2] not in ((0, 2), (2, 0))]
+    return {
+        "symmetric": base,
+        "one-asymmetric-entry": off,
+        # a stored zero whose mirror is not stored, or stored nonzero
+        "explicit-zero": raw_csr(zero_corner + [(0, 2, 0.0)]),
+        "explicit-zero-mirrored-by-nonzero": raw_csr(
+            zero_corner + [(0, 2, 0.0), (2, 0, 1.0)]),
+        "unsorted-indices": unsorted,
+        "unsorted-indices-asymmetric": unsorted_off,
+        # duplicates that sum to the mirror entry, to another value, or
+        # cancel where the mirror is not stored
+        "duplicates": raw_csr(entries + [(0, 1, 0.25), (0, 1, -0.25)]),
+        "duplicates-asymmetric": raw_csr(entries + [(0, 1, 0.25)]),
+        "duplicates-cancelling": raw_csr(
+            zero_corner + [(0, 2, 0.5), (0, 2, -0.5)]),
+        "csc": sp.csc_array(base),
+        "csc-asymmetric": sp.csc_array(off),
+        "coo-with-duplicates": coo(entries + [(1, 2, 1.0), (1, 2, -1.0)]),
+        "nan-entry": nan,
+    }
+
+
+SYMMETRY_CASES = _symmetry_cases()
+
+
+def _stored_arrays(X):
+    return (X.data, *((X.indices, X.indptr) if X.format != "coo"
+                      else X.coords))
+
+
+@pytest.mark.parametrize("name", list(SYMMETRY_CASES))
+def test_pencil_symmetry_decision_is_the_entrywise_one(name):
+    X = SYMMETRY_CASES[name]
+    want = (X != X.T).nnz == 0
+    stored = [np.copy(a) for a in _stored_arrays(X)]
+    eye = sp.csr_array(np.eye(3))
+    for args, label in (((eye, X), "A"), ((X, eye), "Mtilde")):
+        if want:
+            bounds_mod._Pencil(*args)
+        else:
+            with pytest.raises(ValueError, match=f"^{label} is not symmetric"):
+                bounds_mod._Pencil(*args)
+    # the check works on a copy: the caller's arrays are untouched
+    assert all(np.array_equal(a, b, equal_nan=True)
+               for a, b in zip(stored, _stored_arrays(X)))

@@ -266,6 +266,19 @@ def test_inverse_residual_is_within_eps_cond(name):
     assert (resid <= 8.0 * np.finfo(float).eps * np.linalg.cond(A)).all()
 
 
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+def test_inverse_at_extreme_scales(d, scale):
+    # the unscaled adjugate overflowed (1e200: NaN) or underflowed
+    # (1e-200: a zero determinant) in its d-fold products
+    A = np.stack([scale * np.eye(d), scale * np.diag(np.arange(1.0, d + 1))])
+    want = np.linalg.inv(A)
+    got = _inv(A)
+    assert np.isfinite(got).all()
+    assert np.abs(got - want).max() <= 4.0 * np.finfo(float).eps \
+        * np.abs(want).max()
+
+
 @pytest.mark.parametrize("singular", [
     [[0.0]], [[1.0, 2.0], [2.0, 4.0]],
     [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, 9.0]],

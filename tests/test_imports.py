@@ -1,7 +1,10 @@
 """Lint: no module of the package or the test suite imports a name at
-module level that it never reads."""
+module level that it never reads; a cold `import festab` stays lean."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -60,3 +63,14 @@ def test_all_lists_exactly_the_public_imports():
                           for t in node.targets))
     assert len(listed) == len(set(listed)), "__all__ repeats a name"
     assert sorted(listed) == sorted(set(imported))
+
+
+def test_cold_import_leaves_scipy_special_unloaded():
+    # scipy.special costs about a fifth of a cold `import festab`; only the
+    # 3D order-4 quadrature oracle imports it, on first use
+    code = ("import sys; import festab, festab.cli; "
+            "print('scipy.special' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import festab as fs
+from festab import mesh as mesh_mod
 from scipy.integrate import quad
 from conftest import (PROPERTY, elements_of, equidistributed_1d_oracle,
                       load_mesh_by_line, problems)
@@ -259,6 +260,16 @@ def test_volumes_are_edge_determinants_bitwise(name):
 # ---------------------------------------------------------------------------
 # equidistribution
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("rule, n", [("_GAUSS20", 20), ("_GAUSS10", 10)])
+def test_equidistribution_gauss_rules_match_scipy(rule, n):
+    # numpy's leggauss, which keeps scipy.special out of `import festab`,
+    # against scipy's roots_legendre
+    from scipy.special import roots_legendre
+    got, want = getattr(mesh_mod, rule), roots_legendre(n)
+    for g, w in zip(got, want):
+        assert np.abs(g - w).max() <= 2e-15
+
 
 def test_equidistributed_constant_weight_is_uniform_bitwise():
     mesh_w = fs.gen_equidistributed_1d(16, lambda x: 3.7)
