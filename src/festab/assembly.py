@@ -139,7 +139,8 @@ class ProblemContext:
     maps, the alignment norms, the element stiffness matrices, the
     patches, the operators M and A and the nonobtuseness of A.  The edge
     matrices are inverted once, in `grads`; the reference maps are read
-    from it.  A context computes each
+    from it.  For a field constant on each element, functions of D_K
+    alone (`map_Dk`) run once per distinct matrix.  A context computes each
     quantity on first use and keeps it for its own lifetime, so build one
     per call (one report, one CLI command) and let it go with the call;
     the field is evaluated at most once per context.
@@ -150,7 +151,9 @@ class ProblemContext:
         self.field = field
         self.quad_order = quad_order
         self._points = None
-        self._pointwise = None      # set with Dk: D varies inside elements
+        # set with Dk: the (values, index) pair of a field constant on
+        # each element, None when D varies inside elements
+        self._distinct = None
 
     def check(self, mesh, field, quad_order):
         """Self, after checking it was built for (mesh, field, quad_order)."""
@@ -183,19 +186,34 @@ class ProblemContext:
     @cached_property
     def Dk(self):
         """(ne, d, d) element averages of the field."""
-        Dk, self._points = element_averages(self.field, self.mesh,
-                                            self.quad_order, with_points=True)
-        self._pointwise = self._points is not None
+        Dk, self._distinct, self._points = element_averages(
+            self.field, self.mesh, self.quad_order, with_points=True)
         return Dk
+
+    def map_Dk(self, fn):
+        """(ne, ...) results of `fn`, a function of a stack (m, d, d) of
+        matrices that works matrix by matrix, on the averages D_K.  For a
+        field constant on each element it runs once per distinct matrix
+        and the rows are spread to the elements, bit for bit what it gives
+        on all of Dk."""
+        Dk = self.Dk                    # sets _distinct
+        if self._distinct is None:
+            return fn(Dk)
+        values, index = self._distinct
+        return fn(values)[index]
 
     @cached_property
     def Dinv(self):
-        """(ne, d, d) element averages of the pointwise inverse D^-1, from
-        the evaluation behind `Dk`; its point values are let go here, so a
-        context that never reads D^-1 does no inversion."""
-        Dk = self.Dk
+        """(ne, d, d) element averages of the pointwise inverse D^-1.  For a
+        field constant on each element they are the inverses of the
+        averages; otherwise they come from the evaluation behind `Dk`,
+        whose point values are let go here, so a context that never reads
+        D^-1 does no inversion."""
+        self.Dk                         # sets _distinct and _points
         points, self._points = self._points, None
-        return _inverse_averages(Dk, points)
+        if points is None:
+            return self.map_Dk(_inv)
+        return _inverse_averages(points)
 
     @cached_property
     def alignment(self):
@@ -211,8 +229,8 @@ class ProblemContext:
         inverse field, so these are the `alignment` of `inverse`; for the
         inverse context of such a field that is the source's own.
         Otherwise D_K^-1 is a harmonic average and is inverted here."""
-        Dk = self.Dk                    # sets _pointwise
-        if self._pointwise:
+        Dk = self.Dk                    # sets _distinct
+        if self._distinct is None:
             return _max_sandwich_eig(self.reference_map_inverses, _inv(Dk))
         return self.inverse.alignment
 
@@ -258,11 +276,15 @@ class ProblemContext:
     @cached_property
     def inverse(self):
         """Context of the pointwise inverse field on the same mesh: the two
-        averages swap, and the gradients and reference maps are shared."""
+        averages swap, a field constant on each element passes on its
+        inverted (values, index) pair, and the gradients and reference
+        maps are shared."""
         inv = ProblemContext(self.mesh, InverseOf(self.field),
                              self.quad_order)
         inv.Dk, inv.Dinv = self.Dinv, self.Dk
-        inv._pointwise = self._pointwise
+        if self._distinct is not None:
+            values, index = self._distinct
+            inv._distinct = _inv(values), index
         inv.grads = self.grads
         inv.reference_map_inverses = self.reference_map_inverses
         inv.inverse = self

@@ -535,7 +535,7 @@ def muniform_bound(ctx, metric_ctx, lumped=False):
     if metric_ctx.mesh is not ctx.mesh:
         raise ValueError("metric context built for another mesh")
     d = ctx.mesh.dim
-    L = np.linalg.cholesky(metric_ctx.Dk)
+    L = metric_ctx.map_Dk(np.linalg.cholesky)
     prod_norm = _max_sandwich_eig(np.swapaxes(L, 1, 2), ctx.Dk)
 
     summary = mesh_quality_summary(metric_ctx)
@@ -547,22 +547,38 @@ def muniform_bound(ctx, metric_ctx, lumped=False):
                          max_q_m=summary.max_q_m, argmax_node=node)
 
 
+def _face_keys(faces, n):
+    """Integer sort keys of faces given as rows (m, k), k = 2 or 3, of
+    sorted vertex indices below n: a list of (m,) uint64 arrays, most
+    significant first, equal on two rows exactly when the rows are equal
+    and ordered as the rows are lexicographically.  The first two columns
+    (a, b) make one key a n + b, exact for n <= 2**32; a third column
+    stays a key of its own, since (a n + b) n + c would overflow past
+    2**21 nodes."""
+    if n > 2 ** 32:
+        raise ValueError(f"face keys need at most 2**32 nodes, got {n}")
+    cols = faces.astype(np.uint64).T
+    return [cols[0] * np.uint64(n) + cols[1], *cols[2:]]
+
+
 def _volume_ratio_c1(mesh):
     """Largest volume ratio between elements sharing a (d-1)-face; 1.0
     when no pair exists."""
     vols = mesh.volumes()
     # face i of element k, as a sorted vertex tuple, is row k*d1 + i; a
-    # stable sort groups equal faces in element order, and the 2nd, 4th, ...
-    # element of a group is paired with the one before it
+    # stable sort on its keys groups equal faces in element order, and the
+    # 2nd, 4th, ... element of a group is paired with the one before it
     d1 = mesh.dim + 1
     el = np.sort(mesh.elements, axis=1)
-    faces = np.stack([np.delete(el, i, axis=1) for i in range(d1)],
-                     axis=1).reshape(-1, d1 - 1)
-    order = np.lexsort(faces.T[::-1])
-    sorted_faces = faces[order]
+    drop = [[j for j in range(d1) if j != i] for i in range(d1)]
+    keys = _face_keys(el[:, drop].reshape(-1, d1 - 1), mesh.num_nodes)
+    order = np.lexsort(keys[::-1])
+    new = np.zeros(len(order), dtype=bool)
+    new[0] = True
+    for key in keys:
+        sorted_key = key[order]
+        new[1:] |= sorted_key[1:] != sorted_key[:-1]
     pos = np.arange(len(order))
-    new = np.ones(len(order), dtype=bool)
-    new[1:] = (sorted_faces[1:] != sorted_faces[:-1]).any(axis=1)
     rank = pos - np.maximum.accumulate(np.where(new, pos, 0))
     second = np.flatnonzero(rank % 2 == 1)
     if not len(second):
@@ -587,7 +603,7 @@ def zhu_du_bound(ctx):
     if d < 2:
         raise ValueError("the face-volume bracket is defined for d >= 2")
     patches = ctx.patches
-    ev = np.linalg.eigvalsh(ctx.Dk)
+    ev = ctx.map_Dk(np.linalg.eigvalsh)
     zk = (d + 1) * np.einsum("nid,nid->n", ctx.grads, ctx.grads)
 
     upper_vals = ev[:, -1] * zk

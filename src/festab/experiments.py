@@ -44,7 +44,7 @@ from .fields import (PiecewiseConstantPerElement, adapted_weight, aniso2d,
                      identity, nonper1d, per1d)
 from .assembly import ProblemContext
 from .bounds import BOUND_NAMES, _check_bound_names, stability_report
-from .quality import simplex_rule
+from .quality import _check_quad_order
 
 _DEFAULT_SIZES = (64, 128, 256, 512, 1024)
 
@@ -192,7 +192,7 @@ class ExperimentSpec:
         if self.lumping not in ("both", "full", "lumped"):
             raise ValueError(f"lumping must be both/full/lumped, "
                              f"got {self.lumping!r}")
-        simplex_rule(1, self.quad_order)          # refuses an unknown order
+        _check_quad_order(self.quad_order)
         _check_bound_names(self.bounds)
 
     def mass_kinds(self):

@@ -23,9 +23,11 @@ class TensorField:
         raise NotImplementedError
 
     def element_values(self, region_tags):
-        """(ne, d, d) matrices of a field that is constant on each element,
-        given the elements' region tags; None when the field varies inside
-        elements and its averages need quadrature."""
+        """The matrices of a field that is constant on each element, given
+        the elements' (ne,) region tags, as a pair (values, index): the
+        distinct matrices (r, d, d) and each element's row in them (ne,),
+        so element k holds values[index[k]].  None when the field varies
+        inside elements and its averages need quadrature."""
         return None
 
     def name(self):
@@ -185,8 +187,8 @@ class Constant(TensorField):
         return np.broadcast_to(self.matrix, (len(x),) + self.matrix.shape).copy()
 
     def element_values(self, region_tags):
-        return np.broadcast_to(
-            self.matrix, (len(region_tags),) + self.matrix.shape).copy()
+        return (self.matrix[None].copy(),
+                np.zeros(len(region_tags), dtype=np.intp))
 
     def name(self):
         return f"constant({self.dim}d)"
@@ -254,10 +256,12 @@ class PiecewiseConstantPerElement(TensorField):
             raise ValueError(f"no matrix for region tag {tag}") from None
 
     def element_values(self, region_tags):
-        out = np.empty((len(region_tags), self.dim, self.dim))
-        for tag in np.unique(region_tags):
-            out[region_tags == tag] = self.matrix_for(tag)
-        return out
+        """One row of values per tag present, in increasing tag order."""
+        tags, index = np.unique(region_tags, return_inverse=True)
+        values = np.empty((len(tags), self.dim, self.dim))
+        for row, tag in enumerate(tags):
+            values[row] = self.matrix_for(tag)
+        return values, index
 
     def __call__(self, x):
         raise ValueError("piecewise-per-element field has no pointwise value; "
@@ -279,7 +283,10 @@ class InverseOf(TensorField):
 
     def element_values(self, region_tags):
         inner = self.inner.element_values(region_tags)
-        return None if inner is None else _inv(inner)
+        if inner is None:
+            return None
+        values, index = inner
+        return _inv(values), index
 
     def name(self):
         return f"inv({self.inner.name()})"

@@ -64,14 +64,20 @@ def _rule_3d(order):
     return conical_product_rule(3, 3)
 
 
+def _check_quad_order(order):
+    """Raise ValueError unless `order` is a quadrature order of
+    `simplex_rule`: 1, 2 or 4."""
+    if order not in (1, 2, 4):
+        raise ValueError(f"quad_order must be 1, 2 or 4, got {order}")
+
+
 def simplex_rule(d, order):
     """Averaging rule on the unit d-simplex: (points (q, d), weights (q,)).
 
     Orders 1, 2 and 4 use fixed tables (order 4 in 3D falls back to the
     conical product rule).  Weights sum to one.
     """
-    if order not in (1, 2, 4):
-        raise ValueError(f"quad_order must be 1, 2 or 4, got {order}")
+    _check_quad_order(order)
     if d == 1:
         return _rule_1d(order)
     if d == 2:
@@ -114,22 +120,27 @@ def element_averages(field, mesh, quad_order=4, with_points=False):
     """(ne, d, d) array of per-element averages of an SPD field.
 
     Exact, with no quadrature, for fields constant on each element
-    (constant, per-region and their inverses); otherwise the fixed
-    quadrature rule of the requested order is applied on each element and
-    SPD-ness is checked at every evaluation point.  With `with_points`,
-    returns (averages, points): points is (weights, (ne, q, d, d) point
-    values), or None for fields constant on each element, and lets
-    `_inverse_averages` average D^-1 without a second evaluation.
+    (constant, per-region and their inverses): values[index] of the
+    field's `element_values`.  Otherwise the fixed quadrature rule of the
+    requested order is applied on each element and SPD-ness is checked at
+    every evaluation point.  With `with_points`, returns (averages,
+    distinct, points) for `ProblemContext`: distinct is the (values,
+    index) pair of a field constant on each element, and points the
+    (weights, (ne, q, d, d) point values) of any other field, which let D^-1
+    be averaged without a second evaluation; the other one is None.
     """
     d = mesh.dim
     ne = mesh.num_elements
     if field.dim is not None and field.dim != d:
         raise ValueError(f"field dimension {field.dim} does not match "
                          f"mesh dimension {d}")
+    _check_quad_order(quad_order)
+    distinct = field.element_values(mesh.region_tags)
+    if distinct is not None:
+        values, index = distinct
+        avg = values[index]
+        return (avg, distinct, None) if with_points else avg
     pts, wts = simplex_rule(d, quad_order)
-    avg = field.element_values(mesh.region_tags)
-    if avg is not None:
-        return (avg, None) if with_points else avg
     E = mesh.element_matrices()
     x0 = mesh.nodes[mesh.elements[:, 0]]
     # physical quadrature points: x0 + E xi for each rule point xi
@@ -137,14 +148,14 @@ def element_averages(field, mesh, quad_order=4, with_points=False):
     vals = field(X.reshape(-1, d)).reshape(ne, len(wts), d, d)
     check_spd(vals.reshape(-1, d, d), context=f"field {field.name()}")
     avg = np.einsum("q,nqij->nij", wts, vals)
-    return (avg, (wts, vals)) if with_points else avg
+    return (avg, None, (wts, vals)) if with_points else avg
 
 
-def _inverse_averages(avg, points):
-    """Element averages of D^-1 from `element_averages(D, with_points)`: the
-    quadrature of the inverted point values, as `InverseOf(D)` averages."""
-    if points is None:
-        return _inv(avg)
+def _inverse_averages(points):
+    """Element averages of D^-1 from the point values that
+    `element_averages(D, with_points=True)` returns for a field varying
+    inside elements: the quadrature of the inverted point values, as
+    `InverseOf(D)` averages."""
     wts, vals = points
     return np.einsum("q,nqij->nij", wts, _inv(vals))
 
@@ -191,7 +202,7 @@ def _metric_geometry(ctx):
     mesh, metric_elems = ctx.mesh, ctx.Dk
     d = mesh.dim
     vols = mesh.volumes()
-    det_m = np.linalg.det(metric_elems)
+    det_m = ctx.map_Dk(np.linalg.det)
     vol_metric = vols * np.sqrt(det_m)
 
     norm_fdf = ctx.metric_alignment

@@ -1,5 +1,6 @@
 """Eigenvalue computation, diagonal/geometric/face-volume step bounds."""
 
+import itertools
 import json
 import math
 
@@ -540,6 +541,30 @@ def neighbor_meshes(draw):
 @given(neighbor_meshes())
 def test_volume_ratio_c1_matches_dict_oracle(mesh):
     assert bounds_mod._volume_ratio_c1(mesh) == volume_ratio_c1_oracle(mesh)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_face_keys_exact_near_2_to_the_32(k):
+    """Edges (k = 2) and triangles (k = 3) of sorted vertices drawn from
+    the lowest and the highest indices below n = 2**32, each present one
+    to three times in random order: two rows share their keys exactly
+    when they are equal, and the keys sort the rows as the vertex columns
+    do, stably."""
+    n = 2 ** 32
+    rng = np.random.default_rng(k)
+    verts = np.concatenate([np.arange(8), n - 12 + np.arange(12)])
+    faces = np.array(list(itertools.combinations(verts, k)), dtype=np.int64)
+    faces = np.repeat(faces, rng.integers(1, 4, len(faces)), axis=0)
+    faces = faces[rng.permutation(len(faces))]
+    keys = bounds_mod._face_keys(faces, n)
+    assert all(key.dtype == np.uint64 for key in keys)
+    _, by_rows = np.unique(faces, axis=0, return_inverse=True)
+    _, by_keys = np.unique(np.stack(keys, axis=1), axis=0,
+                           return_inverse=True)
+    assert np.array_equal(by_rows.ravel(), by_keys.ravel())
+    assert np.array_equal(np.lexsort(keys[::-1]), np.lexsort(faces.T[::-1]))
+    with pytest.raises(ValueError, match="2\\*\\*32 nodes"):
+        bounds_mod._face_keys(faces, n + 1)
 
 
 def test_volume_ratio_c1_single_element_and_known_ratio():

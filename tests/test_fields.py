@@ -102,6 +102,48 @@ def test_piecewise_field_and_loader(tmp_path):
         field(np.array([[0.5, 0.5]]))  # pointwise evaluation undefined
 
 
+def _loop_element_values(field, tags):
+    """Oracle: the (ne, d, d) element matrices as the per-tag mask loop
+    behind (values, index) built them, one copy per element."""
+    if isinstance(field, fs.InverseOf):
+        return _inv(_loop_element_values(field.inner, tags))
+    if isinstance(field, fs.Constant):
+        return np.broadcast_to(field.matrix,
+                               (len(tags),) + field.matrix.shape).copy()
+    out = np.empty((len(tags), field.dim, field.dim))
+    for tag in np.unique(tags):
+        out[tags == tag] = field.matrix_for(tag)
+    return out
+
+
+def _random_spd(d, rng):
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    m = (q * rng.uniform(0.5, 50.0, d)) @ q.T
+    return 0.5 * (m + m.T)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_element_values_spread_to_the_tag_loop(d):
+    """values[index] is bit for bit the per-element matrices of the tag
+    loop, with one row per distinct matrix: 1 for a constant, one per tag
+    present for a per-region table whose tags are unsorted, have gaps and
+    include one the mesh never uses."""
+    rng = np.random.default_rng(d)
+    table = {tag: _random_spd(d, rng) for tag in (7, 0, 3, 99)}
+    tags = rng.permutation(np.repeat(np.array([7, 0, 3]), 17))
+    piecewise = fs.PiecewiseConstantPerElement(table)
+    for field, rows in ((fs.Constant(_random_spd(d, rng)), 1),
+                        (piecewise, 3)):
+        for f in (field, fs.InverseOf(field)):
+            values, index = f.element_values(tags)
+            assert values.shape == (rows, d, d)
+            assert index.shape == tags.shape
+            want = _loop_element_values(f, tags)
+            assert values[index].tobytes() == want.tobytes()
+    with pytest.raises(ValueError, match="no matrix for region tag 5"):
+        piecewise.element_values(np.array([0, 5, 0]))
+
+
 def test_parse_field_spec():
     f = fs.parse_field_spec("per1d:eps=0.0625")
     assert f(np.array([[0.25]]))[0, 0, 0] == pytest.approx(

@@ -74,3 +74,17 @@ def test_cold_import_leaves_scipy_special_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"
+
+
+def test_constant_field_analyze_leaves_scipy_special_unloaded():
+    # a field constant on each element needs no quadrature rule, so a 3D
+    # analyze at the default quad_order 4 never builds the conical rule
+    code = ("import contextlib, io, sys; import festab.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    festab.cli.main(['analyze', '--grid3d', '2x2x2', "
+            "'--field', 'identity'])\n"
+            "print('scipy.special' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

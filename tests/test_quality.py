@@ -9,7 +9,7 @@ from hypothesis import given
 import festab as fs
 from festab import assembly, fields, quality
 from conftest import (PROPERTY, equilateral_lattice, jittered_mesh_2d,
-                      obtuse_pair, problems)
+                      jittered_mesh_3d, obtuse_pair, problems)
 
 
 def monomial_average(d, powers):
@@ -197,6 +197,55 @@ def test_context_inverse_average_shares_one_evaluation(monkeypatch):
                             or fields._inv(a))
     fs.ProblemContext(mesh, field, 4).A
     assert inverted and 4 not in inverted
+
+
+@pytest.mark.parametrize("kind", ["constant", "piecewise"])
+def test_functions_of_d_k_see_only_the_distinct_matrices(kind, monkeypatch):
+    """For a field constant on each element, no inversion, eigenvalue,
+    determinant or Cholesky call of the reports and the quality summary
+    gets a stack of all ne averages: each runs once per distinct matrix.
+    The gradients and alignment norms are read first; their stacks are
+    the mesh's own."""
+    rng = np.random.default_rng(8)
+    mesh = jittered_mesh_3d(rng)
+    C = np.array([[2.0, 0.3, 0.1], [0.3, 1.0, 0.2], [0.1, 0.2, 1.5]])
+    if kind == "constant":
+        field, rows = fs.Constant(C), 1
+    else:
+        tags = rng.permutation(np.arange(mesh.num_elements) % 3) * 4
+        mesh = fs.SimplicialMesh(mesh.nodes, mesh.elements,
+                                 mesh.node_markers, region_tags=tags)
+        field = fs.PiecewiseConstantPerElement({0: C, 4: np.eye(3),
+                                                8: 1e-3 * C})
+        rows = 3
+    ctx = fs.ProblemContext(mesh, field)
+    ctx.grads, ctx.alignment
+
+    stacks = {}
+
+    def counted(name, fn):
+        def wrapper(a, *args, **kwargs):
+            stacks.setdefault(name, []).append(math.prod(np.shape(a)[:-2]))
+            return fn(a, *args, **kwargs)
+        return wrapper
+
+    inv = counted("_inv", fields._inv)
+    for module in (fields, assembly, quality):
+        monkeypatch.setattr(module, "_inv", inv)
+    for name in ("eigvalsh", "det"):
+        monkeypatch.setattr(np.linalg, name,
+                            counted(name, getattr(np.linalg, name)))
+    for mass_kind in fs.MASS_KINDS:
+        fs.stability_report(mesh, field, mass_kind=mass_kind, context=ctx)
+    fs.mesh_quality_summary(ctx.inverse)
+    assert set(stacks) == {"_inv", "eigvalsh", "det"}
+    assert max(max(sizes) for sizes in stacks.values()) == rows
+
+    # the metric-matching bound factors the metric averages the same way
+    monkeypatch.setattr(np.linalg, "cholesky",
+                        counted("cholesky", np.linalg.cholesky))
+    fs.muniform_bound(ctx.inverse, ctx)
+    assert stacks["cholesky"] == [rows]
 
 
 # ---------------------------------------------------------------------------
