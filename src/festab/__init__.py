@@ -28,8 +28,7 @@ from .bounds import (c_grad, c_sharp, c_star, EigEstimate, lambda_max_exact,
                      muniform_bound, ZhuDuBound, zhu_du_bound, ShewchukBound,
                      shewchuk_bound, StabilityReport, stability_report,
                      write_report_csv)
-from .chebyshev import (ChebyshevScheme, stability_poly_eval, step, norms,
-                        NormTrace, integrate)
+from .chebyshev import ChebyshevScheme, step, norms, NormTrace, integrate
 from .experiments import (FAMILIES, ExperimentSpec, TableRow, run_experiment,
                           parse_experiment_file, run_experiment_file,
                           write_rows_csv, write_summary_json,
@@ -55,8 +54,7 @@ __all__ = [
     "GeometricBound", "geometric_bound", "MUniformBound", "muniform_bound",
     "ZhuDuBound", "zhu_du_bound", "ShewchukBound", "shewchuk_bound",
     "StabilityReport", "stability_report", "write_report_csv",
-    "ChebyshevScheme", "stability_poly_eval", "step", "norms", "NormTrace",
-    "integrate",
+    "ChebyshevScheme", "step", "norms", "NormTrace", "integrate",
     "FAMILIES", "ExperimentSpec", "TableRow", "run_experiment",
     "parse_experiment_file", "run_experiment_file", "write_rows_csv",
     "write_summary_json", "gen_groundwater_like", "gen_metric_aligned",

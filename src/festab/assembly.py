@@ -16,9 +16,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .fields import InverseOf, _inv
-from .mesh import build_patches, reference_edge_matrix
-from .quality import (_inverse_averages, _max_sandwich_eig, element_averages,
-                      is_nonobtuse_wrt)
+from .mesh import build_patches, patch_sums, reference_edge_matrix
+from .quality import _max_sandwich_eig, element_averages, is_nonobtuse_wrt
 
 MASS_KINDS = ("full", "lumped", "lumped_rowsum")
 
@@ -97,11 +96,7 @@ def assemble_lumped(mesh, dofmap=None):
     retained columns only.
     """
     dof = dofmap or DofMap(mesh)
-    d = mesh.dim
-    vols = mesh.volumes()
-    flat = mesh.elements.ravel()
-    full = np.bincount(flat, weights=np.repeat(vols / (d + 1), d + 1),
-                       minlength=mesh.num_nodes)
+    full = patch_sums(mesh, mesh.volumes() / (mesh.dim + 1))
     return _diagonal_csr(full[dof.free])
 
 
@@ -135,25 +130,21 @@ class ProblemContext:
     """The per-element quantities of one (mesh, field, quad_order) problem.
 
     Assembly, the bounds and the quality measures all read the element
-    averages D_K and D^-1_K, the P1 basis gradients `grads`, the reference
-    maps, the alignment norms, the element stiffness matrices, the
-    patches, the operators M and A and the nonobtuseness of A.  The edge
-    matrices are inverted once, in `grads`; the reference maps are read
-    from it.  For a field constant on each element, functions of D_K
-    alone (`map_Dk`) run once per distinct matrix.  A context computes each
+    averages D_K, the P1 basis gradients `grads`, the reference maps, the
+    alignment norms, the element stiffness matrices, the patches, the
+    operators M and A and the nonobtuseness of A.  The field is evaluated
+    once, into one record (`_averages`); `inverse`, the context of D^-1,
+    is built from it.  The edge matrices are inverted once, in `grads`.
+    For a field constant on each element, functions of D_K alone
+    (`map_Dk`) run once per distinct matrix.  A context computes each
     quantity on first use and keeps it for its own lifetime, so build one
-    per call (one report, one CLI command) and let it go with the call;
-    the field is evaluated at most once per context.
+    per call (one report, one CLI command) and let it go with the call.
     """
 
     def __init__(self, mesh, field, quad_order=4):
         self.mesh = mesh
         self.field = field
         self.quad_order = quad_order
-        self._points = None
-        # set with Dk: the (values, index) pair of a field constant on
-        # each element, None when D varies inside elements
-        self._distinct = None
 
     def check(self, mesh, field, quad_order):
         """Self, after checking it was built for (mesh, field, quad_order)."""
@@ -184,11 +175,17 @@ class ProblemContext:
         return reference_edge_matrix(self.mesh.dim) @ self.grads[:, 1:]
 
     @cached_property
+    def _averages(self):
+        """(Dk, distinct, points) of `element_averages` with points: the
+        point values are kept until `inverse` has averaged D^-1 from
+        them."""
+        return element_averages(self.field, self.mesh, self.quad_order,
+                                with_points=True)
+
+    @property
     def Dk(self):
         """(ne, d, d) element averages of the field."""
-        Dk, self._distinct, self._points = element_averages(
-            self.field, self.mesh, self.quad_order, with_points=True)
-        return Dk
+        return self._averages[0]
 
     def map_Dk(self, fn):
         """(ne, ...) results of `fn`, a function of a stack (m, d, d) of
@@ -196,24 +193,11 @@ class ProblemContext:
         field constant on each element it runs once per distinct matrix
         and the rows are spread to the elements, bit for bit what it gives
         on all of Dk."""
-        Dk = self.Dk                    # sets _distinct
-        if self._distinct is None:
+        Dk, distinct, _ = self._averages
+        if distinct is None:
             return fn(Dk)
-        values, index = self._distinct
+        values, index = distinct
         return fn(values)[index]
-
-    @cached_property
-    def Dinv(self):
-        """(ne, d, d) element averages of the pointwise inverse D^-1.  For a
-        field constant on each element they are the inverses of the
-        averages; otherwise they come from the evaluation behind `Dk`,
-        whose point values are let go here, so a context that never reads
-        D^-1 does no inversion."""
-        self.Dk                         # sets _distinct and _points
-        points, self._points = self._points, None
-        if points is None:
-            return self.map_Dk(_inv)
-        return _inverse_averages(points)
 
     @cached_property
     def alignment(self):
@@ -229,8 +213,8 @@ class ProblemContext:
         inverse field, so these are the `alignment` of `inverse`; for the
         inverse context of such a field that is the source's own.
         Otherwise D_K^-1 is a harmonic average and is inverted here."""
-        Dk = self.Dk                    # sets _distinct
-        if self._distinct is None:
+        Dk, distinct, _ = self._averages
+        if distinct is None:
             return _max_sandwich_eig(self.reference_map_inverses, _inv(Dk))
         return self.inverse.alignment
 
@@ -275,16 +259,24 @@ class ProblemContext:
 
     @cached_property
     def inverse(self):
-        """Context of the pointwise inverse field on the same mesh: the two
-        averages swap, a field constant on each element passes on its
-        inverted (values, index) pair, and the gradients and reference
-        maps are shared."""
+        """Context of the pointwise inverse field on the same mesh, sharing
+        the gradients and reference maps.  A field constant on each element
+        passes on its distinct matrices, inverted once; for any other field
+        the averages of D^-1 are the quadrature of the inverted point
+        values, as `InverseOf` averages, and the points are let go here, so
+        a context that never reads D^-1 does no inversion."""
+        Dk, distinct, points = self._averages
+        if distinct is None:
+            wts, vals = points
+            record = np.einsum("q,nqij->nij", wts, _inv(vals)), None, None
+            self._averages = Dk, None, None
+        else:
+            values, index = distinct
+            values = _inv(values)
+            record = values[index], (values, index), None
         inv = ProblemContext(self.mesh, InverseOf(self.field),
                              self.quad_order)
-        inv.Dk, inv.Dinv = self.Dinv, self.Dk
-        if self._distinct is not None:
-            values, index = self._distinct
-            inv._distinct = _inv(values), index
+        inv._averages = record
         inv.grads = self.grads
         inv.reference_map_inverses = self.reference_map_inverses
         inv.inverse = self

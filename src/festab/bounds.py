@@ -27,6 +27,7 @@ from scipy.linalg.lapack import dpbtrf, dpbtrs, dstemr
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .assembly import _problem_context
+from .mesh import patch_sums
 from .quality import _max_sandwich_eig, mesh_quality_summary
 
 LANCZOS_MAX_STEPS = 50
@@ -498,9 +499,7 @@ def _free_patch_max(ctx, per_element):
     """(value, node): the largest over free nodes i of the patch average
     sum_{K in omega_i} |K| x_K / |omega_i|, and the mesh node attaining it."""
     mesh, free = ctx.mesh, ctx.dofmap.free
-    weights = np.repeat(mesh.volumes() * per_element, mesh.dim + 1)
-    num = np.bincount(mesh.elements.ravel(), weights=weights,
-                      minlength=mesh.num_nodes)
+    num = patch_sums(mesh, mesh.volumes() * per_element)
     free_vals = (num / ctx.patches.volumes)[free]
     j = int(np.argmax(free_vals))
     return float(free_vals[j]), int(free[j])
@@ -638,12 +637,7 @@ def shewchuk_bound(ctx, m_lump=None):
     if d < 2:
         raise ValueError("the lumped face bracket is defined for d >= 2")
     patches = ctx.patches
-    vols = mesh.volumes()
-    d1 = d + 1
-
-    mfull = np.bincount(mesh.elements.ravel(),
-                        weights=np.repeat(vols / d1, d1),
-                        minlength=mesh.num_nodes)
+    mfull = patch_sums(mesh, mesh.volumes() / (d + 1))
     if m_lump is not None:
         vec = np.asarray(m_lump, dtype=float)
         if vec.ndim != 1:

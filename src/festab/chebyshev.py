@@ -63,14 +63,6 @@ class ChebyshevScheme:
         return self.beta / lam
 
 
-def stability_poly_eval(scheme, z):
-    """R(z) = T_s(w0 + w1 z) / T_s(w0); R(0) = 1, R'(0) = 1."""
-    w0 = scheme.omega0
-    w1 = scheme.omega1
-    return _cheb_t_dt(scheme.s, w0 + w1 * np.asarray(z, dtype=float))[0] \
-        / _cheb_t_dt(scheme.s, w0)[0]
-
-
 def _step_with_pencil(scheme, pencil, U, tau):
     """One step via the stage recurrence V_j = 2(w0 V - w1 tau B V) - V_prev
     for V_j = T_j(w0 - w1 tau B) U, with B = Mtilde^-1 A."""

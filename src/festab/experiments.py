@@ -29,6 +29,7 @@ seeded, and CSV floats are written with full repr precision.
 from __future__ import annotations
 
 import configparser
+import csv
 import json
 import math
 import os
@@ -359,7 +360,7 @@ def write_rows_csv(path, rows):
     header += [f"tau_h_{m}_over_s2" for m in methods]
     header += [f"ratio_{m}" for m in methods]
     header.append("note")
-    lines = [",".join(header)]
+    table = [header]
     for row in rows:
         vals = [row.mesh_id, str(row.n_elements), row.mass_kind,
                 repr(row.lambda_max), repr(row.tau_max_over_s2)]
@@ -368,9 +369,9 @@ def write_rows_csv(path, rows):
         vals += [repr(row.ratio[m]) if m in row.ratio else ""
                  for m in methods]
         vals.append(row.note)
-        lines.append(",".join(vals))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        table.append(vals)
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(table)
 
 
 def write_summary_json(path, rows_by_experiment):

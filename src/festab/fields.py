@@ -385,12 +385,17 @@ def parse_field_spec(spec, dim=None):
         raise ValueError(f"unknown field {name!r} (choices: "
                          f"{', '.join(sorted(_BUILTIN_DEFAULTS))})")
     params = dict(_BUILTIN_DEFAULTS[name])
+    given = set()
     if rest.strip():
         for item in rest.split(","):
             key, eq, value = item.partition("=")
             key = key.strip()
             if not eq or key not in params:
                 raise ValueError(f"bad field parameter {item!r} for {name}")
+            if key in given:
+                raise ValueError(f"field parameter {key!r} given twice "
+                                 f"for {name}")
+            given.add(key)
             params[key] = value.strip()
 
     if name == "identity":

@@ -61,6 +61,19 @@ def _edge_matrices(nodes, elements):
     return np.swapaxes(p[:, 1:, :] - p[:, :1, :], 1, 2)
 
 
+def _integer_array(values, name):
+    """A new int64 array of `values`; a float entry that is not an integer
+    raises ValueError naming it, where a cast would truncate it."""
+    arr = np.asarray(values)
+    if arr.dtype.kind == "f":
+        whole = np.isfinite(arr) & (arr == np.trunc(arr)) & (abs(arr) < 2**63)
+        if not whole.all():
+            at = np.argwhere(~whole)[0].tolist()
+            raise ValueError(f"{name}{at} = {float(arr[tuple(at)])!r} is "
+                             "not an integer")
+    return np.array(arr, dtype=np.int64)
+
+
 class SimplicialMesh:
     """Conforming simplicial mesh with per-node boundary markers.
 
@@ -79,15 +92,15 @@ class SimplicialMesh:
         nodes = np.array(nodes, dtype=float)
         if nodes.ndim == 1:
             nodes = nodes[:, None]
-        elements = np.array(elements, dtype=np.int64)
+        elements = _integer_array(elements, "elements")
         if elements.ndim == 1:
             elements = elements[None, :]
         self.nodes = nodes
         self.elements = elements
-        self.node_markers = np.array(node_markers, dtype=np.int64)
+        self.node_markers = _integer_array(node_markers, "node_markers")
         if region_tags is None:
             region_tags = np.zeros(len(elements), dtype=np.int64)
-        self.region_tags = np.array(region_tags, dtype=np.int64)
+        self.region_tags = _integer_array(region_tags, "region_tags")
 
         self.validate()
 
@@ -185,17 +198,22 @@ class PatchIndex:
     """
 
     def __init__(self, mesh):
-        d1 = mesh.dim + 1
-        flat = mesh.elements.ravel()
-        self.counts = np.bincount(flat, minlength=mesh.num_nodes)
-        vols = mesh.volumes()
-        self.volumes = np.bincount(flat, weights=np.repeat(vols, d1),
-                                   minlength=mesh.num_nodes)
+        self.counts = np.bincount(mesh.elements.ravel(),
+                                  minlength=mesh.num_nodes)
+        self.volumes = patch_sums(mesh, mesh.volumes())
         self.p_max = int(self.counts.max())
 
 
 def build_patches(mesh):
     return PatchIndex(mesh)
+
+
+def patch_sums(mesh, per_element):
+    """(num_nodes,) sums sum_{K in omega_i} x_K over the vertex patches of
+    a per-element array x, (ne,)."""
+    return np.bincount(mesh.elements.ravel(),
+                       weights=np.repeat(per_element, mesh.dim + 1),
+                       minlength=mesh.num_nodes)
 
 
 # ----------------------------------------------------------------------

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .fields import _inv, check_spd
+from .fields import check_spd
 
 
 # ----------------------------------------------------------------------
@@ -149,15 +149,6 @@ def element_averages(field, mesh, quad_order=4, with_points=False):
     check_spd(vals.reshape(-1, d, d), context=f"field {field.name()}")
     avg = np.einsum("q,nqij->nij", wts, vals)
     return (avg, None, (wts, vals)) if with_points else avg
-
-
-def _inverse_averages(points):
-    """Element averages of D^-1 from the point values that
-    `element_averages(D, with_points=True)` returns for a field varying
-    inside elements: the quadrature of the inverted point values, as
-    `InverseOf(D)` averages."""
-    wts, vals = points
-    return np.einsum("q,nqij->nij", wts, _inv(vals))
 
 
 # ----------------------------------------------------------------------

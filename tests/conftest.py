@@ -11,6 +11,7 @@ from scipy.integrate import IntegrationWarning, quad
 from scipy.optimize import brentq
 
 import festab as fs
+from festab.chebyshev import _cheb_t_dt
 from festab.fields import SPD_RTOL
 
 
@@ -98,6 +99,15 @@ def dense_pencil_eigvals(Mt, A):
 def dense_lambda_max(Mt, A):
     """Oracle: largest eigenvalue of the pencil (A, Mt)."""
     return float(dense_pencil_eigvals(Mt, A)[-1])
+
+
+def stability_poly_eval(scheme, z):
+    """Oracle: the scheme's stability polynomial
+    R(z) = T_s(w0 + w1 z) / T_s(w0), with R(0) = 1 and R'(0) = 1."""
+    w0 = scheme.omega0
+    w1 = scheme.omega1
+    return _cheb_t_dt(scheme.s, w0 + w1 * np.asarray(z, dtype=float))[0] \
+        / _cheb_t_dt(scheme.s, w0)[0]
 
 
 def elements_of(mesh, i):

@@ -11,7 +11,8 @@ import numpy as np
 
 import festab as fs
 from conftest import (elements_of, fields_for_dim, jittered_mesh_2d,
-                      jittered_mesh_3d, random_mesh_1d, suite_cases)
+                      jittered_mesh_3d, random_mesh_1d, stability_poly_eval,
+                      suite_cases)
 
 EPS_1D = 2.0 ** -4
 
@@ -399,7 +400,7 @@ def test_contractivity_and_instability_onset():
                 _, vec = fs.max_eigvec_exact(Mt, A)
                 U0i = vec + 1e-8 * rng.uniform(-1.0, 1.0, dof.n_free)
                 tau_i = 1.02 * tau
-                g = abs(float(fs.stability_poly_eval(scheme, -tau_i * lam)))
+                g = abs(float(stability_poly_eval(scheme, -tau_i * lam)))
                 pred = math.ceil(math.log(10.0) / math.log(g))
                 tri = fs.integrate(scheme, Mt, M, A, U0i, tau_i, pred + 5)
                 hit = np.flatnonzero(tri.energy > 10.0 * tri.energy[0])

@@ -684,6 +684,28 @@ def test_stability_report_brackets_and_fields():
         assert names == ["diag", "geo", "zhudu", "shewchuk"]
 
 
+@PROPERTY
+@given(problems())
+def test_report_brackets_hold_on_drawn_problems(problem):
+    """Every report brackets its certified lambda_max: the diagonal ratio
+    lies in [1, C*], the geometric bound lies above, the Zhu-Du bracket
+    holds for the full mass and the Shewchuk bracket for both lumpings
+    (d >= 2), and the computable step tau_h never exceeds tau_max.  The
+    slack is the 1e-12 relative rounding of the other report tests."""
+    mesh, field, kind = problem
+    rep = fs.stability_report(mesh, field, mass_kind=kind)
+    lam, tol = rep.lambda_exact, 1e-12
+    assert 1.0 - tol <= lam / rep.lambda_diag_lower <= rep.c_star * (1 + tol)
+    assert rep.lambda_geo >= lam * (1 - tol)
+    if mesh.dim >= 2 and kind == "full":
+        assert rep.lambda_zhudu_lower <= lam * (1 + tol)
+        assert lam <= rep.lambda_zhudu_upper * (1 + tol)
+    if mesh.dim >= 2 and kind != "full":
+        assert rep.lambda_shewchuk_lower <= lam * (1 + tol)
+        assert lam <= rep.lambda_shewchuk_upper * (1 + tol)
+    assert rep.tau_h_over_s2 <= rep.tau_max_over_s2 * (1 + tol)
+
+
 def test_stability_report_include_and_methods():
     tt = two_triangle_square()
     rep = fs.stability_report(tt, fs.identity(2), include=("diag",))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import festab as fs
-from conftest import two_triangle_square
+from conftest import stability_poly_eval, two_triangle_square
 
 
 def poly_reference(s, omega0, omega1, z):
@@ -31,7 +31,7 @@ def poly_reference(s, omega0, omega1, z):
 def test_polynomial_matches_cosine_form(s, damping):
     sch = fs.ChebyshevScheme(s=s, damping=damping)
     zs = np.linspace(-sch.beta, 0.5, 40)
-    got = fs.stability_poly_eval(sch, zs)
+    got = stability_poly_eval(sch, zs)
     want = [poly_reference(s, sch.omega0, sch.omega1, z) for z in zs]
     assert np.allclose(got, want, rtol=1e-11, atol=1e-11)
 
@@ -39,10 +39,10 @@ def test_polynomial_matches_cosine_form(s, damping):
 @pytest.mark.parametrize("s", [1, 2, 3, 5, 10])
 def test_polynomial_consistency_at_zero(s):
     sch = fs.ChebyshevScheme(s=s)
-    assert fs.stability_poly_eval(sch, 0.0) == pytest.approx(1.0, abs=1e-13)
+    assert stability_poly_eval(sch, 0.0) == pytest.approx(1.0, abs=1e-13)
     h = 1e-6
-    deriv = (fs.stability_poly_eval(sch, h)
-             - fs.stability_poly_eval(sch, -h)) / (2 * h)
+    deriv = (stability_poly_eval(sch, h)
+             - stability_poly_eval(sch, -h)) / (2 * h)
     assert deriv == pytest.approx(1.0, rel=1e-7)
 
 
@@ -53,9 +53,9 @@ def test_interval_length_grows_quadratically(s):
     assert sch.tau_max(100.0) == pytest.approx(2.0 * s * s / 100.0,
                                                rel=1e-13)
     zs = np.linspace(-sch.beta, 0.0, 10 * s + 1)
-    assert (np.abs(fs.stability_poly_eval(sch, zs)) <= 1.0 + 1e-12).all()
+    assert (np.abs(stability_poly_eval(sch, zs)) <= 1.0 + 1e-12).all()
     # just outside the interval the polynomial exceeds one
-    assert abs(fs.stability_poly_eval(sch, -1.01 * sch.beta)) > 1.0
+    assert abs(stability_poly_eval(sch, -1.01 * sch.beta)) > 1.0
 
 
 def test_damping_shrinks_interval_and_caps_modulus():
@@ -64,9 +64,9 @@ def test_damping_shrinks_interval_and_caps_modulus():
     undamped = fs.ChebyshevScheme(s=s)
     assert sch.beta < undamped.beta
     inner = np.linspace(-sch.beta * 0.98, -sch.beta * 0.02, 200)
-    cap = 1.0 / abs(fs.stability_poly_eval(sch, 0.0) /  # = 1 / T_s(w0)
+    cap = 1.0 / abs(stability_poly_eval(sch, 0.0) /  # = 1 / T_s(w0)
                     poly_reference(s, sch.omega0, sch.omega1, 0.0))
-    vals = np.abs(fs.stability_poly_eval(sch, inner))
+    vals = np.abs(stability_poly_eval(sch, inner))
     # strict interior modulus stays below 1 (equioscillation at 1/T_s(w0))
     assert vals.max() < 1.0
     assert vals.max() == pytest.approx(
@@ -90,7 +90,7 @@ def dense_poly_apply(scheme, Mt, A, U, tau):
     import scipy.linalg as sla
     evals, evecs = sla.eigh(A.toarray(), Mt.toarray())
     coeff = evecs.T @ Mt.toarray() @ U
-    factors = fs.stability_poly_eval(scheme, -tau * evals)
+    factors = stability_poly_eval(scheme, -tau * evals)
     return evecs @ (factors * coeff)
 
 
@@ -177,7 +177,7 @@ def test_integrate_growth_rate_matches_polynomial():
     sch = fs.ChebyshevScheme(s=2)
     lam, vec = fs.max_eigvec_exact(L, A)
     tau = 1.04 * sch.tau_max(lam)
-    factor = abs(float(fs.stability_poly_eval(sch, -tau * lam)))
+    factor = abs(float(stability_poly_eval(sch, -tau * lam)))
     assert factor > 1.0
     trace = fs.integrate(sch, L, L, A, vec, tau, 30)
     ratios = trace.l2[1:] / trace.l2[:-1]

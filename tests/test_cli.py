@@ -264,6 +264,10 @@ _BAD_INPUTS = {
     "field-inf": (None, ("analyze", "--grid", "3x3",
                          "--field", "aniso2d:kappa=inf"),
                   "field aniso2d(kappa=inf): matrix 0 has a non-finite"),
+    "field-parameter-repeated": (
+        None, ("analyze", "--grid", "4x4",
+               "--field", "aniso2d:kappa=1,kappa=2"),
+        "field parameter 'kappa' given twice for aniso2d"),
     "field-region-repeated": (
         "0 1 0 1\n0 5 0 5\n1 1 0 1\n",
         ("analyze", "--groundwater", "--field", "piecewise:file={input}"),

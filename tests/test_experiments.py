@@ -1,5 +1,6 @@
 """Benchmark families, experiment specs/files, and the table writer."""
 
+import csv
 import json
 import math
 
@@ -250,6 +251,21 @@ def test_rows_csv_handles_skip_rows(tmp_path):
     assert last[0] == "gone"
     assert last[-1] == "missing mesh file"
     assert last[5] == "" and last[6] == ""        # no method values
+
+
+def test_rows_csv_quotes_a_comma_in_a_field(tmp_path):
+    """A mesh id holding a comma (an external mesh file named a,b.mesh)
+    stays one field under the header."""
+    mesh = fs.gen_uniform_1d(8)
+    row = fs.TableRow.from_report(
+        fs.stability_report(mesh, fs.identity(1), mesh_id="a,b.mesh"))
+    path = tmp_path / "rows.csv"
+    fs.write_rows_csv(str(path), [row])
+    with open(path, newline="") as fh:
+        header, got = csv.reader(fh)
+    assert len(got) == len(header)
+    assert got[0] == "a,b.mesh"
+    assert float(got[3]) == row.lambda_max
 
 
 def test_summary_json_round_trip(tmp_path):

@@ -1,6 +1,7 @@
 """Mesh container, generators, patches and file format."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -363,6 +364,26 @@ def test_equidistributed_matches_scalar_oracle(kind, eps, n):
     assert np.abs(cells - mean).max() <= 1e-12 * mean
 
 
+@pytest.mark.parametrize("name, at, entry", [("elements", (0, 1), "[0, 1]"),
+                                             ("node_markers", 1, "[1]"),
+                                             ("region_tags", 1, "[1]")])
+def test_validate_refuses_non_integral_indices(name, at, entry):
+    """A float entry that is not an integer is refused, naming it, where a
+    cast would truncate it; integral floats are accepted."""
+    args = {"nodes": np.array([[0.0], [0.5], [1.0]]),
+            "elements": np.array([[0.0, 1.0], [1.0, 2.0]]),
+            "node_markers": np.array([1.0, 0.0, 1.0]),
+            "region_tags": np.array([0.0, 3.0])}
+    mesh = fs.SimplicialMesh(**args)
+    assert mesh.elements.tolist() == [[0, 1], [1, 2]]
+    assert mesh.region_tags.tolist() == [0, 3]
+    bad = args[name].copy()
+    bad[at] = 0.9
+    with pytest.raises(ValueError,
+                       match=re.escape(f"{name}{entry} = 0.9 is not an")):
+        fs.SimplicialMesh(**{**args, name: bad})
+
+
 # ---------------------------------------------------------------------------
 # patches
 # ---------------------------------------------------------------------------
@@ -371,11 +392,14 @@ def test_patches_volumes_and_counts():
     mesh = fs.gen_structured_2d(3, 3)
     patches = fs.build_patches(mesh)
     vols = mesh.volumes()
+    x = np.random.default_rng(4).uniform(0.5, 2.0, mesh.num_elements)
+    sums = mesh_mod.patch_sums(mesh, x)
     for i in range(mesh.num_nodes):
         members = elements_of(mesh, i)
         assert patches.counts[i] == len(members)
         assert patches.volumes[i] == pytest.approx(vols[members].sum(),
                                                    rel=1e-14)
+        assert sums[i] == pytest.approx(x[members].sum(), rel=1e-14)
     assert patches.p_max == patches.counts.max() == 6
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 
 import festab as fs
-from festab import assembly, fields, quality
+from festab import assembly, fields
 from conftest import (PROPERTY, equilateral_lattice, jittered_mesh_2d,
                       jittered_mesh_3d, obtuse_pair, problems)
 
@@ -168,35 +168,50 @@ def test_exact_averages_match_quadrature_path(d, order):
         got = fs.element_averages(exact, mesh, order)
         assert got.shape == (mesh.num_elements, d, d)
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
-        got_inv = fs.ProblemContext(mesh, exact, order).Dinv
+        got_inv = fs.ProblemContext(mesh, exact, order).inverse.Dk
         want_inv = fs.element_averages(fs.InverseOf(analytic), mesh, order)
         assert np.abs(got_inv - want_inv).max() \
             <= 1e-14 * np.abs(want_inv).max()
 
 
 def test_context_inverse_average_shares_one_evaluation(monkeypatch):
-    """A context averages D and D^-1 from one field evaluation, lets the
-    point values go once D^-1 is read, and inverts none of them when only
-    the stiffness is read."""
+    """A context averages D and D^-1 from one field evaluation, keeps one
+    record of it, lets the point values go once `inverse` is built, and
+    inverts none of them when only the stiffness is read.  For a field
+    constant on each element, `inverse` inverts the distinct matrices
+    once."""
     mesh = jittered_mesh_2d(np.random.default_rng(3))
     field = fs.aniso2d(100.0)
     calls = []
     counted = fs.Analytic(lambda X: calls.append(len(X)) or field(X), dim=2)
     ctx = fs.ProblemContext(mesh, counted, 4)
     assert np.array_equal(ctx.Dk, fs.element_averages(field, mesh, 4))
-    assert np.array_equal(ctx.Dinv,
+    Dk, distinct, points = ctx._averages
+    assert Dk is ctx.Dk and distinct is None and points is not None
+    inv = ctx.inverse
+    assert np.array_equal(inv.Dk,
                           fs.element_averages(fs.InverseOf(field), mesh, 4))
-    assert ctx._points is None
-    assert np.array_equal(ctx.inverse.Dk, ctx.Dinv)
-    assert np.array_equal(ctx.inverse.Dinv, ctx.Dk)
+    assert ctx._averages[0] is Dk and ctx._averages[2] is None
+    assert inv._averages[1:] == (None, None)
+    assert inv.inverse is ctx and inv.grads is ctx.grads
     assert len(calls) == 1
 
     inverted = []
-    for module in (assembly, quality):
-        monkeypatch.setattr(module, "_inv", lambda a: inverted.append(a.ndim)
-                            or fields._inv(a))
+    monkeypatch.setattr(assembly, "_inv", lambda a: inverted.append(a.shape)
+                        or fields._inv(a))
     fs.ProblemContext(mesh, field, 4).A
-    assert inverted and 4 not in inverted
+    assert inverted and all(len(shape) < 4 for shape in inverted)
+
+    C = np.array([[2.0, 0.3], [0.3, 1.0]])
+    ctx = fs.ProblemContext(mesh, fs.Constant(C), 4)
+    ctx.grads                   # the one inversion of the edge matrices
+    inverted.clear()
+    inv = ctx.inverse
+    assert inverted == [(1, 2, 2)]
+    values, index = inv._averages[1]
+    assert np.array_equal(values, fields._inv(C[None]))
+    assert np.array_equal(inv.Dk, values[index])
+    assert np.array_equal(inv.inverse.Dk, ctx.Dk)
 
 
 @pytest.mark.parametrize("kind", ["constant", "piecewise"])
@@ -230,7 +245,7 @@ def test_functions_of_d_k_see_only_the_distinct_matrices(kind, monkeypatch):
         return wrapper
 
     inv = counted("_inv", fields._inv)
-    for module in (fields, assembly, quality):
+    for module in (fields, assembly):
         monkeypatch.setattr(module, "_inv", inv)
     for name in ("eigvalsh", "det"):
         monkeypatch.setattr(np.linalg, name,
