@@ -16,7 +16,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .fields import InverseOf, _inv
-from .mesh import build_patches, patch_sums, reference_edge_matrix
+from .mesh import (_volume_ratio_c1, build_patches, patch_sums,
+                   reference_edge_matrix)
 from .quality import _max_sandwich_eig, element_averages, is_nonobtuse_wrt
 
 MASS_KINDS = ("full", "lumped", "lumped_rowsum")
@@ -132,19 +133,21 @@ class ProblemContext:
     Assembly, the bounds and the quality measures all read the element
     averages D_K, the P1 basis gradients `grads`, the reference maps, the
     alignment norms, the element stiffness matrices, the patches, the
-    operators M and A and the nonobtuseness of A.  The field is evaluated
-    once, into one record (`_averages`); `inverse`, the context of D^-1,
-    is built from it.  The edge matrices are inverted once, in `grads`.
-    For a field constant on each element, functions of D_K alone
-    (`map_Dk`) run once per distinct matrix.  A context computes each
-    quantity on first use and keeps it for its own lifetime, so build one
-    per call (one report, one CLI command) and let it go with the call.
+    face-neighbour volume ratio, the operators M and A and the
+    nonobtuseness of A.  The field is evaluated once, into one record
+    (`_averages`); `inverse`, the context of D^-1, is built from it.  The
+    edge matrices are inverted once, in `grads`.  For a field constant on
+    each element, functions of D_K alone (`map_Dk`) run once per distinct
+    matrix.  A context computes each quantity on first use and keeps it
+    for its own lifetime, so build one per call (one report, one CLI
+    command) and let it go with the call.
     """
 
     def __init__(self, mesh, field, quad_order=4):
         self.mesh = mesh
         self.field = field
         self.quad_order = quad_order
+        self._source = None         # the context this is the `inverse` of
 
     def check(self, mesh, field, quad_order):
         """Self, after checking it was built for (mesh, field, quad_order)."""
@@ -231,6 +234,12 @@ class ProblemContext:
         return build_patches(self.mesh)
 
     @cached_property
+    def face_volume_ratio(self):
+        """Largest volume ratio of two elements sharing a (d-1)-face, 1.0
+        when none do (`_volume_ratio_c1`): the c1 of `zhu_du_bound`."""
+        return _volume_ratio_c1(self.mesh)
+
+    @cached_property
     def M(self):
         return assemble_mass(self.mesh, self.dofmap)
 
@@ -258,28 +267,38 @@ class ProblemContext:
                          f"choices: {', '.join(MASS_KINDS)}")
 
     @cached_property
-    def inverse(self):
-        """Context of the pointwise inverse field on the same mesh, sharing
-        the gradients and reference maps.  A field constant on each element
-        passes on its distinct matrices, inverted once; for any other field
-        the averages of D^-1 are the quadrature of the inverted point
-        values, as `InverseOf` averages, and the points are let go here, so
-        a context that never reads D^-1 does no inversion."""
+    def _inverse_averages(self):
+        """The (Dk, distinct, points) record of the inverse field.  A field
+        constant on each element passes on its distinct matrices, inverted
+        once; for any other field the averages of D^-1 are the quadrature
+        of the inverted point values, as `InverseOf` averages, and the
+        points are let go here, so a context that never reads D^-1 does no
+        inversion."""
         Dk, distinct, points = self._averages
         if distinct is None:
             wts, vals = points
-            record = np.einsum("q,nqij->nij", wts, _inv(vals)), None, None
             self._averages = Dk, None, None
-        else:
-            values, index = distinct
-            values = _inv(values)
-            record = values[index], (values, index), None
+            return np.einsum("q,nqij->nij", wts, _inv(vals)), None, None
+        values, index = distinct
+        values = _inv(values)
+        return values[index], (values, index), None
+
+    @property
+    def inverse(self):
+        """Context of the pointwise inverse field on the same mesh, sharing
+        the gradients, the reference maps and `_inverse_averages`; its own
+        `inverse` is this context.  Each read builds a new one, which holds
+        this context while this context keeps only the averages, so the
+        two form no reference cycle: their arrays go with the call, not
+        with the next garbage collection."""
+        if self._source is not None:
+            return self._source
         inv = ProblemContext(self.mesh, InverseOf(self.field),
                              self.quad_order)
-        inv._averages = record
+        inv._averages = self._inverse_averages
         inv.grads = self.grads
         inv.reference_map_inverses = self.reference_map_inverses
-        inv.inverse = self
+        inv._source = self
         return inv
 
 

@@ -546,46 +546,6 @@ def muniform_bound(ctx, metric_ctx, lumped=False):
                          max_q_m=summary.max_q_m, argmax_node=node)
 
 
-def _face_keys(faces, n):
-    """Integer sort keys of faces given as rows (m, k), k = 2 or 3, of
-    sorted vertex indices below n: a list of (m,) uint64 arrays, most
-    significant first, equal on two rows exactly when the rows are equal
-    and ordered as the rows are lexicographically.  The first two columns
-    (a, b) make one key a n + b, exact for n <= 2**32; a third column
-    stays a key of its own, since (a n + b) n + c would overflow past
-    2**21 nodes."""
-    if n > 2 ** 32:
-        raise ValueError(f"face keys need at most 2**32 nodes, got {n}")
-    cols = faces.astype(np.uint64).T
-    return [cols[0] * np.uint64(n) + cols[1], *cols[2:]]
-
-
-def _volume_ratio_c1(mesh):
-    """Largest volume ratio between elements sharing a (d-1)-face; 1.0
-    when no pair exists."""
-    vols = mesh.volumes()
-    # face i of element k, as a sorted vertex tuple, is row k*d1 + i; a
-    # stable sort on its keys groups equal faces in element order, and the
-    # 2nd, 4th, ... element of a group is paired with the one before it
-    d1 = mesh.dim + 1
-    el = np.sort(mesh.elements, axis=1)
-    drop = [[j for j in range(d1) if j != i] for i in range(d1)]
-    keys = _face_keys(el[:, drop].reshape(-1, d1 - 1), mesh.num_nodes)
-    order = np.lexsort(keys[::-1])
-    new = np.zeros(len(order), dtype=bool)
-    new[0] = True
-    for key in keys:
-        sorted_key = key[order]
-        new[1:] |= sorted_key[1:] != sorted_key[:-1]
-    pos = np.arange(len(order))
-    rank = pos - np.maximum.accumulate(np.where(new, pos, 0))
-    second = np.flatnonzero(rank % 2 == 1)
-    if not len(second):
-        return 1.0
-    r = vols[order[second] // d1] / vols[order[second - 1] // d1]
-    return float(max(1.0, r.max(), (1.0 / r).max()))
-
-
 def zhu_du_bound(ctx):
     """Face-volume bracket for the full-mass pencil of `ctx` (d >= 2).
 
@@ -608,7 +568,7 @@ def zhu_du_bound(ctx):
     upper_vals = ev[:, -1] * zk
     k_up = int(np.argmax(upper_vals))
     upper = (d + 2) * float(upper_vals[k_up])
-    c1 = _volume_ratio_c1(mesh)
+    c1 = ctx.face_volume_ratio
     lower = float(np.max(ev[:, 0] * zk)) / (d * (1.0 + c1 * patches.p_max
                                                  * (d + 2)))
     return ZhuDuBound(lower=lower, upper=upper, c1=c1,

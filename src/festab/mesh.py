@@ -10,6 +10,7 @@ cumulative integral and a safeguarded Newton inversion for the nodes.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 
@@ -216,6 +217,46 @@ def patch_sums(mesh, per_element):
                        minlength=mesh.num_nodes)
 
 
+def _face_keys(faces, n):
+    """Integer sort keys of faces given as rows (m, k), k = 2 or 3, of
+    sorted vertex indices below n: a list of (m,) uint64 arrays, most
+    significant first, equal on two rows exactly when the rows are equal
+    and ordered as the rows are lexicographically.  The first two columns
+    (a, b) make one key a n + b, exact for n <= 2**32; a third column
+    stays a key of its own, since (a n + b) n + c would overflow past
+    2**21 nodes."""
+    if n > 2 ** 32:
+        raise ValueError(f"face keys need at most 2**32 nodes, got {n}")
+    cols = faces.astype(np.uint64).T
+    return [cols[0] * np.uint64(n) + cols[1], *cols[2:]]
+
+
+def _volume_ratio_c1(mesh):
+    """Largest volume ratio between elements sharing a (d-1)-face; 1.0
+    when no pair exists."""
+    vols = mesh.volumes()
+    # face i of element k, as a sorted vertex tuple, is row k*d1 + i; a
+    # stable sort on its keys groups equal faces in element order, and the
+    # 2nd, 4th, ... element of a group is paired with the one before it
+    d1 = mesh.dim + 1
+    el = np.sort(mesh.elements, axis=1)
+    drop = [[j for j in range(d1) if j != i] for i in range(d1)]
+    keys = _face_keys(el[:, drop].reshape(-1, d1 - 1), mesh.num_nodes)
+    order = np.lexsort(keys[::-1])
+    new = np.zeros(len(order), dtype=bool)
+    new[0] = True
+    for key in keys:
+        sorted_key = key[order]
+        new[1:] |= sorted_key[1:] != sorted_key[:-1]
+    pos = np.arange(len(order))
+    rank = pos - np.maximum.accumulate(np.where(new, pos, 0))
+    second = np.flatnonzero(rank % 2 == 1)
+    if not len(second):
+        return 1.0
+    r = vols[order[second] // d1] / vols[order[second - 1] // d1]
+    return float(max(1.0, r.max(), (1.0 / r).max()))
+
+
 # ----------------------------------------------------------------------
 # Text I/O
 
@@ -237,37 +278,46 @@ def save_mesh(mesh, path):
             f.write(line + "\n")
 
 
-def _content_lines(path):
-    """(line number, text) of each line of the file that keeps content once
-    its comment is cut and its whitespace stripped; the file is read once."""
-    with open(path) as f:
-        raw = f.read().split("\n")
-    return [(ln, line) for ln, text in enumerate(raw, start=1)
-            if (line := text.split("#", 1)[0].strip())]
+def _content_lines(raw, pos, count):
+    """Up to `count` content lines of the file lines `raw` from index `pos`
+    on, as (line number, text): the lines that keep content once the
+    comment is cut and the whitespace stripped; and the index after the
+    last line taken (len(raw) when fewer than `count` are left)."""
+    block = list(itertools.islice(
+        ((ln, line) for ln, text in enumerate(
+            itertools.islice(raw, pos, None), start=pos + 1)
+         if (line := text.split("#", 1)[0].strip())), count))
+    if len(block) < count:
+        return block, len(raw)
+    return block, block[-1][0] if block else pos
 
 
-def _bulk_table(block, dtype, widths, usecols=None):
-    """The rows of a content-line block parsed by numpy's C reader, as a
-    2-D array with a column count in `widths`; None when the block is
-    empty, the reader refuses it or the column count is another.
+def _bulk_table(lines, dtype, widths, usecols=None):
+    """The rows of a block of lines parsed by numpy's C reader, as a 2-D
+    array with one row per line and a column count in `widths`; None when
+    the block is empty, the reader refuses it, skips a blank line or the
+    column count is another.
 
     The reader's number grammar is a subset of Python's `float` and `int`
     (no underscores, no non-ASCII digits, int64 only) and gives the same
-    value wherever both accept a token, so a block it parses loads exactly
-    as the per-line reader would load it.
+    value wherever both accept a token, and it splits at the whitespace
+    `str.split` splits at, so a block it parses loads exactly as the
+    per-line reader would load it.
     """
-    if not block:
+    if not lines:
         return None
     try:
         with warnings.catch_warnings():
             # numpy < 2 parses an integer via a float ("1.0") with only a
             # DeprecationWarning; the per-line reader refuses such a token
             warnings.simplefilter("error", DeprecationWarning)
-            table = np.loadtxt([line for _, line in block], dtype=dtype,
-                               comments=None, usecols=usecols, ndmin=2)
+            table = np.loadtxt(lines, dtype=dtype, comments=None,
+                               usecols=usecols, ndmin=2)
     except (ValueError, DeprecationWarning):
         return None
-    return table if table.shape[1] in widths else None
+    if len(table) != len(lines) or table.shape[1] not in widths:
+        return None
+    return table
 
 
 def _node_lines(path, block, d):
@@ -315,21 +365,28 @@ def load_mesh(path):
 
     The file is read once.  Each block is parsed in bulk by numpy's C
     reader (the nodes as floats plus an int64 pass over the marker column,
-    the elements as int64 rows of d+1 or d+2 fields); a block the reader
-    refuses, such as one mixing tagged and untagged elements or holding a
-    token only Python reads (``1_0``), is parsed again line by line, which
+    the elements as int64 rows of d+1 or d+2 fields).  In a file with no
+    comment the reader first gets the declared number of raw lines after
+    the header, which it parses into as many rows unless a blank line
+    falls among them.  Otherwise, or when the reader refuses the raw
+    lines, it gets the block's stripped content lines; a block it refuses
+    there too, such as one mixing tagged and untagged elements or holding
+    a token only Python reads (``1_0``), is parsed line by line, which
     loads it or raises the ``path:line:`` error of its first bad line.
     """
-    lines = _content_lines(path)
+    with open(path) as f:
+        text = f.read()
+    raw = text.split("\n")
+    bulk = "#" not in text
     pos = 0
 
     def header(key, what):
         nonlocal pos
-        if pos == len(lines):
+        found, pos = _content_lines(raw, pos, 1)
+        if not found:
             raise ValueError(f"{path}: unexpected end of file, "
                              f"expected '{key} <{what}>'")
-        ln, line = lines[pos]
-        pos += 1
+        ln, line = found[0]
         parts = line.split()
         if len(parts) != 2 or parts[0] != key:
             raise ValueError(f"{path}:{ln}: expected '{key} <{what}>'")
@@ -338,38 +395,48 @@ def load_mesh(path):
                              f"integer, got {parts[1]!r}")
         return ln, int(parts[1])
 
+    def block(at, count, what, read_bulk, read_lines):
+        """The arrays of the `count` rows after the header at line `at`."""
+        nonlocal pos
+        if bulk and pos + count <= len(raw):
+            arrays = read_bulk(raw[pos:pos + count])
+            if arrays is not None:
+                pos += count
+                return arrays
+        found, pos = _content_lines(raw, pos, count)
+        arrays = read_bulk([line for _, line in found])
+        if arrays is None:
+            arrays = read_lines(path, found, d)
+        if len(found) < count:
+            raise ValueError(f"{path}:{at}: declares {count} {what}, but "
+                             f"the file holds only {len(found)}")
+        return arrays
+
+    def node_table(lines):
+        table = _bulk_table(lines, float, (d + 1,))
+        column = (None if table is None
+                  else _bulk_table(lines, np.int64, (1,), usecols=d))
+        return None if column is None else (table[:, :d], column[:, 0])
+
+    def element_table(lines):
+        table = _bulk_table(lines, np.int64, (d + 1, d + 2))
+        if table is None:
+            return None
+        tags = (table[:, d + 1] if table.shape[1] == d + 2
+                else np.zeros(len(lines), dtype=np.int64))
+        return table[:, :d + 1], tags
+
     ln, d = header("dim", "d")
     if d not in (1, 2, 3):
         raise ValueError(f"{path}:{ln}: unsupported dimension {d}")
-
     at, n = header("nodes", "n")
-    block = lines[pos:pos + n]
-    table = _bulk_table(block, float, (d + 1,))
-    column = (None if table is None
-              else _bulk_table(block, np.int64, (1,), usecols=d))
-    if column is None:
-        nodes, markers = _node_lines(path, block, d)
-    else:
-        nodes, markers = table[:, :d], column[:, 0]
-    if len(block) < n:
-        raise ValueError(f"{path}:{at}: declares {n} nodes, but the file "
-                         f"holds only {len(block)}")
-    pos += n
-
+    nodes, markers = block(at, n, "nodes", node_table, _node_lines)
     at, ne = header("elements", "N")
-    block = lines[pos:pos + ne]
-    table = _bulk_table(block, np.int64, (d + 1, d + 2))
-    if table is None:
-        elements, tags = _element_lines(path, block, d)
-    else:
-        elements = table[:, :d + 1]
-        tags = (table[:, d + 1] if table.shape[1] == d + 2
-                else np.zeros(len(block), dtype=np.int64))
-    if len(block) < ne:
-        raise ValueError(f"{path}:{at}: declares {ne} elements, but the "
-                         f"file holds only {len(block)}")
-    if pos + ne < len(lines):
-        raise ValueError(f"{path}:{lines[pos + ne][0]}: content after the "
+    elements, tags = block(at, ne, "elements", element_table,
+                           _element_lines)
+    rest, _ = _content_lines(raw, pos, 1)
+    if rest:
+        raise ValueError(f"{path}:{rest[0][0]}: content after the "
                          "element block")
 
     return SimplicialMesh(nodes, elements, markers, region_tags=tags)

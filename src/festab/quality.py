@@ -10,6 +10,7 @@ simplex onto K.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field as dc_field
 
@@ -176,13 +177,93 @@ class MeshQualitySummary:
         self.max_q_ali = float(self.q_ali.max())
 
 
+# Relative margin of the pivot screen in `_max_sandwich_eig`: a few ulps,
+# so a value that passes is as accurate as `eigvalsh`'s own.
+SCREEN_DELTA = 4e-15
+
+
+def _closed_form_top(m, d):
+    """Largest eigenvalues of the symmetric matrices (d = 2, 3) whose
+    entries are the (ne,) vectors m[i][j], i <= j: (a+c)/2 + hypot((a-c)/2,
+    b) for d = 2, the trigonometric form (Smith, CACM 4 (1961) 168) for
+    d = 3.  The latter loses accuracy near multiple eigenvalues, which
+    `_max_sandwich_eig`'s screen detects.  A zero radius p (a multiple of
+    I) gives the mean of the diagonal."""
+    if d == 2:
+        a, b, c = m[0][0], m[0][1], m[1][1]
+        return 0.5 * (a + c) + np.hypot(0.5 * (a - c), b)
+    q = (m[0][0] + m[1][1] + m[2][2]) / 3.0
+    b00, b11, b22 = m[0][0] - q, m[1][1] - q, m[2][2] - q
+    b01, b02, b12 = m[0][1], m[0][2], m[1][2]
+    p = np.sqrt((b00 * b00 + b11 * b11 + b22 * b22
+                 + 2.0 * (b01 * b01 + b02 * b02 + b12 * b12)) / 6.0)
+    # B = (S - qI) / p and r = det(B) / 2
+    t = 1.0 / np.where(p > 0.0, p, 1.0)
+    b00, b11, b22, b01, b02, b12 = (x * t for x in (b00, b11, b22,
+                                                     b01, b02, b12))
+    r = 0.5 * (b00 * (b11 * b22 - b12 * b12) - b01 * (b01 * b22 - b12 * b02)
+               + b02 * (b01 * b12 - b11 * b02))
+    phi = np.arccos(np.clip(r, -1.0, 1.0)) / 3.0
+    return q + 2.0 * p * np.cos(phi)
+
+
+def _pivots_positive(m, mu, d):
+    """Mask of the matrices whose LDL^T pivots of mu I - S are all positive,
+    S given by its entries m[i][j], i <= j (d = 2, 3): mu is above lmax(S)
+    up to the O(eps ||S||) backward error of the pivots."""
+    t00 = mu - m[0][0]
+    d1 = (mu - m[1][1]) - m[0][1] * m[0][1] / t00
+    if d == 2:
+        return (t00 > 0.0) & (d1 > 0.0)
+    u = -m[1][2] - m[0][1] * m[0][2] / t00
+    d2 = (mu - m[2][2]) - m[0][2] * m[0][2] / t00 - u * u / d1
+    return (t00 > 0.0) & (d1 > 0.0) & (d2 > 0.0)
+
+
 def _max_sandwich_eig(F, X):
     """Per-element largest eigenvalue of the symmetric part of
     F_K X_K F_K^T, for stacks (ne, d, d) of matrices F and X.  With F the
     reference-map inverses F'^-1 this is the alignment norm
-    ||F'^-1 X_K F'^-T||_2."""
-    S = F @ X @ np.swapaxes(F, 1, 2)
-    return np.linalg.eigvalsh(0.5 * (S + np.swapaxes(S, 1, 2)))[:, -1]
+    ||F'^-1 X_K F'^-T||_2.
+
+    The entries of the symmetric part are summed from F X and F, with no
+    second stack product; for d = 1 the one entry is the value.  For
+    d = 2, 3 each matrix is scaled by the power of two that brings its
+    largest |entry| into [0.5, 1), as `fields._inv` does, and its top
+    eigenvalue lambda taken in closed form (`_closed_form_top`).  It is
+    kept when every LDL^T pivot of mu I - S is positive at mu = lambda (1
+    + SCREEN_DELTA) and some pivot is not at mu = lambda (1 -
+    SCREEN_DELTA): the signs give the inertia of mu I - S up to a
+    backward error O(eps ||S||), so a kept value is within about
+    SCREEN_DELTA of lmax.  The matrices that fail either test, or give a
+    non-finite value, go to `eigvalsh`.
+    """
+    G = F @ X
+    d = G.shape[-1]
+    m = [[None] * d for _ in range(d)]
+    for i in range(d):
+        m[i][i] = sum(G[:, i, k] * F[:, i, k] for k in range(d))
+        for j in range(i + 1, d):
+            m[i][j] = 0.5 * sum(G[:, i, k] * F[:, j, k]
+                                + G[:, j, k] * F[:, i, k] for k in range(d))
+    if d == 1:
+        return m[0][0]
+    entries = [m[i][j] for i in range(d) for j in range(i, d)]
+    big = functools.reduce(np.maximum, map(np.abs, entries))
+    scale = np.ldexp(1.0, -np.frexp(big)[1])
+    for x in entries:
+        x *= scale
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lam = _closed_form_top(m, d)
+        ok = (_pivots_positive(m, lam * (1.0 + SCREEN_DELTA), d)
+              & ~_pivots_positive(m, lam * (1.0 - SCREEN_DELTA), d))
+    lam /= scale
+    rest = np.flatnonzero(~ok)
+    if len(rest):
+        Fr = F[rest]
+        S = Fr @ X[rest] @ np.swapaxes(Fr, 1, 2)
+        lam[rest] = np.linalg.eigvalsh(0.5 * (S + np.swapaxes(S, 1, 2)))[:, -1]
+    return lam
 
 
 def _metric_geometry(ctx):

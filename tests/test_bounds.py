@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import festab as fs
 from festab import assembly as assembly_mod
 from festab import bounds as bounds_mod
+from festab import mesh as mesh_mod
 from conftest import (PROPERTY, elements_of, equilateral_lattice,
                       face_bracket_oracle, jittered_mesh_2d, jittered_mesh_3d, problems,
                       two_triangle_square, volume_ratio_c1_oracle)
@@ -540,7 +541,7 @@ def neighbor_meshes(draw):
           suppress_health_check=[HealthCheck.too_slow])
 @given(neighbor_meshes())
 def test_volume_ratio_c1_matches_dict_oracle(mesh):
-    assert bounds_mod._volume_ratio_c1(mesh) == volume_ratio_c1_oracle(mesh)
+    assert mesh_mod._volume_ratio_c1(mesh) == volume_ratio_c1_oracle(mesh)
 
 
 @pytest.mark.parametrize("k", [2, 3])
@@ -556,7 +557,7 @@ def test_face_keys_exact_near_2_to_the_32(k):
     faces = np.array(list(itertools.combinations(verts, k)), dtype=np.int64)
     faces = np.repeat(faces, rng.integers(1, 4, len(faces)), axis=0)
     faces = faces[rng.permutation(len(faces))]
-    keys = bounds_mod._face_keys(faces, n)
+    keys = mesh_mod._face_keys(faces, n)
     assert all(key.dtype == np.uint64 for key in keys)
     _, by_rows = np.unique(faces, axis=0, return_inverse=True)
     _, by_keys = np.unique(np.stack(keys, axis=1), axis=0,
@@ -564,7 +565,7 @@ def test_face_keys_exact_near_2_to_the_32(k):
     assert np.array_equal(by_rows.ravel(), by_keys.ravel())
     assert np.array_equal(np.lexsort(keys[::-1]), np.lexsort(faces.T[::-1]))
     with pytest.raises(ValueError, match="2\\*\\*32 nodes"):
-        bounds_mod._face_keys(faces, n + 1)
+        mesh_mod._face_keys(faces, n + 1)
 
 
 def test_volume_ratio_c1_single_element_and_known_ratio():
@@ -573,18 +574,18 @@ def test_volume_ratio_c1_single_element_and_known_ratio():
     tet = fs.SimplicialMesh(np.vstack([np.zeros(3), np.eye(3)]),
                             np.array([[0, 1, 2, 3]]), _one_dirichlet(4))
     for mesh in (tri, tet):
-        assert bounds_mod._volume_ratio_c1(mesh) == 1.0
+        assert mesh_mod._volume_ratio_c1(mesh) == 1.0
     # two triangles of areas 1/2 and 3/2 across the edge x = 1
     pair = fs.SimplicialMesh(
         np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [4.0, 0.0]]),
         np.array([[0, 1, 2], [1, 3, 2]]), _one_dirichlet(4))
-    assert bounds_mod._volume_ratio_c1(pair) == pytest.approx(3.0)
+    assert mesh_mod._volume_ratio_c1(pair) == pytest.approx(3.0)
     # a face shared by three elements pairs the first two, as the dict did
     fan = fs.SimplicialMesh(
         np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [0.5, -1.0],
                   [0.5, 4.0]]),
         np.array([[0, 1, 2], [0, 1, 3], [0, 1, 4]]), _one_dirichlet(5))
-    assert bounds_mod._volume_ratio_c1(fan) == 1.0
+    assert mesh_mod._volume_ratio_c1(fan) == 1.0
     assert volume_ratio_c1_oracle(fan) == 1.0
 
 
@@ -638,6 +639,22 @@ def test_context_tests_nonobtuseness_once(monkeypatch):
     for kind in fs.MASS_KINDS:
         fs.stability_report(mesh, ctx.field, mass_kind=kind, context=ctx)
     assert len(calls) == 1
+
+
+def test_context_finds_face_neighbour_ratio_once(monkeypatch):
+    """The face-neighbour volume ratio c1 of `zhu_du_bound` is a context
+    quantity: three reports on one context sort the faces once."""
+    calls = []
+    real = assembly_mod._volume_ratio_c1
+    monkeypatch.setattr(assembly_mod, "_volume_ratio_c1",
+                        lambda mesh: calls.append(mesh) or real(mesh))
+    mesh = jittered_mesh_2d(np.random.default_rng(13), 4, 4)
+    ctx = fs.ProblemContext(mesh, fs.aniso2d(10.0), 4)
+    for kind in fs.MASS_KINDS:
+        fs.stability_report(mesh, ctx.field, mass_kind=kind, context=ctx)
+    assert calls == [mesh]
+    assert fs.zhu_du_bound(ctx).c1 == volume_ratio_c1_oracle(mesh)
+    assert calls == [mesh]
 
 
 def test_mass_tilde_per_kind():

@@ -1,5 +1,7 @@
 """Command-line interface: subcommands, exit codes and output formats."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -7,9 +9,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 import festab as fs
 from festab.cli import main
+from conftest import PROPERTY
 
 
 # ---------------------------------------------------------------------------
@@ -556,3 +560,41 @@ def test_removed_options_are_usage_errors(capsys):
                  ["experiment", "spec.ini", "--threads", "1"]):
         assert main(argv) == 1
     capsys.readouterr()
+
+
+# ---------------------------------------------------------------------------
+# malformed field text
+# ---------------------------------------------------------------------------
+
+_FIELD_NAMES = ("identity", "constant", "per1d", "nonper1d", "aniso2d",
+                "piecewise")
+_FIELD_KEYS = ("value", "eps", "kappa", "file")
+_FIELD_VALUES = ("0", "-1", "-0", "0.5", "2", "1e-300", "1e300", "1e400",
+                 "nan", "inf", "-inf", "")
+_field_items = st.builds(
+    lambda key, eq, value: key + eq + value,
+    st.sampled_from(_FIELD_KEYS) | st.text(max_size=6),
+    st.sampled_from(["=", ""]),
+    st.sampled_from(_FIELD_VALUES) | st.text(max_size=8))
+_field_texts = st.builds(
+    lambda name, colon, items, tail: name + colon + ",".join(items) + tail,
+    st.sampled_from(_FIELD_NAMES) | st.text(max_size=10),
+    st.sampled_from([":", ""]),
+    st.lists(_field_items, max_size=3),
+    st.sampled_from(["", ","]))
+
+
+@PROPERTY
+@given(_field_texts)
+def test_malformed_field_text_exits_cleanly(text):
+    """Any `--field=<text>` (the `=` form passes text starting with `-`
+    too) either runs or exits 2 with a one-line message and no
+    traceback."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        code = main(["analyze", "--grid", "3x3", f"--field={text}"])
+    assert code in (0, 2), (code, err.getvalue())
+    if code == 2:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and "Traceback" not in lines[0], lines

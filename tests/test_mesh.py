@@ -584,6 +584,18 @@ _LAYOUTS = {
         for i, l in enumerate(lines)] + ["# the end"],
     "blank-and-comment-lines": lambda lines, node, element: [
         x for l in lines for x in (l, "   ", "#")],
+    # no comment: the raw lines after a header reach numpy's reader first,
+    # which skips these lines, so the block falls back to content lines
+    "blank-lines-between-rows": lambda lines, node, element: [
+        x for i, l in enumerate(lines) for x in ((l, "") if i % 5 else (l,))],
+    "whitespace-only-lines": lambda lines, node, element: [
+        x for i, l in enumerate(lines)
+        for x in ((l, " \t\x0c ") if i in (node, element) else (l,))],
+    "nbsp-only-lines": lambda lines, node, element: [
+        x for i, l in enumerate(lines)
+        for x in ((l, "\xa0\xa0") if i % 7 == 3 else (l,))],
+    "leading-and-trailing-blank-lines": lambda lines, node, element:
+        ["", "  ", ""] + lines + ["", "\t", ""],
     "mixed-tag-widths": _mixed_widths,
     "mixed-widths-and-underscore": lambda lines, node, element:
         _mixed_widths(lines, node, element)[:element]

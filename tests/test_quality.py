@@ -1,13 +1,16 @@
 """Quadrature on simplices, element averages, and quality measures."""
 
+import gc
 import math
+import warnings
+import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 import festab as fs
-from festab import assembly, fields
+from festab import assembly, fields, quality
 from conftest import (PROPERTY, equilateral_lattice, jittered_mesh_2d,
                       jittered_mesh_3d, obtuse_pair, problems)
 
@@ -214,6 +217,28 @@ def test_context_inverse_average_shares_one_evaluation(monkeypatch):
     assert np.array_equal(inv.inverse.Dk, ctx.Dk)
 
 
+@pytest.mark.parametrize("field", [fs.Constant(np.diag([2.0, 0.5])),
+                                   fs.aniso2d(100.0)],
+                         ids=["constant", "aniso2d"])
+def test_context_and_its_inverse_form_no_reference_cycle(field):
+    """A context and its `inverse`, once read by a report and the quality
+    summary, are freed by reference counting alone when the caller lets
+    them go: no cycle keeps their arrays until a garbage collection."""
+    mesh = jittered_mesh_2d(np.random.default_rng(4))
+    ctx = fs.ProblemContext(mesh, field)
+    fs.stability_report(mesh, field, context=ctx)
+    inv = ctx.inverse
+    fs.mesh_quality_summary(inv)
+    assert inv.inverse is ctx and inv.metric_alignment is not None
+    refs = [weakref.ref(ctx), weakref.ref(inv)]
+    gc.disable()
+    try:
+        del ctx, inv
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()
+
+
 @pytest.mark.parametrize("kind", ["constant", "piecewise"])
 def test_functions_of_d_k_see_only_the_distinct_matrices(kind, monkeypatch):
     """For a field constant on each element, no inversion, eigenvalue,
@@ -380,6 +405,80 @@ def test_alignment_bounded_by_inscribed_ratio():
         rho = q.rho_metric[0]
         h_elem = q.h_elem[0]
         assert q.q_ali[0] <= hhat2 * (h_elem / rho) ** 2 * (1.0 + 1e-10)
+
+
+# ---------------------------------------------------------------------------
+# alignment norms: closed form screened by LDL^T pivots
+# ---------------------------------------------------------------------------
+
+def _spectra(kind, d, rng, n):
+    """(n, d) ascending eigenvalues of one kind, top eigenvalue near 1:
+    the top d of three."""
+    low = np.sort(rng.uniform(0.1, 0.9, (n, 3)), axis=1)
+    if kind == "distinct":
+        return np.sort(rng.uniform(0.1, 1.0, (n, 3)), axis=1)[:, -d:]
+    if kind == "double-top":
+        low[:, -2:] = 1.0
+    elif kind == "double-bottom":
+        low[:, :2] = low[:, :1]
+        low[:, -1] = 1.0
+    elif kind == "triple":
+        low[:] = 1.0
+    elif kind == "top-gap-1e-8":
+        low[:, -2:] = 1.0, 1.0 + 1e-8
+    elif kind == "condition-1e12":
+        low = np.sort(10.0 ** rng.uniform(-12.0, 0.0, (n, 3)), axis=1)
+        low[:, 0], low[:, -1] = 1e-12, 1.0
+    elif kind == "low-pair-1e-8":
+        low[:, :2], low[:, -1] = 1e-8, 1.0
+    return low[:, -d:]
+
+
+_SPECTRUM_KINDS = ("distinct", "double-top", "double-bottom", "triple",
+                   "top-gap-1e-8", "condition-1e12", "low-pair-1e-8")
+
+
+@PROPERTY
+@given(st.integers(0, 2 ** 32 - 1))
+def test_max_sandwich_eig_matches_eigvalsh_on_hard_spectra(seed):
+    """The closed-form alignment kernel agrees with `eigvalsh` to 1e-14
+    relative on rotated SPD stacks whose spectra defeat the closed form
+    (multiple eigenvalues, a 1e-8 top gap, condition up to 1e12), scaled
+    per matrix by 2^k, |k| <= 1000, and on multiples of I, where the
+    trigonometric radius is 0; no RuntimeWarning is raised."""
+    rng = np.random.default_rng(seed)
+    n = 64
+    for d in (1, 2, 3):
+        scale = np.ldexp(1.0, rng.integers(-1000, 1001, n))
+        scale[:4] = np.ldexp(1.0, [-1000, -500, 500, 1000])
+        stacks = [np.eye(d) * (scale * rng.uniform(0.5, 2.0, n))[:, None,
+                                                                 None]]
+        for kind in _SPECTRUM_KINDS:
+            lam = _spectra(kind, d, rng, n) * scale[:, None]
+            Q = np.linalg.qr(rng.standard_normal((n, d, d)))[0]
+            stacks.append((Q * lam[:, None, :]) @ np.swapaxes(Q, 1, 2))
+        for X in stacks:
+            F = np.broadcast_to(np.eye(d), X.shape)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                got = quality._max_sandwich_eig(F, X)
+            want = np.linalg.eigvalsh(0.5 * (X + np.swapaxes(X, 1, 2)))
+            assert np.all(np.abs(got - want[:, -1]) <= 1e-14 * want[:, -1])
+
+
+def test_alignment_takes_no_eigvalsh_on_a_jittered_mesh(monkeypatch):
+    """On a jittered 12^3 mesh with the identity field every alignment
+    norm passes the screen: `eigvalsh` sees no stack."""
+    mesh = jittered_mesh_3d(np.random.default_rng(5), 12)
+    ctx = fs.ProblemContext(mesh, fs.identity(3))
+    ctx.reference_map_inverses, ctx.Dk
+    stacks = []
+    real = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda a, *args: stacks.append(a.shape)
+                        or real(a, *args))
+    assert ctx.alignment.shape == (mesh.num_elements,)
+    assert stacks == []
 
 
 # ---------------------------------------------------------------------------
