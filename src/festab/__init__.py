@@ -21,7 +21,8 @@ from .quality import (simplex_rule, conical_product_rule, element_averages,
                       mesh_quality_summary, is_nonobtuse_wrt)
 from .assembly import (DofMap, ProblemContext, MASS_KINDS, assemble_mass,
                        assemble_lumped, row_sum_lumping, assemble_stiffness)
-from .bounds import (c_grad, c_sharp, c_star, EigEstimate, lambda_max_exact,
+from .eigen import EigEstimate
+from .bounds import (c_grad, c_sharp, c_star, lambda_max_exact,
                      max_eigvec_exact, lambda_max_lanczos, lambda_max_power,
                      DiagRatioBound, diag_ratio_bound, TauValues, tau_values,
                      GeometricBound, geometric_bound, MUniformBound,

@@ -4,7 +4,8 @@ R is the first-order s-stage shifted Chebyshev polynomial
 T_s(w0 + w1 z) / T_s(w0), stable on [-beta, 0] with beta = 2 s^2 for the
 undamped family (w0 = 1).  A small damping eta > 0 shrinks the interval
 slightly in exchange for |R| < 1 in its interior.  The L2 monitor always
-uses the full mass matrix, also when stepping is lumped.
+uses the full mass matrix, also when stepping is lumped.  Each solve with
+Mtilde is the mass solver of one `eigen._Pencil` per run.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import _Pencil
+from .eigen import _Pencil
 
 
 def _cheb_t_dt(s, x):
@@ -141,21 +142,21 @@ def integrate(scheme, Mtilde, M_full, A, U0, tau, steps):
         raise ValueError("need at least one step")
     if tau <= 0.0:
         raise ValueError("tau must be positive")
-    U = np.asarray(U0, dtype=float).copy()
-    pencil = _Pencil(Mtilde, A)
+    return _integrate_with_pencil(scheme, _Pencil(Mtilde, A), M_full, A, U0,
+                                  tau, steps)
 
+
+def _integrate_with_pencil(scheme, pencil, M_full, A, U0, tau, steps):
+    """`integrate` stepping on `pencil`, the pencil of (A, Mtilde)."""
+    U = np.asarray(U0, dtype=float)
     l2 = np.empty(steps + 1)
     en = np.empty(steps + 1)
     l2[0], en[0] = norms(U, M_full, A)
-    unstable_at = None
-    n_done = steps
     for n in range(1, steps + 1):
         U = _step_with_pencil(scheme, pencil, U, tau)
         a, b = norms(U, M_full, A)
         l2[n], en[n] = a, b
         if not (np.isfinite(a) and np.isfinite(b)) or max(a, b) > OVERFLOW_LIMIT:
-            unstable_at = n
-            n_done = n
-            break
-    return NormTrace(l2=l2[:n_done + 1], energy=en[:n_done + 1], tau=tau,
-                     unstable_at=unstable_at)
+            return NormTrace(l2=l2[:n + 1], energy=en[:n + 1], tau=tau,
+                             unstable_at=n)
+    return NormTrace(l2=l2, energy=en, tau=tau)

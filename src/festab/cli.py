@@ -21,9 +21,9 @@ from .mesh import (gen_equidistributed_1d, gen_structured_2d,
 from .fields import identity, parse_field_spec, adapted_weight
 from .quality import mesh_quality_summary
 from .assembly import ProblemContext
-from .bounds import (BOUND_NAMES, max_eigvec_exact, stability_report,
-                     write_report_csv)
-from .chebyshev import ChebyshevScheme, integrate
+from .bounds import BOUND_NAMES, stability_report, write_report_csv
+from .chebyshev import ChebyshevScheme, _integrate_with_pencil
+from .eigen import _Pencil, _top_eigpair
 from .experiments import (gen_groundwater_like, gen_metric_aligned,
                           run_experiment_file)
 
@@ -192,28 +192,17 @@ def cmd_gen(args):
 
 
 def cmd_analyze(args):
-    # the Lanczos options left unset keep stability_report's defaults
-    lanczos_opts = {key: value for key, value in (("seed", args.seed),
-                                                  ("security", args.security))
-                    if value is not None}
-    if lanczos_opts and args.lanczos is None:
-        raise _UsageError("--seed and --security need --lanczos")
     ctx, mass_kind, mesh_id = _build_problem(args)
     report = stability_report(
         ctx.mesh, ctx.field, mass_kind=mass_kind, s=args.stages,
         quad_order=args.quad_order, lanczos_steps=args.lanczos,
-        include=tuple(args.bounds.split(",")), mesh_id=mesh_id, context=ctx,
-        **lanczos_opts)
+        include=tuple(args.bounds.split(",")), mesh_id=mesh_id, context=ctx)
 
     payload = asdict(report)
     # the quality of the mesh in the metric D^-1, from the report's averages
     quality = mesh_quality_summary(ctx.inverse)
-    payload["quality"] = {
-        "h_global": quality.h_global,
-        "max_q_eq": quality.max_q_eq,
-        "max_q_ali": quality.max_q_ali,
-        "max_q_m": quality.max_q_m,
-    }
+    payload["quality"] = {key: getattr(quality, key) for key in
+                          ("h_global", "max_q_eq", "max_q_ali", "max_q_m")}
 
     if args.format == "json":
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
@@ -239,23 +228,20 @@ def cmd_analyze(args):
 def cmd_integrate(args):
     ctx, mass_kind, _ = _build_problem(args)
     dof, M, A = ctx.dofmap, ctx.M, ctx.A
-    Mt = ctx.mass_tilde(mass_kind)
+    # one pencil for the eigenpair and the march: Mtilde is factored once
+    pencil = _Pencil(ctx.mass_tilde(mass_kind), A)
     scheme = ChebyshevScheme(args.stages, damping=args.damping)
 
-    rng = np.random.default_rng(args.seed)
-    lam = vec = None
     if args.seed_eigvec or args.tau is None:
-        lam, vec = max_eigvec_exact(Mt, A)
-    if args.tau is not None:
-        tau = args.tau
-    else:
-        tau = args.tau_frac * scheme.tau_max(lam)
+        est, vec = _top_eigpair(pencil)
+    tau = args.tau
+    if tau is None:
+        tau = args.tau_frac * scheme.tau_max(est.value)
+    U0 = np.random.default_rng(args.seed).standard_normal(dof.n_free)
     if args.seed_eigvec:
-        U0 = vec + 1e-8 * rng.standard_normal(dof.n_free)
-    else:
-        U0 = rng.standard_normal(dof.n_free)
+        U0 = vec + 1e-8 * U0
 
-    trace = integrate(scheme, Mt, M, A, U0, tau, args.steps)
+    trace = _integrate_with_pencil(scheme, pencil, M, A, U0, tau, args.steps)
     if args.output:
         trace.to_csv(args.output)
 
@@ -308,12 +294,6 @@ def _build_parser():
                       default=None, help="estimate lambda_max by STEPS "
                                          "Lanczos steps instead of the "
                                          "certified sparse solve")
-    p_an.add_argument("--security", type=_positive_float, default=None,
-                      help="multiplier on the Lanczos estimate (default "
-                           "1.1; needs --lanczos)")
-    p_an.add_argument("--seed", type=int, default=None,
-                      help="Lanczos start-vector seed (default 2; needs "
-                           "--lanczos)")
     p_an.add_argument("--stages", type=_positive_int, default=1,
                       help="Chebyshev stage count s")
     p_an.add_argument("--bounds", default=",".join(BOUND_NAMES),

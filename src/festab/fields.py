@@ -8,6 +8,8 @@ families: per1d, nonper1d, aniso2d, identity, constant, piecewise.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 SPD_RTOL = 1e-14
@@ -85,6 +87,13 @@ def _clearly_spd(mats):
                 & (det > _SCREEN_MARGIN * trace ** 3))
 
 
+def _pow2_scale(entries):
+    """Per matrix, the exact 2^-e that brings its largest |entry| into
+    [0.5, 1) (1 for zero), given its entries as arrays of one shape."""
+    big = functools.reduce(np.maximum, map(np.abs, entries))
+    return np.ldexp(1.0, -np.frexp(big)[1])
+
+
 def _inv(mats):
     """Inverses of a stack (..., d, d) of matrices with d <= 3, by the
     adjugate over the determinant; np.linalg.LinAlgError, as from
@@ -95,18 +104,16 @@ def _inv(mats):
     inverse: 5e4 eps cond(A) at eigenvalues (1, 1, 1e6).  One Newton step
     X + X (I - A X) brings it back to the eps cond(A) of np.linalg.inv.
 
-    Each matrix is first scaled by the power of two that brings its
-    largest |entry| into [0.5, 1), and its inverse by the same factor, so
-    the d-fold products neither overflow nor underflow at any scale and,
-    the scaling being exact, the digits are those of the unscaled
-    formulas.
+    Each matrix and its inverse are scaled by `_pow2_scale`, so the
+    d-fold products neither overflow nor underflow at any scale, and the
+    digits are those of the unscaled formulas.
     """
     mats = np.asarray(mats, dtype=float)
     d = mats.shape[-1]
     if d > 3:
         raise ValueError(f"_inv supports d <= 3, got {d}x{d} matrices")
-    big = np.maximum(mats.max(axis=(-2, -1)), -mats.min(axis=(-2, -1)))
-    scale = np.ldexp(1.0, -np.frexp(big)[1])[..., None, None]
+    entries = [mats[..., r, q] for r in range(d) for q in range(d)]
+    scale = _pow2_scale(entries)[..., None, None]
     mats = mats * scale
     m = [[mats[..., r, q] for q in range(d)] for r in range(d)]
     adj = np.empty_like(mats)

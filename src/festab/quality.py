@@ -10,13 +10,12 @@ simplex onto K.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .fields import check_spd
+from .fields import _pow2_scale, check_spd
 
 
 # ----------------------------------------------------------------------
@@ -228,8 +227,7 @@ def _max_sandwich_eig(F, X):
 
     The entries of the symmetric part are summed from F X and F, with no
     second stack product; for d = 1 the one entry is the value.  For
-    d = 2, 3 each matrix is scaled by the power of two that brings its
-    largest |entry| into [0.5, 1), as `fields._inv` does, and its top
+    d = 2, 3 each matrix is scaled by `fields._pow2_scale`, and its top
     eigenvalue lambda taken in closed form (`_closed_form_top`).  It is
     kept when every LDL^T pivot of mu I - S is positive at mu = lambda (1
     + SCREEN_DELTA) and some pivot is not at mu = lambda (1 -
@@ -249,8 +247,7 @@ def _max_sandwich_eig(F, X):
     if d == 1:
         return m[0][0]
     entries = [m[i][j] for i in range(d) for j in range(i, d)]
-    big = functools.reduce(np.maximum, map(np.abs, entries))
-    scale = np.ldexp(1.0, -np.frexp(big)[1])
+    scale = _pow2_scale(entries)
     for x in entries:
         x *= scale
     with np.errstate(divide="ignore", invalid="ignore"):

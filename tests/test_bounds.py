@@ -730,10 +730,10 @@ def test_stability_report_include_and_methods():
     assert rep.lambda_zhudu_upper is None
     assert [r[0] for r in rep.method_rows()] == ["diag"]
     assert rep.method.endswith(",certified)")
-    lz = fs.stability_report(tt, fs.identity(2), lanczos_steps=3,
-                             security=1.0)
+    lz = fs.stability_report(tt, fs.identity(2), lanczos_steps=3)
     assert lz.method.startswith("lanczos(steps=")
-    assert lz.lambda_exact == pytest.approx(rep.lambda_exact, rel=1e-9)
+    # the report's Lanczos estimate carries the default security factor
+    assert lz.lambda_exact == pytest.approx(1.1 * rep.lambda_exact, rel=1e-9)
     with pytest.raises(ValueError):
         fs.stability_report(tt, fs.identity(2), lanczos_steps=0)
     with pytest.raises(ValueError):

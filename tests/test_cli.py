@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -194,23 +195,11 @@ def test_analyze_check_estimate_exit_codes(capsys):
 
 
 def test_analyze_lanczos_flag_implies_method(capsys):
-    assert main(["analyze", "--grid", "6x6", "--lanczos", "5",
-                 "--security", "1.1"]) == 0
+    assert main(["analyze", "--grid", "6x6", "--lanczos", "5"]) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert payload["method"].startswith("lanczos(steps=5,seed=2")
+    assert payload["method"] == "lanczos(steps=5,seed=2,security=1.1)"
     # the secured estimate stays above the provable lower bound
     assert payload["lambda_exact"] >= payload["lambda_diag_lower"]
-
-
-@pytest.mark.parametrize("option", [["--seed", "5"], ["--security", "9"]])
-def test_analyze_lanczos_options_need_lanczos(capsys, option):
-    assert main(["analyze", "--grid", "6x6"] + option) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "--seed and --security need --lanczos" in captured.err
-    assert main(["analyze", "--grid", "6x6", "--lanczos", "5"] + option) == 0
-    method = json.loads(capsys.readouterr().out)["method"]
-    assert (option[0][2:] + "=" + option[1]) in method
 
 
 def test_analyze_piecewise_field_from_a_regions_file(tmp_path, capsys):
@@ -348,6 +337,33 @@ def test_integrate_explicit_tau(capsys):
     assert out.startswith("PASS")
 
 
+def test_integrate_factors_the_full_mass_once(tmp_path, monkeypatch, capsys):
+    # one pencil serves the certified eigenpair and the march
+    from festab import eigen as eigen_mod
+    real, calls = eigen_mod._Pencil.cholesky, []
+
+    def counted(self, a, b):
+        calls.append((a, b))
+        return real(self, a, b)
+
+    monkeypatch.setattr(eigen_mod._Pencil, "cholesky", counted)
+    trace = tmp_path / "trace.csv"
+    assert main(["integrate", "--grid", "16x16", "--steps", "3",
+                 "-o", str(trace)]) == 0
+    capsys.readouterr()
+    assert calls.count((1.0, 0.0)) == 1
+    # the same trace through the public API, which builds two pencils
+    ctx = fs.ProblemContext(fs.gen_structured_2d(16, 16), fs.identity(2))
+    M, A = ctx.M, ctx.A
+    lam, _ = fs.max_eigvec_exact(M, A)
+    scheme = fs.ChebyshevScheme(1)
+    U0 = np.random.default_rng(0).standard_normal(ctx.dofmap.n_free)
+    api = tmp_path / "api.csv"
+    fs.integrate(scheme, M, M, A, U0, scheme.tau_max(lam), 3).to_csv(api)
+    assert calls.count((1.0, 0.0)) == 3
+    assert trace.read_bytes() == api.read_bytes()
+
+
 def test_integrate_usage_guards(capsys):
     # --steps is required and must be positive
     assert main(["integrate", "--uniform1d", "8"]) == 1
@@ -365,13 +381,13 @@ def test_integrate_usage_guards(capsys):
 @pytest.mark.parametrize("fault", ["certificate", "memory"])
 def test_eigen_failures_exit_2_with_one_line(monkeypatch, capsys, argv,
                                              fault):
-    from festab import bounds as bounds_mod
+    from festab import eigen as eigen_mod
     if fault == "certificate":
-        monkeypatch.setattr(bounds_mod, "_certified", lambda *args: False)
+        monkeypatch.setattr(eigen_mod, "_certified", lambda *args: False)
     else:
         def no_memory(*args, **kwargs):
             raise MemoryError
-        monkeypatch.setattr(bounds_mod, "dpbtrf", no_memory)
+        monkeypatch.setattr(eigen_mod, "dpbtrf", no_memory)
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -555,6 +571,10 @@ def test_removed_options_are_usage_errors(capsys):
                  ["analyze", "--uniform1d", "4", "--threads", "2"],
                  ["analyze", "--uniform1d", "4", "--eig", "power"],
                  ["analyze", "--uniform1d", "4", "--eig", "exact"],
+                 ["analyze", "--uniform1d", "4", "--lanczos", "5",
+                  "--seed", "5"],
+                 ["analyze", "--uniform1d", "4", "--lanczos", "5",
+                  "--security", "9"],
                  ["integrate", "--uniform1d", "4", "--steps", "1",
                   "--reproducible"],
                  ["experiment", "spec.ini", "--threads", "1"]):

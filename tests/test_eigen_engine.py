@@ -17,7 +17,7 @@ import scipy.sparse as sp
 from hypothesis import HealthCheck, assume, given, settings
 
 import festab as fs
-from festab import bounds as bounds_mod
+from festab import eigen as eigen_mod
 from conftest import (PROPERTY, dense_lambda_max, dense_pencil_eigvals,
                       problems)
 
@@ -159,14 +159,14 @@ def test_groundwater_full_mass_returns_the_top_of_a_close_pair(monkeypatch):
     Mt, A = pencil(mesh, field, "full")
     evals = dense_pencil_eigvals(Mt, A)
     assert evals[-1] - evals[-2] > 1e-6 * evals[-1]
-    real = bounds_mod._certified
+    real = eigen_mod._certified
     verdicts = []
 
     def spy(*args):
         verdicts.append(real(*args))
         return verdicts[-1]
 
-    monkeypatch.setattr(bounds_mod, "_certified", spy)
+    monkeypatch.setattr(eigen_mod, "_certified", spy)
     est = fs.lambda_max_exact(Mt, A)
     assert abs(est.value - evals[-1]) <= ORACLE_RTOL * evals[-1]
     assert est.certified and verdicts == [True]
@@ -198,7 +198,7 @@ def test_certified_solve_on_every_small_size(kind):
         assert abs(est.value - want) <= ORACLE_RTOL * want, n
         assert est.certified and est.residual <= RESIDUAL_MAX
         assert est.method.startswith("shift-invert(shift=")
-        assert 1 <= est.solves <= bounds_mod.CERT_ATTEMPTS * n
+        assert 1 <= est.solves <= eigen_mod.CERT_ATTEMPTS * n
 
 
 def test_step_cap_never_returns_an_uncertified_value(monkeypatch):
@@ -207,8 +207,8 @@ def test_step_cap_never_returns_an_uncertified_value(monkeypatch):
     mesh = fs.gen_uniform_1d(512)
     Mt, A = pencil(mesh, fs.per1d(2.0 ** -4), "full")
     want = dense_lambda_max(Mt, A)
-    monkeypatch.setattr(bounds_mod, "SHIFT_INVERT_MAX_STEPS", 3)
-    real = bounds_mod._lanczos
+    monkeypatch.setattr(eigen_mod, "SHIFT_INVERT_MAX_STEPS", 3)
+    real = eigen_mod._lanczos
     taken = []
 
     def spy(pencil, steps, seed, shifted=None):
@@ -217,12 +217,12 @@ def test_step_cap_never_returns_an_uncertified_value(monkeypatch):
             taken.append(out[3])
         return out
 
-    monkeypatch.setattr(bounds_mod, "_lanczos", spy)
+    monkeypatch.setattr(eigen_mod, "_lanczos", spy)
     try:
         est = fs.lambda_max_exact(Mt, A)
     except ValueError as exc:
         assert str(exc).startswith("no certified lambda_max")
-        assert len(taken) == bounds_mod.CERT_ATTEMPTS
+        assert len(taken) == eigen_mod.CERT_ATTEMPTS
     else:
         assert est.certified
         assert abs(est.value - want) <= ORACLE_RTOL * want
@@ -240,7 +240,7 @@ def test_inertia_flips_across_lambda_max(kind):
     mesh = fs.SimplicialMesh(nodes, base.elements, base.node_markers)
     Mt, A = pencil(mesh, fs.aniso2d(100.0), kind)
     lam = dense_lambda_max(Mt, A)
-    pen = bounds_mod._Pencil(Mt, A)
+    pen = eigen_mod._Pencil(Mt, A)
     assert pen.cholesky(lam * (1.0 + 1e-8), -1.0) is not None
     assert pen.cholesky(lam * (1.0 - 1e-8), -1.0) is None
     assert pen.cholesky(1.0, 0.0) is not None
@@ -257,7 +257,7 @@ def test_banded_cholesky_solves_and_decides_definiteness(problem):
     Mt, A = pencil(mesh, field, kind)
     lam = dense_lambda_max(Mt, A)
     b = np.random.default_rng(0).standard_normal(A.shape[0])
-    pen = bounds_mod._Pencil(Mt, A)
+    pen = eigen_mod._Pencil(Mt, A)
     for solve, K in ((pen.mass_solver(), Mt),
                      (pen.cholesky(2.0 * lam, -1.0), 2.0 * lam * Mt - A)):
         want = np.linalg.solve(K.toarray(), b)
@@ -275,19 +275,19 @@ def test_one_ordering_per_certified_solve(monkeypatch, kind):
     # share the ordering of the pencil's joint pattern
     mesh = fs.gen_structured_2d(8, 8, diagonal="alternating")
     Mt, A = pencil(mesh, fs.aniso2d(100.0), kind)
-    real = bounds_mod.reverse_cuthill_mckee
+    real = eigen_mod.reverse_cuthill_mckee
     calls = []
 
     def counted(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(bounds_mod, "reverse_cuthill_mckee", counted)
+    monkeypatch.setattr(eigen_mod, "reverse_cuthill_mckee", counted)
     est = fs.lambda_max_exact(Mt, A)
     assert est.certified and len(calls) == 1
 
 
-class _BandedMass(bounds_mod._Pencil):
+class _BandedMass(eigen_mod._Pencil):
     """A pencil that factors a diagonal Mtilde from its full band, as the
     engine did before it kept the diagonal alone."""
 
@@ -303,12 +303,12 @@ class _BandedMass(bounds_mod._Pencil):
 def test_lumped_pencil_holds_no_mass_band(kind):
     mesh = fs.gen_structured_3d(4, 4, 4)
     Mt, A = pencil(mesh, fs.identity(3), kind)
-    pen = bounds_mod._Pencil(Mt, A)
-    est, vec = bounds_mod._top_eigpair(pen)
+    pen = eigen_mod._Pencil(Mt, A)
+    est, vec = eigen_mod._top_eigpair(pen)
     assert pen.dm is not None and pen._bands[0] is None
     assert pen._bands[1].shape == (pen.bw + 1, A.shape[0])
     banded = _BandedMass(Mt, A)
-    want, want_vec = bounds_mod._top_eigpair(banded)
+    want, want_vec = eigen_mod._top_eigpair(banded)
     assert banded._bands[0] is not None
     assert est == want and vec.tobytes() == want_vec.tobytes()
 
@@ -318,7 +318,7 @@ def test_lumped_mass_only_paths_build_no_ordering(monkeypatch, kind):
     mesh = fs.gen_structured_2d(8, 8, diagonal="alternating")
     Mt, A = pencil(mesh, fs.aniso2d(100.0), kind)
     calls = []
-    monkeypatch.setattr(bounds_mod, "reverse_cuthill_mckee",
+    monkeypatch.setattr(eigen_mod, "reverse_cuthill_mckee",
                         lambda *args, **kwargs: calls.append(args))
     fs.lambda_max_lanczos(Mt, A)
     fs.lambda_max_power(Mt, A, tol=1e-3)
@@ -331,14 +331,14 @@ def test_failed_certificate_retries(monkeypatch):
     mesh = fs.gen_structured_2d(8, 8)
     Mt, A = pencil(mesh, fs.identity(2), "full")
     want = dense_lambda_max(Mt, A)
-    real = bounds_mod._certified
+    real = eigen_mod._certified
     calls = []
 
     def fail_first(*args):
         calls.append(args)
         return len(calls) > 1 and real(*args)
 
-    monkeypatch.setattr(bounds_mod, "_certified", fail_first)
+    monkeypatch.setattr(eigen_mod, "_certified", fail_first)
     est = fs.lambda_max_exact(Mt, A)
     assert len(calls) == 2
     assert abs(est.value - want) <= ORACLE_RTOL * want
@@ -371,15 +371,15 @@ def _twin_tridiagonal():
 def _per1d_lanczos_tridiagonal():
     # the Lanczos matrix of a near-degenerate top pair, from the engine
     Mt, A = pencil(fs.gen_uniform_1d(512), fs.per1d(2.0 ** -4), "full")
-    real, seen = bounds_mod._ritz, []
+    real, seen = eigen_mod._ritz, []
 
     def spy(alphas, betas, beta):
         seen.append((list(alphas), list(betas)))
         return real(alphas, betas, beta)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(bounds_mod, "_ritz", spy)
-        bounds_mod._lanczos(bounds_mod._Pencil(Mt, A), 40, 0)
+        mp.setattr(eigen_mod, "_ritz", spy)
+        eigen_mod._lanczos(eigen_mod._Pencil(Mt, A), 40, 0)
     return seen[-1]
 
 
@@ -399,7 +399,7 @@ def test_ritz_matches_the_tridiagonal_oracle(name):
     given = (list(alphas), list(betas))
     k, beta = len(alphas), 0.75
     vals, vecs = sla.eigh_tridiagonal(np.array(alphas), np.array(betas))
-    theta, s, resid = bounds_mod._ritz(alphas, betas, beta)
+    theta, s, resid = eigen_mod._ritz(alphas, betas, beta)
     scale = np.abs(vals).max()
     assert abs(theta - vals[-1]) <= 1e-14 * scale
     assert s.shape == (k,) and np.linalg.norm(s) == pytest.approx(1.0)
@@ -426,7 +426,7 @@ def test_per1d_uniform_256_lumped_cluster_matches_the_oracle():
     assert est.certified and est.residual <= RESIDUAL_MAX
 
 
-class _Recording(bounds_mod._Pencil):
+class _Recording(eigen_mod._Pencil):
     """A pencil that keeps every vector the Lanczos kernel multiplies by
     Mtilde: the start vector, then each new basis vector before scaling."""
 
@@ -444,8 +444,8 @@ def test_lanczos_basis_stays_mass_orthonormal(monkeypatch, kind, mode):
     shifted = None
     if mode == "shift-invert":
         shifted = pen.cholesky(1.02 * dense_lambda_max(Mt, A), -1.0)
-        monkeypatch.setattr(bounds_mod, "RITZ_TOL", 0.0)   # never converged
-    assert bounds_mod._lanczos(pen, 60, 0, shifted)[3] == 60
+        monkeypatch.setattr(eigen_mod, "RITZ_TOL", 0.0)   # never converged
+    assert eigen_mod._lanczos(pen, 60, 0, shifted)[3] == 60
     Q = np.array(pen.seen[:60])
     Q /= np.sqrt(np.einsum("ij,ji->i", Q, Mt @ Q.T))[:, None]
     assert np.linalg.norm(Q @ (Mt @ Q.T) - np.eye(60), 2) <= 1e-12
@@ -521,10 +521,10 @@ def test_pencil_symmetry_decision_is_the_entrywise_one(name):
     eye = sp.csr_array(np.eye(3))
     for args, label in (((eye, X), "A"), ((X, eye), "Mtilde")):
         if want:
-            bounds_mod._Pencil(*args)
+            eigen_mod._Pencil(*args)
         else:
             with pytest.raises(ValueError, match=f"^{label} is not symmetric"):
-                bounds_mod._Pencil(*args)
+                eigen_mod._Pencil(*args)
     # the check works on a copy: the caller's arrays are untouched
     assert all(np.array_equal(a, b, equal_nan=True)
                for a, b in zip(stored, _stored_arrays(X)))

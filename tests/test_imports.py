@@ -1,5 +1,6 @@
 """Lint: no module of the package or the test suite imports a name at
-module level that it never reads; a cold `import festab` stays lean."""
+module level that it never reads; only `festab.eigen` imports LAPACK or
+a graph ordering; a cold `import festab` stays lean."""
 
 import ast
 import os
@@ -47,6 +48,45 @@ def test_scan_finds_unused_and_honours_all():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_module_level_imports(path):
     assert unused_imports(path.read_text()) == [], path.relative_to(ROOT)
+
+
+ENGINE_MODULES = ("scipy.linalg.lapack", "scipy.sparse.csgraph")
+
+
+def engine_imports(source):
+    """The modules under ENGINE_MODULES that `source` imports, at any
+    depth and in any import form."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names = [node.module] + [f"{node.module}.{alias.name}"
+                                     for alias in node.names]
+        else:
+            continue
+        found |= {top for name in names for top in ENGINE_MODULES
+                  if name == top or name.startswith(top + ".")}
+    return found
+
+
+def test_engine_scan_finds_every_import_form():
+    source = ("import scipy.sparse.csgraph as cg\n"
+              "from scipy.linalg import eigh, lapack\n"
+              "from scipy.sparse import csr_array\n"
+              "def f():\n    from scipy.linalg.lapack import dpbtrf\n")
+    assert engine_imports(source) == {"scipy.sparse.csgraph",
+                                      "scipy.linalg.lapack"}
+    assert engine_imports("import scipy.linalg as sla\n") == set()
+
+
+def test_only_the_eigen_module_factors_or_orders():
+    # every sparse factorization, LAPACK call and fill-reducing ordering is in
+    # festab.eigen, so a new factorization kernel changes one module
+    importers = sorted(path.name
+                       for path in (ROOT / "src" / "festab").glob("*.py")
+                       if engine_imports(path.read_text()))
+    assert importers == ["eigen.py"]
 
 
 def test_all_lists_exactly_the_public_imports():
