@@ -202,6 +202,22 @@ def test_analyze_lanczos_flag_implies_method(capsys):
     assert payload["lambda_exact"] >= payload["lambda_diag_lower"]
 
 
+@pytest.mark.parametrize("option", [["--seed", "5"], ["--security", "9"]])
+def test_analyze_lanczos_options_need_lanczos(capsys, option):
+    # --seed and --security are gone: the Lanczos estimate always uses seed
+    # 2 and security 1.1, and either option is a usage error with or
+    # without --lanczos
+    for argv in (["analyze", "--grid", "6x6"],
+                 ["analyze", "--grid", "6x6", "--lanczos", "5"]):
+        assert main(argv + option) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: " + " ".join(option) in captured.err
+    assert main(["analyze", "--grid", "6x6", "--lanczos", "5"]) == 0
+    method = json.loads(capsys.readouterr().out)["method"]
+    assert (option[0][2:] + "=" + option[1]) not in method
+
+
 def test_analyze_piecewise_field_from_a_regions_file(tmp_path, capsys):
     # the README's field spec for region-tagged tensors on a saved mesh
     mesh_file = tmp_path / "gw.mesh"
@@ -571,10 +587,6 @@ def test_removed_options_are_usage_errors(capsys):
                  ["analyze", "--uniform1d", "4", "--threads", "2"],
                  ["analyze", "--uniform1d", "4", "--eig", "power"],
                  ["analyze", "--uniform1d", "4", "--eig", "exact"],
-                 ["analyze", "--uniform1d", "4", "--lanczos", "5",
-                  "--seed", "5"],
-                 ["analyze", "--uniform1d", "4", "--lanczos", "5",
-                  "--security", "9"],
                  ["integrate", "--uniform1d", "4", "--steps", "1",
                   "--reproducible"],
                  ["experiment", "spec.ini", "--threads", "1"]):
