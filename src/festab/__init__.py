@@ -27,8 +27,7 @@ from .bounds import (c_grad, c_sharp, c_star, lambda_max_exact,
                      DiagRatioBound, diag_ratio_bound, TauValues, tau_values,
                      GeometricBound, geometric_bound, MUniformBound,
                      muniform_bound, ZhuDuBound, zhu_du_bound, ShewchukBound,
-                     shewchuk_bound, StabilityReport, stability_report,
-                     write_report_csv)
+                     shewchuk_bound, StabilityReport, stability_report)
 from .chebyshev import ChebyshevScheme, step, norms, NormTrace, integrate
 from .experiments import (FAMILIES, ExperimentSpec, TableRow, run_experiment,
                           parse_experiment_file, run_experiment_file,
@@ -54,7 +53,7 @@ __all__ = [
     "DiagRatioBound", "diag_ratio_bound", "TauValues", "tau_values",
     "GeometricBound", "geometric_bound", "MUniformBound", "muniform_bound",
     "ZhuDuBound", "zhu_du_bound", "ShewchukBound", "shewchuk_bound",
-    "StabilityReport", "stability_report", "write_report_csv",
+    "StabilityReport", "stability_report",
     "ChebyshevScheme", "step", "norms", "NormTrace", "integrate",
     "FAMILIES", "ExperimentSpec", "TableRow", "run_experiment",
     "parse_experiment_file", "run_experiment_file", "write_rows_csv",

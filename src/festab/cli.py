@@ -21,11 +21,12 @@ from .mesh import (gen_equidistributed_1d, gen_structured_2d,
 from .fields import identity, parse_field_spec, adapted_weight
 from .quality import mesh_quality_summary
 from .assembly import ProblemContext
-from .bounds import BOUND_NAMES, stability_report, write_report_csv
+from .bounds import stability_report
 from .chebyshev import ChebyshevScheme, _integrate_with_pencil
 from .eigen import _Pencil, _top_eigpair
-from .experiments import (gen_groundwater_like, gen_metric_aligned,
-                          run_experiment_file)
+from .experiments import (TableRow, gen_groundwater_like,
+                          gen_metric_aligned, run_experiment_file,
+                          write_rows_csv)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -196,7 +197,7 @@ def cmd_analyze(args):
     report = stability_report(
         ctx.mesh, ctx.field, mass_kind=mass_kind, s=args.stages,
         quad_order=args.quad_order, lanczos_steps=args.lanczos,
-        include=tuple(args.bounds.split(",")), mesh_id=mesh_id, context=ctx)
+        mesh_id=mesh_id, context=ctx)
 
     payload = asdict(report)
     # the quality of the mesh in the metric D^-1, from the report's averages
@@ -212,7 +213,8 @@ def cmd_analyze(args):
         else:
             sys.stdout.write(text)
     else:
-        write_report_csv([report], args.output or "report.csv")
+        write_rows_csv(args.output or "report.csv",
+                       [TableRow.from_report(report)])
         if not args.output:
             print("wrote report.csv")
 
@@ -296,8 +298,6 @@ def _build_parser():
                                          "certified sparse solve")
     p_an.add_argument("--stages", type=_positive_int, default=1,
                       help="Chebyshev stage count s")
-    p_an.add_argument("--bounds", default=",".join(BOUND_NAMES),
-                      help="comma list of bounds to evaluate")
     p_an.add_argument("--check-estimate", type=_positive_float, default=None,
                       metavar="LAMBDA",
                       help="exit 3 if LAMBDA is below the provable lower "

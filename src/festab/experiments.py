@@ -44,7 +44,7 @@ from .mesh import (DIRICHLET, NEUMANN, SimplicialMesh, _lattice,
 from .fields import (PiecewiseConstantPerElement, adapted_weight, aniso2d,
                      identity, nonper1d, per1d)
 from .assembly import ProblemContext
-from .bounds import BOUND_NAMES, _check_bound_names, stability_report
+from .bounds import stability_report
 from .quality import _check_quad_order
 
 _DEFAULT_SIZES = (64, 128, 256, 512, 1024)
@@ -180,7 +180,6 @@ class ExperimentSpec:
     kappa: float = 1000.0
     contrast: float = 1e-6
     lumping: str = "both"
-    bounds: tuple = BOUND_NAMES
     output: str | None = None
     mesh_files: tuple = ()
     quad_order: int = 4
@@ -194,7 +193,6 @@ class ExperimentSpec:
             raise ValueError(f"lumping must be both/full/lumped, "
                              f"got {self.lumping!r}")
         _check_quad_order(self.quad_order)
-        _check_bound_names(self.bounds)
 
     def mass_kinds(self):
         lumped_kind = _family(self.name)[1]
@@ -300,7 +298,7 @@ _FAMILY_TABLE = {
                          ("contrast", "mesh_files")),
     "aniso2d": (_cases_aniso2d, "lumped_rowsum", ("kappa", "quad_order")),
 }
-_COMMON_KEYS = ("lumping", "bounds", "output")
+_COMMON_KEYS = ("lumping", "output")
 FAMILIES = tuple(_FAMILY_TABLE)
 
 
@@ -334,8 +332,7 @@ def run_experiment(spec):
         for kind in spec.mass_kinds():
             report = stability_report(mesh, diffusion, mass_kind=kind,
                                       quad_order=spec.quad_order,
-                                      include=spec.bounds, mesh_id=mesh_id,
-                                      context=ctx)
+                                      mesh_id=mesh_id, context=ctx)
             row = TableRow.from_report(report)
             r = row.ratio["diag"]
             if not (1.0 - 1e-9 <= r <= report.c_star + 1e-9):
@@ -387,14 +384,10 @@ def write_summary_json(path, rows_by_experiment):
 # experiment files
 # ----------------------------------------------------------------------------
 
-def _words(raw):
-    return tuple(raw.split())
-
-
 # key -> the conversion of its text to an ExperimentSpec field
 _KEY_TYPES = {"sizes": lambda raw: tuple(int(tok) for tok in raw.split()),
               "eps": float, "kappa": float, "contrast": float,
-              "quad_order": int, "mesh_files": _words, "bounds": _words,
+              "quad_order": int, "mesh_files": lambda raw: tuple(raw.split()),
               "lumping": str.strip, "output": str.strip}
 
 
@@ -403,7 +396,7 @@ def parse_experiment_file(path):
 
     Section names are the family names; keys mirror ExperimentSpec fields.
     A section takes only the keys that shape its family's tables, and keys
-    under [DEFAULT] count as its own.  List-valued keys (sizes, bounds,
+    under [DEFAULT] count as its own.  List-valued keys (sizes,
     mesh_files) are whitespace-separated.
     """
     parser = configparser.ConfigParser()

@@ -87,17 +87,21 @@ def _clearly_spd(mats):
                 & (det > _SCREEN_MARGIN * trace ** 3))
 
 
+_MAX_EXP = np.finfo(float).maxexp - 1     # 2^_MAX_EXP is finite
+
+
 def _pow2_scale(entries):
     """Per matrix, the exact 2^-e that brings its largest |entry| into
-    [0.5, 1) (1 for zero), given its entries as arrays of one shape."""
+    [0.5, 1) (1 for zero), given its entries as arrays of one shape.
+    Below 2^-1023 the scale stays at 2^1023, the largest finite one."""
     big = functools.reduce(np.maximum, map(np.abs, entries))
-    return np.ldexp(1.0, -np.frexp(big)[1])
+    return np.ldexp(1.0, np.minimum(-np.frexp(big)[1], _MAX_EXP))
 
 
 def _inv(mats):
     """Inverses of a stack (..., d, d) of matrices with d <= 3, by the
     adjugate over the determinant; np.linalg.LinAlgError, as from
-    np.linalg.inv, when a determinant is zero.
+    np.linalg.inv, when a determinant is zero or an inverse is not finite.
 
     For d = 3 the determinant can lose a factor s1/s2 (singular values
     s1 >= s2 >= s3) to cancellation, an error that scales the whole
@@ -136,7 +140,10 @@ def _inv(mats):
     inv = adj / det[..., None, None]
     if d == 3:
         inv += inv @ (np.eye(3) - mats @ inv)
-    inv *= scale
+    with np.errstate(over="ignore"):
+        inv *= scale
+    if not np.isfinite(inv).all():
+        raise np.linalg.LinAlgError("Inverse not finite")
     return inv
 
 

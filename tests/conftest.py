@@ -291,9 +291,23 @@ def check_spd_by_eigvalsh(mats, context="field evaluation"):
                          f"(eigenvalues {ev[k]})")
 
 
-# Settings of the property tests: derandomized, so tier-1 runs are repeatable.
-PROPERTY = settings(derandomize=True, max_examples=30, deadline=None,
-                    suppress_health_check=[HealthCheck.too_slow])
+# Hypothesis profiles of the property tests.  "default", in effect unless
+# another is named, is derandomized: every run draws the same examples, as
+# many as each test asks for (`property_settings`).  "random", chosen by
+# `--hypothesis-profile=random`, draws fresh examples on every run.
+settings.register_profile("default", derandomize=True, deadline=None,
+                          suppress_health_check=[HealthCheck.too_slow])
+settings.register_profile("random", derandomize=False, max_examples=300,
+                          deadline=None,
+                          suppress_health_check=[HealthCheck.too_slow])
+
+
+def property_settings(max_examples=30):
+    """`@settings` of a property test: `max_examples` draws under a
+    derandomized profile, the active profile's own count otherwise."""
+    if settings.default.derandomize:
+        return settings(max_examples=max_examples)
+    return settings()
 
 
 def _grid(dim, cells):

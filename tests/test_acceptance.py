@@ -25,11 +25,6 @@ def _verdict(name, ok, detail=""):
     print(line)
 
 
-def _report(mesh, field, mass_kind, include=(), **kw):
-    return fs.stability_report(mesh, field, mass_kind=mass_kind,
-                               include=include, **kw)
-
-
 # ---------------------------------------------------------------------------
 # 1. mass-matrix identities and diagonal/lumped two-sided comparisons
 # ---------------------------------------------------------------------------
@@ -158,7 +153,7 @@ def test_eigenvalue_bracket_holds_across_cases():
     for label, mesh, fields in cases:
         for field in fields:
             for kind in fs.MASS_KINDS:
-                rep = _report(mesh, field, kind)
+                rep = fs.stability_report(mesh, field, kind)
                 n_cases += 1
                 if not (1.0 - 1e-9 <= rep.ratio <= rep.c_star * (1 + 1e-12)):
                     bad.append(f"{label}/{kind}: ratio {rep.ratio:.6f} "
@@ -197,7 +192,7 @@ def test_oscillatory_1d_step_tables():
                                 ("adapted",
                                  fs.gen_equidistributed_1d(n, weight))):
                 for kind in ("full", "lumped"):
-                    rep = _report(mesh, field, kind)
+                    rep = fs.stability_report(mesh, field, kind)
                     tau[(mtype, kind, n)] = rep.tau_max_over_s2
                     ratio[(mtype, kind, n)] = rep.ratio
                 if mtype == "uniform":
@@ -312,8 +307,8 @@ def test_square_grid_step_tables():
         iso = fs.gen_structured_2d(32, 32, diagonal=diagonal)
         ani = fs.gen_structured_2d(4, 256, diagonal=diagonal)
         taus[diagonal] = (
-            _report(iso, field, "lumped_rowsum").tau_max_over_s2,
-            _report(ani, field, "lumped_rowsum").tau_max_over_s2,
+            fs.stability_report(iso, field, "lumped_rowsum").tau_max_over_s2,
+            fs.stability_report(ani, field, "lumped_rowsum").tau_max_over_s2,
         )
 
     def hits(value, target):
@@ -335,8 +330,8 @@ def test_square_grid_step_tables():
         ("bl-4x16", fs.gen_structured_2d(4, 16, ratio_y=1.15)),
     ]
     for name, mesh in table:
-        full = _report(mesh, field, "full", include=("zhudu",))
-        lump = _report(mesh, field, "lumped_rowsum", include=("shewchuk",))
+        full = fs.stability_report(mesh, field, "full")
+        lump = fs.stability_report(mesh, field, "lumped_rowsum")
         rows_full = dict((m, r) for m, _, r in full.method_rows())
         rows_lump = dict((m, r) for m, _, r in lump.method_rows())
         checks = [
@@ -457,7 +452,7 @@ def test_lanczos_step_estimates_within_band():
 def test_aligned_anisotropy_bound_separation():
     mesh = fs.gen_metric_aligned(kappa=1000.0)
     field = fs.aniso2d(1000.0)
-    rep = _report(mesh, field, "full", include=("geo", "zhudu"))
+    rep = fs.stability_report(mesh, field, "full")
     rows = dict((m, r) for m, _, r in rep.method_rows())
 
     bad = []

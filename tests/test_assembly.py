@@ -9,9 +9,9 @@ from hypothesis import given
 
 import festab as fs
 from festab.assembly import _symmetric_csr
-from conftest import (PROPERTY, elements_of, equilateral_lattice,
+from conftest import (elements_of, equilateral_lattice,
                       jittered_mesh_2d, jittered_mesh_3d, problems,
-                      two_triangle_square)
+                      property_settings, two_triangle_square)
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +159,7 @@ def test_row_sum_lumping_rejects_nonpositive_rows():
 # properties of the assembled operators on drawn problems
 # ---------------------------------------------------------------------------
 
-@PROPERTY
+@property_settings()
 @given(problems())
 def test_assembled_operators_are_exactly_symmetric_csr(problem):
     mesh, field, _ = problem
@@ -172,7 +172,7 @@ def test_assembled_operators_are_exactly_symmetric_csr(problem):
         assert (X != X.T).nnz == 0
 
 
-@PROPERTY
+@property_settings()
 @given(problems())
 def test_row_sum_lumping_is_the_row_sum(problem):
     mesh, _, _ = problem
@@ -183,7 +183,7 @@ def test_row_sum_lumping_is_the_row_sum(problem):
     assert np.array_equal(R.toarray(), np.diag(R.diagonal()))
 
 
-@PROPERTY
+@property_settings()
 @given(problems())
 def test_mass_sandwiches(problem):
     # (1/2) diag(M) <= M <= ((d+2)/2) diag(M) and

@@ -7,15 +7,16 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 import festab as fs
 from festab import assembly as assembly_mod
 from festab import bounds as bounds_mod
 from festab import mesh as mesh_mod
-from conftest import (PROPERTY, elements_of, equilateral_lattice,
-                      face_bracket_oracle, jittered_mesh_2d, jittered_mesh_3d, problems,
-                      two_triangle_square, volume_ratio_c1_oracle)
+from conftest import (elements_of, equilateral_lattice,
+                      face_bracket_oracle, jittered_mesh_2d, jittered_mesh_3d,
+                      problems, property_settings, two_triangle_square,
+                      volume_ratio_c1_oracle)
 
 
 def pencil_max(Mt, A):
@@ -456,6 +457,22 @@ def test_lumped_face_bracket_contains_lumped_eigenvalue():
         assert lam <= sh.upper * (1.0 + 1e-12)
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "known defect: the Shewchuk lower end (1/d) max_K S_K sums over the "
+    "Dirichlet vertices of the maximizing element, so it can exceed "
+    "lambda_max"))
+def test_lumped_face_bracket_lower_end_with_dirichlet_vertices():
+    # every element of a 2x2 grid touches the Dirichlet boundary; with
+    # the interior node moved off centre the lower end is 16.103 against
+    # lambda_max = 16.034
+    base = fs.gen_structured_2d(2, 2)
+    nodes = base.nodes.copy()
+    nodes[base.node_markers == fs.INTERIOR] = (0.529, 0.504)
+    mesh = fs.SimplicialMesh(nodes, base.elements, base.node_markers)
+    rep = fs.stability_report(mesh, fs.identity(2), mass_kind="lumped")
+    assert rep.lambda_shewchuk_lower <= rep.lambda_exact * (1.0 + 1e-12)
+
+
 def test_lumped_face_bracket_guards():
     tt = two_triangle_square()
     ctx = fs.ProblemContext(tt, fs.identity(2))
@@ -477,7 +494,7 @@ def _assert_rel(value, expected, rtol=1e-13):
     assert abs(value - expected) <= rtol * abs(expected)
 
 
-@PROPERTY
+@property_settings()
 @given(problems().filter(lambda p: p[0].dim >= 2))
 def test_face_brackets_match_face_volume_oracle(problem):
     mesh, field, _ = problem
@@ -537,8 +554,7 @@ def neighbor_meshes(draw):
     return fs.SimplicialMesh(nodes, elements, _one_dirichlet(len(nodes)))
 
 
-@settings(derandomize=True, max_examples=60, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
+@property_settings(60)
 @given(neighbor_meshes())
 def test_volume_ratio_c1_matches_dict_oracle(mesh):
     assert mesh_mod._volume_ratio_c1(mesh) == volume_ratio_c1_oracle(mesh)
@@ -701,7 +717,7 @@ def test_stability_report_brackets_and_fields():
         assert names == ["diag", "geo", "zhudu", "shewchuk"]
 
 
-@PROPERTY
+@property_settings()
 @given(problems())
 def test_report_brackets_hold_on_drawn_problems(problem):
     """Every report brackets its certified lambda_max: the diagonal ratio
@@ -723,12 +739,27 @@ def test_report_brackets_hold_on_drawn_problems(problem):
     assert rep.tau_h_over_s2 <= rep.tau_max_over_s2 * (1 + tol)
 
 
-def test_stability_report_include_and_methods():
+@property_settings()
+@given(problems())
+def test_nonobtuse_constant_on_drawn_problems(problem):
+    """Where the drawn mesh is nonobtuse w.r.t. D^-1, lambda_max is at
+    most 4 (full mass) or 2 (lumped) times max_i A_ii / Mtilde_ii: the
+    literal constants, not the report's own c_star."""
+    mesh, field, kind = problem
+    rep = fs.stability_report(mesh, field, kind)
+    if rep.nonobtuse:
+        bound = 4.0 if kind == "full" else 2.0
+        assert rep.lambda_exact <= bound * rep.lambda_diag_lower * (1 + 1e-12)
+
+
+def test_stability_report_method_and_guards():
+    # a 1D report carries the diagonal and geometric bounds only
+    line = fs.stability_report(fs.gen_uniform_1d(8), fs.identity(1))
+    assert line.lambda_zhudu_upper is None
+    assert line.lambda_shewchuk_lower is None
+    assert [r[0] for r in line.method_rows()] == ["diag", "geo"]
     tt = two_triangle_square()
-    rep = fs.stability_report(tt, fs.identity(2), include=("diag",))
-    assert rep.lambda_geo is None
-    assert rep.lambda_zhudu_upper is None
-    assert [r[0] for r in rep.method_rows()] == ["diag"]
+    rep = fs.stability_report(tt, fs.identity(2))
     assert rep.method.endswith(",certified)")
     lz = fs.stability_report(tt, fs.identity(2), lanczos_steps=3)
     assert lz.method.startswith("lanczos(steps=")
@@ -741,18 +772,26 @@ def test_stability_report_include_and_methods():
 
 
 def test_report_csv_layout(tmp_path):
+    # one table row per report, in the layout of the experiment tables
     tt = two_triangle_square()
     reps = [fs.stability_report(tt, fs.identity(2), mass_kind=k,
                                 mesh_id=f"tt-{k}") for k in fs.MASS_KINDS]
     path = tmp_path / "report.csv"
-    fs.write_report_csv(reps, str(path))
-    lines = path.read_text().splitlines()
-    assert lines[0] == ("mesh_id,n_elements,mass_kind,bound,"
-                        "tau_max_over_s2,tau_h_over_s2,ratio")
-    assert len(lines) == 1 + sum(len(r.method_rows()) for r in reps)
+    fs.write_rows_csv(str(path), [fs.TableRow.from_report(r) for r in reps])
+    text = path.read_bytes().decode()
+    lines = text.split("\n")
+    assert "\r" not in text and lines[-1] == ""
+    methods = ("diag", "geo", "zhudu", "shewchuk")
+    assert lines[0].split(",") == (
+        ["mesh_id", "n_elements", "mass_kind", "lambda_max",
+         "tau_max_over_s2"] + [f"tau_h_{m}_over_s2" for m in methods]
+        + [f"ratio_{m}" for m in methods] + ["note"])
+    assert len(lines) == 2 + len(reps)
     # repr round-trip keeps full precision
     first = lines[1].split(",")
+    assert first[:3] == ["tt-full", "2", "full"]
+    assert float(first[3]) == reps[0].lambda_exact
     assert float(first[4]) == reps[0].tau_max_over_s2
     path2 = tmp_path / "again.csv"
-    fs.write_report_csv(reps, str(path2))
+    fs.write_rows_csv(str(path2), [fs.TableRow.from_report(r) for r in reps])
     assert path.read_bytes() == path2.read_bytes()

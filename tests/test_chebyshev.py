@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
 
 import festab as fs
-from conftest import stability_poly_eval, two_triangle_square
+from conftest import (problems, property_settings, stability_poly_eval,
+                      two_triangle_square)
 
 
 def poly_reference(s, omega0, omega1, z):
@@ -182,6 +184,45 @@ def test_integrate_growth_rate_matches_polynomial():
     trace = fs.integrate(sch, L, L, A, vec, tau, 30)
     ratios = trace.l2[1:] / trace.l2[:-1]
     assert np.allclose(ratios, factor, rtol=1e-8)
+
+
+def _pencil_of(problem):
+    mesh, field, kind = problem
+    ctx = fs.ProblemContext(mesh, field)
+    return ctx.mass_tilde(kind), ctx.M, ctx.A, kind
+
+
+@property_settings()
+@given(problems())
+def test_norms_do_not_grow_at_tau_max_on_drawn_problems(problem):
+    """At tau_max of the certified lambda_max, s = 1 and 3, 30 steps from
+    a random start never grow the energy norm, nor for the full mass the
+    L2 norm, beyond 1e-12 of its start."""
+    Mt, M, A, kind = _pencil_of(problem)
+    lam = fs.lambda_max_exact(Mt, A).value
+    U0 = np.random.default_rng(0).standard_normal(A.shape[0])
+    for s in (1, 3):
+        scheme = fs.ChebyshevScheme(s)
+        trace = fs.integrate(scheme, Mt, M, A, U0, scheme.tau_max(lam), 30)
+        assert trace.unstable_at is None
+        norms = ([trace.energy, trace.l2] if kind == "full"
+                 else [trace.energy])
+        for norm in norms:
+            assert (np.diff(norm) <= 1e-12 * norm[0]).all()
+
+
+@property_settings()
+@given(problems())
+def test_top_eigenvector_grows_past_tau_max_on_drawn_problems(problem):
+    """From the certified top eigenvector every step at 1.02 tau_max
+    grows the energy norm, s = 1 and 3."""
+    Mt, M, A, _ = _pencil_of(problem)
+    lam, vec = fs.max_eigvec_exact(Mt, A)
+    for s in (1, 3):
+        scheme = fs.ChebyshevScheme(s)
+        trace = fs.integrate(scheme, Mt, M, A, vec,
+                             1.02 * scheme.tau_max(lam), 10)
+        assert (trace.energy[1:] > trace.energy[:-1]).all()
 
 
 def test_integrate_guards():

@@ -14,7 +14,7 @@ from hypothesis import given, strategies as st
 
 import festab as fs
 from festab.cli import main
-from conftest import PROPERTY
+from conftest import property_settings
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +107,7 @@ def test_source_option_shapes_its_source(capsys, option, value, wrong, right,
     # unset is the default; another value reaches the source
     reports = []
     for extra in ([], [option, default], [option, value]):
-        assert main(["analyze"] + right + ["--bounds", "diag"] + extra) == 0
+        assert main(["analyze"] + right + extra) == 0
         reports.append(json.loads(capsys.readouterr().out))
     assert reports[1] == reports[0]
     assert reports[2]["lambda_exact"] != reports[0]["lambda_exact"] \
@@ -179,10 +179,17 @@ def test_analyze_csv_format(tmp_path):
     path = tmp_path / "rep.csv"
     assert main(["analyze", "--uniform1d", "8", "--format", "csv",
                  "-o", str(path)]) == 0
-    lines = path.read_text().splitlines()
-    assert lines[0].startswith("mesh_id,n_elements,mass_kind,bound")
-    assert len(lines) == 3                    # diag + geo rows in 1D
-    assert lines[1].split(",")[3] == "diag"
+    # one header and one row in the layout of the experiment tables
+    text = path.read_bytes().decode()
+    lines = text.split("\n")
+    assert "\r" not in text and lines[-1] == ""
+    assert lines[0] == ("mesh_id,n_elements,mass_kind,lambda_max,"
+                        "tau_max_over_s2,tau_h_diag_over_s2,"
+                        "tau_h_geo_over_s2,ratio_diag,ratio_geo,note")
+    assert len(lines) == 3
+    row = lines[1].split(",")
+    assert row[:3] == ["uniform1d-8", "8", "full"]
+    assert len(row) == 10 and row[-1] == ""
 
 
 def test_analyze_check_estimate_exit_codes(capsys):
@@ -263,10 +270,8 @@ _BAD_INPUTS = {
         _MESH_1D + "elements 1\n0 1\n",
         ("gen", "--mesh", "{input}", "-o", "{dir}/out.mesh"),
         "node 2 belongs to no element"),
-    "bounds": (None, ("analyze", "--grid", "4x4", "--bounds", "geom"),
-               "unknown bound 'geom'"),
-    "experiment-bounds": ("[zd2d]\nbounds = diag geom\n", _EXPERIMENT,
-                          "unknown bound 'geom'"),
+    "experiment-bounds": ("[zd2d]\nbounds = diag\n", _EXPERIMENT,
+                          "unknown key 'bounds'"),
     "field-nan": (None, ("analyze", "--grid", "3x3",
                          "--field", "constant:value=nan"),
                   "Constant field: matrix 0 has a non-finite entry"),
@@ -450,13 +455,6 @@ def _assert_second_section_refused_first(tmp_path, capsys, section, key,
     assert list(out_dir.iterdir()) == []
 
 
-def test_experiment_unknown_bound_fails_before_any_section_runs(tmp_path,
-                                                                capsys):
-    _assert_second_section_refused_first(tmp_path, capsys, "per1d",
-                                         "bounds = geom",
-                                         "unknown bound 'geom'")
-
-
 def test_experiment_bad_quad_order_fails_before_any_section_runs(tmp_path,
                                                                  capsys):
     _assert_second_section_refused_first(tmp_path, capsys, "per1d",
@@ -498,7 +496,8 @@ def test_experiment_key_that_shapes_nothing_is_refused(tmp_path, capsys,
                                          f"unknown key {key!r}")
 
 
-@pytest.mark.parametrize("key", ["stages = 2", "name = per1d"])
+@pytest.mark.parametrize("key", ["stages = 2", "name = per1d",
+                                 "bounds = diag"])
 def test_experiment_removed_keys_are_refused(tmp_path, capsys, key):
     _assert_second_section_refused_first(tmp_path, capsys, "per1d", key,
                                          f"unknown key {key.split()[0]!r}")
@@ -515,7 +514,7 @@ def test_experiment_default_key_counts_as_the_sections_own(tmp_path,
 
 def test_experiment_accepts_every_key_of_its_family(tmp_path):
     lines = {family: [SHAPING_KEYS[key] for key in sorted(keys)]
-             + ["lumping = full", "bounds = diag", "output = t.csv"]
+             + ["lumping = full", "output = t.csv"]
              for family, keys in FAMILY_KEYS.items()}
     ini = tmp_path / "all.ini"
     ini.write_text("".join(f"[{family}]\n" + "\n".join(body) + "\n\n"
@@ -587,6 +586,7 @@ def test_removed_options_are_usage_errors(capsys):
                  ["analyze", "--uniform1d", "4", "--threads", "2"],
                  ["analyze", "--uniform1d", "4", "--eig", "power"],
                  ["analyze", "--uniform1d", "4", "--eig", "exact"],
+                 ["analyze", "--uniform1d", "4", "--bounds", "diag"],
                  ["integrate", "--uniform1d", "4", "--steps", "1",
                   "--reproducible"],
                  ["experiment", "spec.ini", "--threads", "1"]):
@@ -616,7 +616,7 @@ _field_texts = st.builds(
     st.sampled_from(["", ","]))
 
 
-@PROPERTY
+@property_settings()
 @given(_field_texts)
 def test_malformed_field_text_exits_cleanly(text):
     """Any `--field=<text>` (the `=` form passes text starting with `-`

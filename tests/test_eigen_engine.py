@@ -14,19 +14,15 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import assume, given
 
 import festab as fs
 from festab import eigen as eigen_mod
-from conftest import (PROPERTY, dense_lambda_max, dense_pencil_eigvals,
-                      problems)
+from conftest import (dense_lambda_max, dense_pencil_eigvals, problems,
+                      property_settings)
 
 ORACLE_RTOL = 1e-12
 RESIDUAL_MAX = 1e-10
-
-settings.register_profile(
-    "eigen-engine", derandomize=True, max_examples=100, deadline=None,
-    suppress_health_check=[HealthCheck.too_slow])
 
 
 def pencil(mesh, field, kind):
@@ -34,7 +30,7 @@ def pencil(mesh, field, kind):
     return ctx.mass_tilde(kind), ctx.A
 
 
-@settings(settings.get_profile("eigen-engine"))
+@property_settings(100)
 @given(problems())
 def test_engine_matches_dense_oracle(problem):
     mesh, field, kind = problem
@@ -64,7 +60,7 @@ ENTRY_POINTS = (fs.lambda_max_exact, fs.max_eigvec_exact,
                 fs.lambda_max_lanczos, fs.lambda_max_power, march_step, march)
 
 
-@PROPERTY
+@property_settings()
 @given(problems())
 def test_entry_points_reject_bad_pencils(problem):
     mesh, field, kind = problem
@@ -247,7 +243,7 @@ def test_inertia_flips_across_lambda_max(kind):
     assert pen.cholesky(0.0, -1.0) is None
 
 
-@PROPERTY
+@property_settings()
 @given(problems())
 def test_banded_cholesky_solves_and_decides_definiteness(problem):
     # the solves the program makes (mass surrogate, shift-invert above

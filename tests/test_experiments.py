@@ -194,7 +194,6 @@ def test_compare_lumping_over_family_run():
 
 def test_missing_mesh_file_warns_and_skips(tmp_path):
     spec = fs.ExperimentSpec(name="groundwater_like", lumping="full",
-                             bounds=("diag",),
                              mesh_files=(str(tmp_path / "absent.mesh"),))
     with pytest.warns(UserWarning, match="skipping missing mesh"):
         rows = fs.run_experiment(spec)
@@ -210,7 +209,7 @@ def test_groundwater_external_mesh_file(tmp_path):
     path = tmp_path / "aquifer.mesh"
     fs.save_mesh(small, str(path))
     spec = fs.ExperimentSpec(name="groundwater_like", lumping="full",
-                             bounds=("diag",), mesh_files=(str(path),))
+                             mesh_files=(str(path),))
     rows = fs.run_experiment(spec)
     assert [r.mesh_id for r in rows] == \
         ["groundwater-25x25", "groundwater-file-aquifer.mesh"]
@@ -227,7 +226,7 @@ def test_groundwater_rejects_foreign_region_tags(tmp_path):
     path = tmp_path / "bad.mesh"
     fs.save_mesh(bad, str(path))
     spec = fs.ExperimentSpec(name="groundwater_like", lumping="full",
-                             bounds=("diag",), mesh_files=(str(path),))
+                             mesh_files=(str(path),))
     with pytest.raises(ValueError, match="region tags"):
         fs.run_experiment(spec)
 
@@ -294,7 +293,6 @@ output = per1d.csv
 
 [zd2d]
 lumping = full
-bounds = diag zhudu
 """
 
 
@@ -308,7 +306,6 @@ def test_parse_experiment_file(tmp_path):
     assert p.eps == 0.125
     assert p.output == "per1d.csv"
     assert z.lumping == "full"
-    assert z.bounds == ("diag", "zhudu")
 
 
 def test_parse_experiment_file_errors(tmp_path):

@@ -1,6 +1,7 @@
 """Tensor diffusion fields and the field mini-language."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -319,6 +320,16 @@ def test_inverse_at_extreme_scales(d, scale):
     assert np.isfinite(got).all()
     assert np.abs(got - want).max() <= 4.0 * np.finfo(float).eps \
         * np.abs(want).max()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_inverse_that_overflows_raises(d):
+    # 2^-1030 I has the finite scale 2^1023; its inverse 2^1030 I is not
+    # finite, which raises like a zero determinant, with no RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(np.linalg.LinAlgError, match="not finite"):
+            _inv(2.0 ** -1030 * np.eye(d)[None])
 
 
 @pytest.mark.parametrize("singular", [

@@ -5,13 +5,13 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 import festab as fs
 from festab import mesh as mesh_mod
 from scipy.integrate import quad
-from conftest import (PROPERTY, elements_of, equidistributed_1d_oracle,
-                      load_mesh_by_line, problems)
+from conftest import (elements_of, equidistributed_1d_oracle,
+                      load_mesh_by_line, problems, property_settings)
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +349,7 @@ _EQUI_WEIGHTS = {
 }
 
 
-@settings(derandomize=True, max_examples=25, deadline=None)
+@property_settings(25)
 @given(kind=st.sampled_from(sorted(_EQUI_WEIGHTS)),
        eps=st.sampled_from([0.25, 0.125, 0.0625]),
        n=st.integers(2, 1024))
@@ -482,7 +482,7 @@ def test_load_mesh_refuses_bad_counts_and_trailing_content(tmp_path, text,
         fs.load_mesh(str(path))
 
 
-@PROPERTY
+@property_settings()
 @given(problems())
 def test_save_load_round_trip_is_bitwise(tmp_path_factory, problem):
     mesh = problem[0]
@@ -498,7 +498,7 @@ def test_save_load_round_trip_is_bitwise(tmp_path_factory, problem):
 _CORRUPTIONS = (_HUGE, "nan", "inf", "-1", "x", None)  # None drops it
 
 
-@PROPERTY
+@property_settings()
 @given(problems(), st.data())
 def test_load_mesh_refuses_a_corrupted_token_with_value_error(
         tmp_path_factory, problem, data):

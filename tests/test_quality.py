@@ -11,8 +11,9 @@ from hypothesis import given, strategies as st
 
 import festab as fs
 from festab import assembly, fields, quality
-from conftest import (PROPERTY, equilateral_lattice, jittered_mesh_2d,
-                      jittered_mesh_3d, obtuse_pair, problems)
+from conftest import (equilateral_lattice, jittered_mesh_2d,
+                      jittered_mesh_3d, obtuse_pair, problems,
+                      property_settings)
 
 
 def monomial_average(d, powers):
@@ -329,7 +330,7 @@ def test_quality_1d_adapted_mesh_is_uniform_in_inverse_metric():
     assert np.allclose(q.q_ali, 1.0, atol=1e-12)  # 1D alignment is trivial
 
 
-@PROPERTY
+@property_settings()
 @given(problems())
 def test_quality_identities_on_drawn_meshes(problem):
     # mean(1/q_eq) = 1 and max q_eq >= 1 in the metric D^-1; the geometric
@@ -438,7 +439,7 @@ _SPECTRUM_KINDS = ("distinct", "double-top", "double-bottom", "triple",
                    "top-gap-1e-8", "condition-1e12", "low-pair-1e-8")
 
 
-@PROPERTY
+@property_settings()
 @given(st.integers(0, 2 ** 32 - 1))
 def test_max_sandwich_eig_matches_eigvalsh_on_hard_spectra(seed):
     """The closed-form alignment kernel agrees with `eigvalsh` to 1e-14
@@ -464,6 +465,33 @@ def test_max_sandwich_eig_matches_eigvalsh_on_hard_spectra(seed):
                 got = quality._max_sandwich_eig(F, X)
             want = np.linalg.eigvalsh(0.5 * (X + np.swapaxes(X, 1, 2)))
             assert np.all(np.abs(got - want[:, -1]) <= 1e-14 * want[:, -1])
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_max_sandwich_eig_of_a_subnormal_matrix(d, monkeypatch):
+    """2^-1060 I, whose largest entry is below 2^-1024, is scaled by the
+    finite 2^1023 and passes the screen: the closed form gives 2^-1060
+    exactly, with no RuntimeWarning and no `eigvalsh` fallback."""
+    stacks = []
+    real = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda a, *args: stacks.append(a.shape)
+                        or real(a, *args))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = quality._max_sandwich_eig(np.eye(d)[None],
+                                        2.0 ** -1060 * np.eye(d)[None])
+    assert got.tolist() == [2.0 ** -1060]
+    assert stacks == []
+
+
+def test_quality_of_a_subnormal_metric_inverse_raises():
+    """The inverse of a 1e-310 I field overflows; its quality summary
+    raises instead of returning NaN maxima."""
+    ctx = fs.ProblemContext(fs.gen_structured_2d(4, 4),
+                            fs.Constant(1e-310 * np.eye(2)))
+    with pytest.raises(np.linalg.LinAlgError, match="not finite"):
+        fs.mesh_quality_summary(ctx.inverse)
 
 
 def test_alignment_takes_no_eigvalsh_on_a_jittered_mesh(monkeypatch):
