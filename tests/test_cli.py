@@ -270,6 +270,8 @@ _BAD_INPUTS = {
         _MESH_1D + "elements 1\n0 1\n",
         ("gen", "--mesh", "{input}", "-o", "{dir}/out.mesh"),
         "node 2 belongs to no element"),
+    "bounds": ("[DEFAULT]\nbounds = diag geo\n[per1d]\n", _EXPERIMENT,
+               "[per1d]: unknown key 'bounds'"),
     "experiment-bounds": ("[zd2d]\nbounds = diag\n", _EXPERIMENT,
                           "unknown key 'bounds'"),
     "field-nan": (None, ("analyze", "--grid", "3x3",
