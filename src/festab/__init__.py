@@ -24,10 +24,10 @@ from .assembly import (DofMap, ProblemContext, MASS_KINDS, assemble_mass,
 from .eigen import EigEstimate
 from .bounds import (c_grad, c_sharp, c_star, lambda_max_exact,
                      max_eigvec_exact, lambda_max_lanczos, lambda_max_power,
-                     DiagRatioBound, diag_ratio_bound, TauValues, tau_values,
-                     GeometricBound, geometric_bound, MUniformBound,
-                     muniform_bound, ZhuDuBound, zhu_du_bound, ShewchukBound,
-                     shewchuk_bound, StabilityReport, stability_report)
+                     DiagRatioBound, diag_ratio_bound, GeometricBound,
+                     geometric_bound, MUniformBound, muniform_bound,
+                     ZhuDuBound, zhu_du_bound, ShewchukBound, shewchuk_bound,
+                     StabilityReport, stability_report)
 from .chebyshev import ChebyshevScheme, step, norms, NormTrace, integrate
 from .experiments import (FAMILIES, ExperimentSpec, TableRow, run_experiment,
                           parse_experiment_file, run_experiment_file,
@@ -50,7 +50,7 @@ __all__ = [
     "assemble_lumped", "row_sum_lumping", "assemble_stiffness",
     "c_grad", "c_sharp", "c_star", "EigEstimate", "lambda_max_exact",
     "max_eigvec_exact", "lambda_max_lanczos", "lambda_max_power",
-    "DiagRatioBound", "diag_ratio_bound", "TauValues", "tau_values",
+    "DiagRatioBound", "diag_ratio_bound",
     "GeometricBound", "geometric_bound", "MUniformBound", "muniform_bound",
     "ZhuDuBound", "zhu_du_bound", "ShewchukBound", "shewchuk_bound",
     "StabilityReport", "stability_report",

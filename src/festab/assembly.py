@@ -273,15 +273,21 @@ class ProblemContext:
         once; for any other field the averages of D^-1 are the quadrature
         of the inverted point values, as `InverseOf` averages, and the
         points are let go here, so a context that never reads D^-1 does no
-        inversion."""
+        inversion.  A matrix without a finite inverse raises
+        np.linalg.LinAlgError naming the field."""
         Dk, distinct, points = self._averages
+        mats = points[1] if distinct is None else distinct[0]
+        try:
+            inv = _inv(mats)
+        except np.linalg.LinAlgError as exc:
+            raise np.linalg.LinAlgError(
+                f"field {self.field.name()} (largest |entry| "
+                f"{np.abs(mats).max():.3g}) has no finite inverse: "
+                f"{exc}") from None
         if distinct is None:
-            wts, vals = points
             self._averages = Dk, None, None
-            return np.einsum("q,nqij->nij", wts, _inv(vals)), None, None
-        values, index = distinct
-        values = _inv(values)
-        return values[index], (values, index), None
+            return np.einsum("q,nqij->nij", points[0], inv), None, None
+        return inv[distinct[1]], (inv, distinct[1]), None
 
     @property
     def inverse(self):

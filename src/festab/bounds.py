@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .assembly import _problem_context
-from .eigen import EigEstimate, _lanczos, _Pencil, _top_eigpair
+from .eigen import EigEstimate, _in_range, _lanczos, _Pencil, _top_eigpair
 from .mesh import patch_sums
 from .quality import _max_sandwich_eig, mesh_quality_summary
 
@@ -86,7 +86,8 @@ def lambda_max_lanczos(Mtilde, A, steps=5, seed=2, security=1.1):
         raise ValueError("need at least one step")
     if steps > LANCZOS_MAX_STEPS:
         raise ValueError(f"at most {LANCZOS_MAX_STEPS} steps supported")
-    theta, _, resid, taken = _lanczos(_Pencil(Mtilde, A), steps, seed)
+    pencil = _Pencil(Mtilde, A)
+    theta, _, resid, taken = _in_range(_lanczos)(pencil, steps, seed)
     method = f"lanczos(steps={taken},seed={seed},security={security:g})"
     return EigEstimate(value=security * theta, method=method, residual=resid)
 
@@ -131,7 +132,7 @@ def lambda_max_power(Mtilde, A, tol=1e-10, warm_start=None, seed=0,
 # Computable bounds
 
 DiagRatioBound = namedtuple(
-    "DiagRatioBound", ["lower", "upper", "argmax_node", "min_ratio"])
+    "DiagRatioBound", ["lower", "upper", "argmax_node"])
 
 GeometricBound = namedtuple(
     "GeometricBound", ["value", "argmax_node", "nonobtuse"])
@@ -145,15 +146,12 @@ ZhuDuBound = namedtuple(
 ShewchukBound = namedtuple(
     "ShewchukBound", ["lower", "upper", "p_max", "argmax_element"])
 
-TauValues = namedtuple(
-    "TauValues", ["tau_max_over_s2", "tau_h_over_s2", "tau_max", "tau_h"])
-
 
 def diag_ratio_bound(Mtilde, A, cstar):
     """Diagonal bracket: max_i A_ii/M_ii <= lambda_max <= cstar * max.
 
-    Also reports the system index attaining the max and the reciprocal
-    min_i M_ii/A_ii entering the computable time step.
+    Also reports the system index attaining the max; 1 / lower is the
+    min_i M_ii/A_ii of the computable time step.
     """
     dm = Mtilde.diagonal()
     da = A.diagonal()
@@ -162,24 +160,7 @@ def diag_ratio_bound(Mtilde, A, cstar):
     ratio = da / dm
     i = int(np.argmax(ratio))
     lower = float(ratio[i])
-    return DiagRatioBound(lower=lower, upper=cstar * lower, argmax_node=i,
-                          min_ratio=1.0 / lower)
-
-
-def tau_values(lam, s, cstar, min_ratio):
-    """Exact and computable steps for an s-stage scheme, rescaled by s^-2.
-
-    tau_max = 2 s^2 / lambda; tau_h = (2 s^2 / cstar) min_i M_ii/A_ii.
-    """
-    lam = float(lam)
-    if lam <= 0.0:
-        raise ValueError("lambda must be positive")
-    if s < 1:
-        raise ValueError("stage count must be >= 1")
-    tm = 2.0 / lam
-    th = (2.0 / cstar) * min_ratio
-    return TauValues(tau_max_over_s2=tm, tau_h_over_s2=th,
-                     tau_max=s * s * tm, tau_h=s * s * th)
+    return DiagRatioBound(lower=lower, upper=cstar * lower, argmax_node=i)
 
 
 def _free_patch_max(ctx, per_element):
@@ -317,7 +298,12 @@ def shewchuk_bound(ctx, m_lump=None):
 
 @dataclass
 class StabilityReport:
-    """All step-size quantities of one mesh / field / mass combination."""
+    """All step-size quantities of one mesh / field / mass combination.
+
+    The steps of an s-stage scheme, divided by s^2, are
+    tau_max_over_s2 = 2 / lambda_exact, the exact one, and
+    tau_h_over_s2 = (2 / c_star) min_i M_ii/A_ii, the computable one.
+    """
     mesh_id: str
     n_elements: int
     n_free: int
@@ -373,6 +359,8 @@ def stability_report(mesh, field, mass_kind="full", s=1, quad_order=4,
     several reports on one problem share its averages and operators; by
     default the report builds its own.
     """
+    if s < 1:
+        raise ValueError("stage count must be >= 1")
     ctx = _problem_context(mesh, field, quad_order, context)
     dof, A = ctx.dofmap, ctx.A
     Mt = ctx.mass_tilde(mass_kind)
@@ -387,7 +375,6 @@ def stability_report(mesh, field, mass_kind="full", s=1, quad_order=4,
         est = lambda_max_lanczos(Mt, A, steps=lanczos_steps)
 
     diag = diag_ratio_bound(Mt, A, cst)
-    taus = tau_values(est, s, cst, diag.min_ratio)
 
     lam_geo = geometric_bound(ctx, lumped=lumped).value
     zd_lo = zd_up = sh_lo = sh_up = None
@@ -406,7 +393,7 @@ def stability_report(mesh, field, mass_kind="full", s=1, quad_order=4,
         lambda_geo=lam_geo,
         lambda_zhudu_lower=zd_lo, lambda_zhudu_upper=zd_up,
         lambda_shewchuk_lower=sh_lo, lambda_shewchuk_upper=sh_up,
-        tau_max_over_s2=taus.tau_max_over_s2,
-        tau_h_over_s2=taus.tau_h_over_s2,
+        tau_max_over_s2=2.0 / est.value,
+        tau_h_over_s2=(2.0 / cst) * (1.0 / diag.lower),
         argmin_node=int(dof.free[diag.argmax_node]),
     )

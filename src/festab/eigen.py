@@ -8,6 +8,7 @@ RCM-ordered band (multifrontal, Liu 1992) keeps that contract here.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -38,9 +39,6 @@ class EigEstimate:
     shift: float | None = None
     solves: int = 0
     certified: bool = False
-
-    def __float__(self):
-        return self.value
 
 
 def _canonical(X):
@@ -179,6 +177,25 @@ class _Pencil:
         return self._mass
 
 
+def _in_range(engine):
+    """`engine(pencil, ...)` run with floating-point overflow and invalid
+    results raised: such an error, or a failed Ritz solve, becomes one
+    ValueError that names the pencil's scale max A_ii/Mt_ii, since a
+    pencil scaled far from 1 is what leaves the double range."""
+    @functools.wraps(engine)
+    def run(pencil, *args):
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                return engine(pencil, *args)
+        except (FloatingPointError, np.linalg.LinAlgError) as exc:
+            with np.errstate(all="ignore"):
+                scale = (pencil.A.diagonal() / pencil.M.diagonal()).max()
+            raise ValueError(f"pencil scale max A_ii/Mt_ii = {scale:.3g} is "
+                             "out of the eigen solver's floating-point "
+                             "range") from exc
+    return run
+
+
 def _lanczos(pencil, steps, seed, shifted=None):
     """Top Ritz pair of at most `steps` Lanczos iterations in the Mtilde
     inner product, with full reorthogonalization from a seeded random
@@ -280,6 +297,7 @@ def _certified(pencil, rho):
     return pencil.cholesky(rho * (1.0 + CERT_RTOL), -1.0) is not None
 
 
+@_in_range
 def _top_eigpair(pencil):
     """Certified top eigenpair of the pencil (A, Mtilde).
 

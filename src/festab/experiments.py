@@ -34,7 +34,7 @@ import json
 import math
 import os
 import warnings
-from dataclasses import dataclass, field as _dc_field
+from dataclasses import asdict, dataclass, field as _dc_field
 
 import numpy as np
 
@@ -227,13 +227,6 @@ class TableRow:
                    tau_max_over_s2=report.tau_max_over_s2,
                    tau_h_over_s2=taus, ratio=ratios)
 
-    def to_dict(self):
-        return {"mesh_id": self.mesh_id, "n_elements": self.n_elements,
-                "mass_kind": self.mass_kind, "lambda_max": self.lambda_max,
-                "tau_max_over_s2": self.tau_max_over_s2,
-                "tau_h_over_s2": dict(self.tau_h_over_s2),
-                "ratio": dict(self.ratio), "note": self.note}
-
 
 def _skip_row(mesh_id, note):
     return TableRow(mesh_id=mesh_id, n_elements=0, mass_kind="-",
@@ -373,7 +366,7 @@ def write_rows_csv(path, rows):
 
 def write_summary_json(path, rows_by_experiment):
     """Combined machine-readable summary over all experiments."""
-    payload = {name: [row.to_dict() for row in rows]
+    payload = {name: [asdict(row) for row in rows]
                for name, rows in rows_by_experiment.items()}
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)

@@ -241,8 +241,8 @@ class Analytic(TensorField):
 class PiecewiseConstantPerElement(TensorField):
     """Constant matrix per element region tag.
 
-    Evaluated through `matrix_for(tag)` or `element_values(tags)`; point
-    evaluation is undefined.
+    Evaluated through `element_values(tags)`, or `table[tag]` for one
+    region; point evaluation is undefined.
     """
 
     def __init__(self, table, dim=None):
@@ -263,23 +263,20 @@ class PiecewiseConstantPerElement(TensorField):
             raise ValueError("empty piecewise table")
         self.dim = dim
 
-    def matrix_for(self, tag):
-        try:
-            return self.table[int(tag)]
-        except KeyError:
-            raise ValueError(f"no matrix for region tag {tag}") from None
-
     def element_values(self, region_tags):
         """One row of values per tag present, in increasing tag order."""
         tags, index = np.unique(region_tags, return_inverse=True)
         values = np.empty((len(tags), self.dim, self.dim))
         for row, tag in enumerate(tags):
-            values[row] = self.matrix_for(tag)
+            try:
+                values[row] = self.table[int(tag)]
+            except KeyError:
+                raise ValueError(f"no matrix for region tag {tag}") from None
         return values, index
 
     def __call__(self, x):
         raise ValueError("piecewise-per-element field has no pointwise value; "
-                         "use matrix_for(region_tag)")
+                         "use element_values(region_tags)")
 
     def name(self):
         return f"piecewise({len(self.table)} regions)"

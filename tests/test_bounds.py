@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -227,11 +228,6 @@ def test_power_iteration_converges_and_warm_starts():
         fs.lambda_max_power(L, A, tol=0.0)
 
 
-def test_eig_estimate_float_conversion():
-    est = fs.EigEstimate(value=3.5, method="dense", residual=0.0)
-    assert float(est) == 3.5
-
-
 # ---------------------------------------------------------------------------
 # diagonal ratio bound and step sizes
 # ---------------------------------------------------------------------------
@@ -243,7 +239,6 @@ def test_diag_ratio_1d_uniform_numbers():
                                fs.c_star(1, False, nonobtuse=True))
     assert full.lower == pytest.approx(48.0, rel=1e-14)
     assert full.upper == pytest.approx(192.0, rel=1e-14)
-    assert full.min_ratio == pytest.approx(1.0 / 48.0, rel=1e-14)
     lump = fs.diag_ratio_bound(fs.assemble_lumped(mesh), A,
                                fs.c_star(1, True, nonobtuse=True))
     assert lump.lower == pytest.approx(32.0, rel=1e-14)
@@ -264,21 +259,21 @@ def test_diag_ratio_rejects_nonpositive_diagonals():
         fs.diag_ratio_bound(ok, bad, 4.0)
 
 
-def test_tau_values_scaling_and_guards():
-    t1 = fs.tau_values(100.0, 1, 4.0, 0.02)
-    assert t1.tau_max_over_s2 == pytest.approx(0.02)
-    assert t1.tau_h_over_s2 == pytest.approx(0.01)
-    assert t1.tau_max == pytest.approx(t1.tau_max_over_s2)
-    t5 = fs.tau_values(100.0, 5, 4.0, 0.02)
-    assert t5.tau_max == pytest.approx(25 * t5.tau_max_over_s2)
-    assert t5.tau_h == pytest.approx(25 * t5.tau_h_over_s2)
-    assert t5.tau_max_over_s2 == t1.tau_max_over_s2   # s-independent
-    est = fs.EigEstimate(value=100.0, method="dense", residual=0.0)
-    assert fs.tau_values(est, 1, 4.0, 0.02) == t1
-    with pytest.raises(ValueError):
-        fs.tau_values(0.0, 1, 4.0, 0.02)
-    with pytest.raises(ValueError):
-        fs.tau_values(100.0, 0, 4.0, 0.02)
+@property_settings()
+@given(problems())
+def test_report_steps_agree_with_the_scheme_step(problem):
+    """The report's steps over s^2 are those of every s-stage scheme: the
+    exact one, ChebyshevScheme(s).tau_max(lambda) / s^2, to 1e-14, and the
+    computable one, 2 / (C* max_i A_ii/M_ii), to 1e-15.  No report has a
+    stage count below 1."""
+    mesh, field, kind = problem
+    rep = fs.stability_report(mesh, field, mass_kind=kind)
+    for s in range(1, 7):
+        _assert_rel(fs.ChebyshevScheme(s).tau_max(rep.lambda_exact),
+                    s * s * rep.tau_max_over_s2, 1e-14)
+    _assert_rel(rep.tau_h_over_s2, 2.0 / rep.lambda_diag_upper, 1e-15)
+    with pytest.raises(ValueError, match="stage count must be >= 1"):
+        fs.stability_report(mesh, field, mass_kind=kind, s=0)
 
 
 # ---------------------------------------------------------------------------
@@ -769,6 +764,22 @@ def test_stability_report_method_and_guards():
         fs.stability_report(tt, fs.identity(2), lanczos_steps=0)
     with pytest.raises(ValueError):
         fs.stability_report(tt, fs.identity(2), mass_kind="diagonal")
+
+
+@pytest.mark.parametrize("kind", ["full", "lumped"])
+@pytest.mark.parametrize("scale", [1e-150, 1e-100, 1e100, 1e150])
+def test_report_on_a_mesh_scaled_out_of_range_names_the_scale(scale, kind):
+    """A 4x4 grid scaled by 1e+-100 or 1e+-150 puts max A_ii/Mt_ii out of
+    the eigen solver's range: one ValueError naming that scale, raised
+    before any warning."""
+    base = fs.gen_structured_2d(4, 4)
+    mesh = fs.SimplicialMesh(scale * base.nodes, base.elements,
+                             base.node_markers)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError,
+                           match=r"pencil scale max A_ii/Mt_ii = \S+ is out"):
+            fs.stability_report(mesh, fs.identity(2), mass_kind=kind)
 
 
 def test_report_csv_layout(tmp_path):

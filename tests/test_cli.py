@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -310,6 +311,25 @@ _BAD_INPUTS = {
     "experiment-out-dir-is-a-file": (
         "[zd2d]\n", ("experiment", "{input}", "--out-dir", "{input}"),
         "File exists"),
+    # a diffusion out of the double range fails naming the pencil's scale,
+    # or the field whose averages have no finite inverse
+    "scale-subnormal": (
+        None, ("analyze", "--grid", "3x3", "--field", "constant:value=1e-310"),
+        "pencil scale max A_ii/Mt_ii = 7.2e-309 is out of the eigen"),
+    "scale-tiny": (
+        None, ("analyze", "--grid", "3x3", "--field", "constant:value=1e-200"),
+        "pencil scale max A_ii/Mt_ii = 7.2e-199 is out of the eigen"),
+    "scale-huge": (
+        None, ("analyze", "--grid", "3x3", "--field", "constant:value=1e200"),
+        "pencil scale max A_ii/Mt_ii = 7.2e+201 is out of the eigen"),
+    "scale-huge-lanczos": (
+        None, ("analyze", "--grid", "3x3", "--field", "constant:value=1e200",
+               "--lanczos", "10"),
+        "pencil scale max A_ii/Mt_ii = 7.2e+201 is out of the eigen"),
+    "scale-subnormal-lanczos": (
+        None, ("analyze", "--grid", "3x3", "--field", "constant:value=1e-310",
+               "--lanczos", "10"),
+        "field constant(2d) (largest |entry| 1e-310) has no finite inverse"),
 }
 
 
@@ -320,7 +340,9 @@ def test_bad_input_exits_2_with_one_line(tmp_path, capsys, case):
     if text is not None:
         path.write_text(text)
     argv = [a.format(input=path, dir=tmp_path) for a in argv]
-    assert main(argv) == 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     err = captured.err.splitlines()
@@ -418,6 +440,22 @@ def test_eigen_failures_exit_2_with_one_line(monkeypatch, capsys, argv,
     assert len(err) == 1 and err[0].startswith("error: ")
     assert ("no certified" if fault == "certificate" else "out of memory") \
         in err[0]
+
+
+@pytest.mark.parametrize("value", [1e-100, 1e100])
+def test_diffusion_far_from_1_stays_certified(capsys, value):
+    """At 1e-100 and 1e100 the diffusion scales lambda_max and stays
+    certified."""
+    argv = ["analyze", "--grid", "3x3", "--field"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv + ["identity"]) == 0
+        unit = json.loads(capsys.readouterr().out)
+        assert main(argv + [f"constant:value={value!r}"]) == 0
+    scaled = json.loads(capsys.readouterr().out)
+    assert scaled["method"].endswith(",certified)")
+    assert scaled["lambda_exact"] == pytest.approx(
+        value * unit["lambda_exact"], rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Benchmark families, experiment specs/files, and the table writer."""
 
 import csv
+import dataclasses
 import json
 import math
 
@@ -30,8 +31,8 @@ def test_groundwater_mesh_layout():
     cent = mesh.nodes[mesh.elements].mean(axis=1)
     tagged = mesh.region_tags == 1
     assert (cent[tagged, 0] >= 20.0).all() and (cent[tagged, 0] <= 80.0).all()
-    assert np.allclose(field.matrix_for(0), np.eye(2))
-    assert np.allclose(field.matrix_for(1), 1e-6 * np.eye(2))
+    assert np.allclose(field.table[0], np.eye(2))
+    assert np.allclose(field.table[1], 1e-6 * np.eye(2))
 
 
 def test_groundwater_full_mass_eigenvalue_frozen():
@@ -121,7 +122,7 @@ def test_table_row_from_report():
     assert row.lambda_max == rep.lambda_exact
     assert set(row.tau_h_over_s2) == {"diag", "geo"}   # 1D: no face brackets
     assert row.ratio["diag"] == pytest.approx(rep.ratio)
-    d = row.to_dict()
+    d = dataclasses.asdict(row)
     json.dumps(d)                                       # serializable
     assert d["note"] == ""
 

@@ -91,14 +91,13 @@ def test_adapted_weight_float_and_array_agree():
 def test_piecewise_field_and_loader(tmp_path):
     field = fs.PiecewiseConstantPerElement(
         {0: np.eye(2), 1: np.array([[2.0, 0.5], [0.5, 1.0]])}, dim=2)
-    assert np.allclose(field.matrix_for(1),
-                       np.array([[2.0, 0.5], [0.5, 1.0]]))
+    assert np.allclose(field.table[1], np.array([[2.0, 0.5], [0.5, 1.0]]))
     path = tmp_path / "regions.txt"
     path.write_text("# tag then upper-triangle entries\n"
                     "0 1.0 0.0 1.0\n"
                     "1 2.0 0.5 1.0\n")
     loaded = fs.load_piecewise(str(path), dim=2)
-    assert np.allclose(loaded.matrix_for(1), field.matrix_for(1))
+    assert np.allclose(loaded.table[1], field.table[1])
     with pytest.raises(ValueError):
         field(np.array([[0.5, 0.5]]))  # pointwise evaluation undefined
 
@@ -113,7 +112,7 @@ def _loop_element_values(field, tags):
                                (len(tags),) + field.matrix.shape).copy()
     out = np.empty((len(tags), field.dim, field.dim))
     for tag in np.unique(tags):
-        out[tags == tag] = field.matrix_for(tag)
+        out[tags == tag] = field.table[tag]
     return out
 
 

@@ -1,9 +1,11 @@
-"""Lint: no module of the package or the test suite imports a name at
+"""Lint: every source file parses under the oldest supported Python's
+grammar; no module of the package or the test suite imports a name at
 module level that it never reads; only `festab.eigen` imports LAPACK or
 a graph ordering; a cold `import festab` stays lean."""
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +15,26 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted([*(ROOT / "src" / "festab").glob("*.py"),
                   *(ROOT / "tests").glob("*.py")])
+
+SOURCES = sorted(path for top in ("src", "tests", "perfbench")
+                 for path in (ROOT / top).rglob("*.py"))
+# the `requires-python` floor of pyproject.toml, as (major, minor)
+FLOOR = tuple(int(part) for part in re.search(
+    r'requires-python = ">=(\d+)\.(\d+)"',
+    (ROOT / "pyproject.toml").read_text()).groups())
+
+
+def test_floor_grammar_refuses_exception_groups():
+    assert FLOOR == (3, 10)
+    source = "try:\n    pass\nexcept* ValueError:\n    pass\n"
+    with pytest.raises(SyntaxError, match="only supported in Python 3.11"):
+        ast.parse(source, feature_version=FLOOR)
+
+
+@pytest.mark.parametrize("path", SOURCES,
+                         ids=lambda p: p.relative_to(ROOT).as_posix())
+def test_source_parses_under_the_floor_grammar(path):
+    ast.parse(path.read_text(), filename=str(path), feature_version=FLOOR)
 
 
 def unused_imports(source):
