@@ -20,12 +20,10 @@ from .eigen import _Pencil
 
 
 def _cheb_t_dt(s, x):
-    """(T_s(x), T_s'(x)) by the three-term recurrence, for a scalar or an
-    array x."""
+    """(T_s(x), T_s'(x)) for s >= 1 by the three-term recurrence, for a
+    scalar or an array x."""
     t_prev, t = 1.0, x
     dt_prev, dt = 0.0, 1.0
-    if s == 0:
-        return 1.0, 0.0
     for _ in range(s - 1):
         t_prev, t = t, 2.0 * x * t - t_prev
         dt_prev, dt = dt, 2.0 * t_prev + 2.0 * x * dt - dt_prev

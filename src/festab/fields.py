@@ -181,20 +181,29 @@ def check_spd(mats, context="field evaluation"):
                          f"(eigenvalues {ev[j]})")
 
 
+def _spd_matrix(value, dim, context):
+    """The `check_spd`-checked matrix of a user value: a scalar v is v I
+    and needs `dim`; anything else must be a square 2-D array, of size
+    `dim` when given.  Refusals are ValueErrors that start with `context`."""
+    mat = np.asarray(value, dtype=float)
+    if mat.ndim == 0:
+        if dim is None:
+            raise ValueError(f"{context}: a scalar needs an explicit dim")
+        mat = np.diag(np.full(dim, float(mat)))
+    if (mat.ndim != 2 or mat.shape[0] != mat.shape[1]
+            or dim not in (None, len(mat))):
+        raise ValueError(f"{context}: needs a square matrix of size "
+                         f"{dim or 'd'}, got shape {mat.shape}")
+    check_spd(mat, context)
+    return mat
+
+
 class Constant(TensorField):
     """Spatially constant SPD matrix (a scalar is taken as scalar*I)."""
 
     def __init__(self, matrix, dim=None):
-        matrix = np.asarray(matrix, dtype=float)
-        if matrix.ndim == 0:
-            if dim is None:
-                raise ValueError("scalar Constant needs an explicit dim")
-            matrix = np.diag(np.full(dim, float(matrix)))
-        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-            raise ValueError("Constant needs a square matrix")
-        check_spd(matrix, "Constant field")
-        self.matrix = matrix
-        self.dim = matrix.shape[0]
+        self.matrix = _spd_matrix(matrix, dim, "Constant field")
+        self.dim = len(self.matrix)
 
     def __call__(self, x):
         x = _as_points(x, self.dim)
@@ -248,31 +257,23 @@ class PiecewiseConstantPerElement(TensorField):
     def __init__(self, table, dim=None):
         self.table = {}
         for tag, mat in table.items():
-            mat = np.asarray(mat, dtype=float)
-            if mat.ndim == 0:
-                if dim is None:
-                    raise ValueError("scalar entries need an explicit dim")
-                mat = np.diag(np.full(dim, float(mat)))
-            check_spd(mat, f"piecewise field, region {tag}")
+            context = f"piecewise field, region {tag}"
+            mat = _spd_matrix(mat, dim, context)
+            if self.table and len(mat) != self.dim:
+                raise ValueError(f"{context}: {len(mat)}x{len(mat)} matrix, "
+                                 f"but earlier regions are {self.dim}D")
             self.table[int(tag)] = mat
-            if dim is None:
-                dim = mat.shape[0]
-            elif mat.shape[0] != dim:
-                raise ValueError("inconsistent matrix sizes in piecewise table")
-        if dim is None:
+            self.dim = len(mat)
+        if not self.table:
             raise ValueError("empty piecewise table")
-        self.dim = dim
 
     def element_values(self, region_tags):
         """One row of values per tag present, in increasing tag order."""
         tags, index = np.unique(region_tags, return_inverse=True)
-        values = np.empty((len(tags), self.dim, self.dim))
-        for row, tag in enumerate(tags):
-            try:
-                values[row] = self.table[int(tag)]
-            except KeyError:
-                raise ValueError(f"no matrix for region tag {tag}") from None
-        return values, index
+        try:
+            return np.stack([self.table[int(tag)] for tag in tags]), index
+        except KeyError as exc:
+            raise ValueError(f"no matrix for region tag {exc}") from None
 
     def __call__(self, x):
         raise ValueError("piecewise-per-element field has no pointwise value; "
@@ -358,17 +359,13 @@ def load_piecewise(path, dim=None):
                 raise ValueError(f"{path}:{ln}: region tag {tag} repeated "
                                  f"(first on line {first_line[tag]})")
             first_line[tag] = ln
-            if len(vals) == 1:
-                mat = np.array([[vals[0]]])
-            elif len(vals) == 3:
-                mat = np.array([[vals[0], vals[1]], [vals[1], vals[2]]])
-            elif len(vals) == 6:
-                mat = np.array([[vals[0], vals[1], vals[2]],
-                                [vals[1], vals[3], vals[4]],
-                                [vals[2], vals[4], vals[5]]])
-            else:
+            d = {1: 1, 3: 2, 6: 3}.get(len(vals))
+            if d is None:
                 raise ValueError(f"{path}:{ln}: expected 1, 3 or 6 matrix "
                                  f"entries, got {len(vals)}")
+            mat = np.empty((d, d))
+            r, c = np.triu_indices(d)
+            mat[r, c] = mat[c, r] = vals
             table[tag] = mat
     return PiecewiseConstantPerElement(table, dim=dim)
 

@@ -218,16 +218,18 @@ def patch_sums(mesh, per_element):
 
 
 def _face_keys(faces, n):
-    """Integer sort keys of faces given as rows (m, k), k = 2 or 3, of
+    """Integer sort keys of faces given as rows (m, k), k = 1, 2 or 3, of
     sorted vertex indices below n: a list of (m,) uint64 arrays, most
     significant first, equal on two rows exactly when the rows are equal
-    and ordered as the rows are lexicographically.  The first two columns
-    (a, b) make one key a n + b, exact for n <= 2**32; a third column
-    stays a key of its own, since (a n + b) n + c would overflow past
-    2**21 nodes."""
+    and ordered as the rows are lexicographically.  A single column is its
+    own key; otherwise the first two columns (a, b) make one key a n + b,
+    exact for n <= 2**32, and a third column stays a key of its own, since
+    (a n + b) n + c would overflow past 2**21 nodes."""
     if n > 2 ** 32:
         raise ValueError(f"face keys need at most 2**32 nodes, got {n}")
     cols = faces.astype(np.uint64).T
+    if len(cols) == 1:
+        return [cols[0]]
     return [cols[0] * np.uint64(n) + cols[1], *cols[2:]]
 
 
@@ -659,10 +661,12 @@ def _spacings(n, ratio):
         raise ValueError(f"grading ratio must be positive, got {ratio}")
     if ratio == 1.0:
         return np.full(n, 1.0 / n)
-    g = ratio ** np.arange(n)
-    total = g.sum()
-    if not np.isfinite(total) or g[0] / total <= 0.0:
-        raise ValueError(f"grading ratio {ratio} underflows the first cell")
+    with np.errstate(over="ignore"):
+        g = ratio ** np.arange(n)
+        total = g.sum()
+    if not np.isfinite(total):
+        raise ValueError(f"grading ratio {ratio} over {n} cells overflows "
+                         "the double range")
     return g / total
 
 

@@ -271,8 +271,10 @@ def _metric_geometry(ctx):
     mesh, metric_elems = ctx.mesh, ctx.Dk
     d = mesh.dim
     vols = mesh.volumes()
-    det_m = ctx.map_Dk(np.linalg.det)
-    vol_metric = vols * np.sqrt(det_m)
+    # sqrt(det M_K) from log|det M_K|, since det M_K overflows long before
+    # |K|_M does
+    vol_metric = vols * ctx.map_Dk(
+        lambda m: np.exp(0.5 * np.linalg.slogdet(m)[1]))
 
     norm_fdf = ctx.metric_alignment
 

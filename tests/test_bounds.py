@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import festab as fs
 from festab import assembly as assembly_mod
@@ -549,19 +549,29 @@ def neighbor_meshes(draw):
     return fs.SimplicialMesh(nodes, elements, _one_dirichlet(len(nodes)))
 
 
+def _graded_1d(n):
+    """1D mesh with nodes x_i = (i/n)^2 and its elements in reverse order."""
+    nodes = (np.arange(n + 1) / n) ** 2
+    elements = np.column_stack([np.arange(n), np.arange(1, n + 1)])[::-1]
+    return fs.SimplicialMesh(nodes, elements, _one_dirichlet(n + 1))
+
+
 @property_settings(60)
 @given(neighbor_meshes())
+@example(fs.gen_uniform_1d(7))
+@example(_graded_1d(9))
 def test_volume_ratio_c1_matches_dict_oracle(mesh):
-    assert mesh_mod._volume_ratio_c1(mesh) == volume_ratio_c1_oracle(mesh)
+    ctx = fs.ProblemContext(mesh, fs.identity(mesh.dim))
+    assert ctx.face_volume_ratio == volume_ratio_c1_oracle(mesh)
 
 
-@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("k", [1, 2, 3])
 def test_face_keys_exact_near_2_to_the_32(k):
-    """Edges (k = 2) and triangles (k = 3) of sorted vertices drawn from
-    the lowest and the highest indices below n = 2**32, each present one
-    to three times in random order: two rows share their keys exactly
-    when they are equal, and the keys sort the rows as the vertex columns
-    do, stably."""
+    """Nodes (k = 1), edges (k = 2) and triangles (k = 3) of sorted
+    vertices drawn from the lowest and the highest indices below n = 2**32,
+    each present one to three times in random order: two rows share their
+    keys exactly when they are equal, and the keys sort the rows as the
+    vertex columns do, stably."""
     n = 2 ** 32
     rng = np.random.default_rng(k)
     verts = np.concatenate([np.arange(8), n - 12 + np.arange(12)])

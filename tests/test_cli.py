@@ -308,6 +308,9 @@ _BAD_INPUTS = {
     "integrate-output-is-a-directory": (
         None, ("integrate", "--grid", "2x2", "--steps", "1", "-o", "{dir}"),
         "Is a directory"),
+    "grid-ratio-overflow": (
+        None, ("analyze", "--grid", "3x3", "--ratio-x", "1e300"),
+        "grading ratio 1e+300 over 3 cells overflows the double range"),
     "experiment-out-dir-is-a-file": (
         "[zd2d]\n", ("experiment", "{input}", "--out-dir", "{input}"),
         "File exists"),
@@ -456,6 +459,21 @@ def test_diffusion_far_from_1_stays_certified(capsys, value):
     assert scaled["method"].endswith(",certified)")
     assert scaled["lambda_exact"] == pytest.approx(
         value * unit["lambda_exact"], rel=1e-12)
+
+
+@pytest.mark.parametrize("argv", [
+    ("--groundwater", "--contrast", "1e-160"),
+    ("--grid", "3x3", "--field", "constant:value=1e-200", "--lanczos", "10")])
+def test_quality_of_a_metric_whose_determinant_overflows(capsys, argv):
+    """The metric D^-1 of these diffusions has det M_K beyond the double
+    range (1e320 and 1e400); the analysis still exits 0 with no warning
+    and finite quality measures."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["analyze", *argv]) == 0
+    quality = json.loads(capsys.readouterr().out)["quality"]
+    assert set(quality) == {"h_global", "max_q_ali", "max_q_eq", "max_q_m"}
+    assert all(np.isfinite(v) and v > 0.0 for v in quality.values())
 
 
 # ---------------------------------------------------------------------------

@@ -160,6 +160,22 @@ def test_run_small_1d_family(tmp_path):
     assert out.read_bytes() == out2.read_bytes()
 
 
+def test_run_aniso2d_family():
+    """The rotating-anisotropy family on its square grid and on the
+    metric-aligned mesh, full and row-sum lumped mass: every diagonal
+    ratio within [1, C*] for general 2D meshes (6 full, 3 lumped)."""
+    rows = fs.run_experiment(fs.ExperimentSpec("aniso2d"))
+    assert len(rows) == 4
+    assert {r.mesh_id for r in rows} == {"aniso2d-32x32", "aniso2d-aligned"}
+    assert {r.mass_kind for r in rows} == {"full", "lumped_rowsum"}
+    cstar = {"full": 6.0, "lumped_rowsum": 3.0}
+    for r in rows:
+        assert 1.0 - 1e-9 <= r.ratio["diag"] <= cstar[r.mass_kind] + 1e-9
+        values = [r.lambda_max, r.tau_max_over_s2,
+                  *r.tau_h_over_s2.values(), *r.ratio.values()]
+        assert np.isfinite(values).all() and r.note == ""
+
+
 def test_adapted_meshes_improve_the_oscillatory_step():
     spec = fs.ExperimentSpec(name="per1d", sizes=(64,), lumping="full")
     rows = {r.mesh_id: r for r in fs.run_experiment(spec)}

@@ -102,6 +102,140 @@ def test_piecewise_field_and_loader(tmp_path):
         field(np.array([[0.5, 0.5]]))  # pointwise evaluation undefined
 
 
+# case: (constructor call, error message); one rule for the matrices of
+# Constant and of every region of PiecewiseConstantPerElement
+_BAD_FIELD_VALUES = {
+    "constant-scalar-without-dim": (
+        lambda: fs.Constant(2.0),
+        "Constant field: a scalar needs an explicit dim"),
+    "constant-not-square": (
+        lambda: fs.Constant(np.ones((2, 3))),
+        "Constant field: needs a square matrix of size d, got shape (2, 3)"),
+    "constant-size-mismatch": (
+        lambda: fs.Constant(np.eye(2), dim=3),
+        "Constant field: needs a square matrix of size 3, got shape (2, 2)"),
+    "constant-not-spd": (
+        lambda: fs.Constant([[1.0, 2.0], [2.0, 1.0]]),
+        "Constant field: matrix 0 not positive definite"),
+    "region-scalar-without-dim": (
+        lambda: fs.PiecewiseConstantPerElement({0: np.eye(2), 1: 3.0}),
+        "piecewise field, region 1: a scalar needs an explicit dim"),
+    "region-not-square": (
+        lambda: fs.PiecewiseConstantPerElement({0: np.ones((2, 3))}),
+        "piecewise field, region 0: needs a square matrix of size d, "
+        "got shape (2, 3)"),
+    "region-vector": (
+        lambda: fs.PiecewiseConstantPerElement({0: np.ones(3)}),
+        "piecewise field, region 0: needs a square matrix of size d, "
+        "got shape (3,)"),
+    "region-stack": (
+        lambda: fs.PiecewiseConstantPerElement({0: np.eye(2)[None]}),
+        "piecewise field, region 0: needs a square matrix of size d, "
+        "got shape (1, 2, 2)"),
+    "region-size-mismatch": (
+        lambda: fs.PiecewiseConstantPerElement({4: np.eye(2)}, dim=3),
+        "piecewise field, region 4: needs a square matrix of size 3, "
+        "got shape (2, 2)"),
+    "region-sizes-differ": (
+        lambda: fs.PiecewiseConstantPerElement({0: np.eye(2), 7: np.eye(3)}),
+        "piecewise field, region 7: 3x3 matrix, but earlier regions are 2D"),
+    "region-not-spd": (
+        lambda: fs.PiecewiseConstantPerElement({0: 1.0, 2: -1.0}, dim=2),
+        "piecewise field, region 2: matrix 0 not positive definite"),
+    "empty-table": (
+        lambda: fs.PiecewiseConstantPerElement({}),
+        "empty piecewise table"),
+    "empty-table-with-dim": (
+        lambda: fs.PiecewiseConstantPerElement({}, dim=2),
+        "empty piecewise table"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_FIELD_VALUES))
+def test_field_value_refusals(case):
+    build, message = _BAD_FIELD_VALUES[case]
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value).startswith(message)
+
+
+@pytest.mark.parametrize("value, dim", [
+    (2.5, 1), (2.5, 3), (np.int64(4), 2), ([[2, 1], [1, 3]], None),
+    ([[2, 1], [1, 3]], 2), (np.diag([1.0, 5.0, 25.0]), None),
+    (np.asfortranarray([[4.0, 1.0, 0.5], [1.0, 3.0, 0.25],
+                        [0.5, 0.25, 2.0]]), 3)])
+def test_constant_and_region_build_one_matrix(value, dim):
+    """A value builds the same float matrix, bit for bit, as a Constant
+    and as a region: a scalar v is np.diag(np.full(dim, v)), a matrix its
+    float copy."""
+    want = (np.diag(np.full(dim, float(value))) if np.ndim(value) == 0
+            else np.asarray(value, dtype=float))
+    constant = fs.Constant(value, dim=dim)
+    region = fs.PiecewiseConstantPerElement({3: value}, dim=dim)
+    for got, d in ((constant.matrix, constant.dim),
+                   (region.table[3], region.dim)):
+        assert got.dtype == np.float64 and d == len(want)
+        assert got.tobytes() == want.tobytes()
+
+
+def _written_out_layout(vals):
+    """Oracle: the matrix of a region line's upper-triangle entries,
+    written out entry by entry for 1, 3 and 6 entries."""
+    if len(vals) == 1:
+        return np.array([[vals[0]]])
+    if len(vals) == 3:
+        return np.array([[vals[0], vals[1]], [vals[1], vals[2]]])
+    return np.array([[vals[0], vals[1], vals[2]],
+                     [vals[1], vals[3], vals[4]],
+                     [vals[2], vals[4], vals[5]]])
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_load_piecewise_rows_fill_the_upper_triangle(tmp_path, d):
+    rng = np.random.default_rng(10 + d)
+    table = {tag: _random_spd(d, rng) for tag in (2, 0, 9)}
+    lines = []
+    for tag, mat in table.items():
+        vals = mat[np.triu_indices(d)]
+        lines.append(f"{tag} " + " ".join(repr(float(v)) for v in vals))
+        table[tag] = _written_out_layout(vals)
+    path = tmp_path / "regions.txt"
+    path.write_text("\n".join(lines) + "  # trailing comment\n")
+    loaded = fs.load_piecewise(str(path))
+    assert loaded.dim == d and sorted(loaded.table) == [0, 2, 9]
+    for tag, want in table.items():
+        assert loaded.table[tag].tobytes() == want.tobytes()
+
+
+# case: (regions file text, start of the error message)
+_BAD_REGION_FILES = {
+    "malformed-tag": ("0 1 0 1\nx 1 0 1\n",
+                      "{path}:2: malformed region line"),
+    "malformed-entry": ("0 1 zero 1\n", "{path}:1: malformed region line"),
+    "repeated-tag": ("# header\n3 1 0 1\n\n3 2 0 2\n",
+                     "{path}:4: region tag 3 repeated (first on line 2)"),
+    "entry-count": ("0 1 0 0 1\n",
+                    "{path}:1: expected 1, 3 or 6 matrix entries, got 4"),
+    "tag-only": ("5\n", "{path}:1: expected 1, 3 or 6 matrix entries, got 0"),
+    "region-sizes-differ": (
+        "0 1\n1 1 0 1\n",
+        "piecewise field, region 1: 2x2 matrix, but earlier regions are 1D"),
+    "region-not-spd": (
+        "0 1 2 1\n", "piecewise field, region 0: matrix 0 not positive"),
+    "empty": ("# no regions\n", "empty piecewise table"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_REGION_FILES))
+def test_load_piecewise_refusals(tmp_path, case):
+    text, message = _BAD_REGION_FILES[case]
+    path = tmp_path / "regions.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError) as info:
+        fs.load_piecewise(str(path))
+    assert str(info.value).startswith(message.format(path=path))
+
+
 def _loop_element_values(field, tags):
     """Oracle: the (ne, d, d) element matrices as the per-tag mask loop
     behind (values, index) built them, one copy per element."""

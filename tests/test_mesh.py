@@ -65,10 +65,40 @@ def test_validate_degenerate_element():
 
 
 def test_validate_repeated_vertex():
-    nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    with pytest.raises(ValueError):
-        fs.SimplicialMesh(nodes, np.array([[0, 1, 1]]),
-                          np.array([1, 0, 0]))
+    """Every node belongs to an element, so the repeated vertex of
+    element 1 is what validation refuses."""
+    nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    with pytest.raises(ValueError, match="element 1 has repeated vertices"):
+        fs.SimplicialMesh(nodes, np.array([[0, 1, 2], [1, 3, 3]]),
+                          np.array([1, 0, 0, 1]))
+
+
+_TRIANGLE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+
+# case: (nodes, elements, node_markers, region_tags, error message)
+_INVALID_MESHES = {
+    "dimension": (np.zeros((5, 4)), [[0, 1, 2, 3, 4]], [1, 0, 0, 0, 0],
+                  None, "unsupported dimension 4"),
+    "empty": (np.zeros((0, 2)), np.zeros((0, 3), dtype=int), [], None,
+              "empty mesh"),
+    "vertex-count": (_TRIANGLE, [[0, 1], [1, 2]], [1, 0, 0], None,
+                     "elements must have 3 vertices in dimension 2, got 2"),
+    "index-too-large": (_TRIANGLE, [[0, 1, 2], [0, 1, 3]], [1, 0, 0], None,
+                        "element 1 has out-of-range node index"),
+    "index-negative": (_TRIANGLE, [[0, -1, 2], [0, 1, 2]], [1, 0, 0], None,
+                       "element 0 has out-of-range node index"),
+    "markers-length": (_TRIANGLE, [[0, 1, 2]], [1, 0], None,
+                       "node_markers length does not match node count"),
+    "tags-length": (_TRIANGLE, [[0, 1, 2]], [1, 0, 0], [0, 1],
+                    "region_tags length does not match element count"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_INVALID_MESHES))
+def test_validate_refusals(case):
+    nodes, elements, markers, tags, message = _INVALID_MESHES[case]
+    with pytest.raises(ValueError, match=re.escape(message)):
+        fs.SimplicialMesh(nodes, elements, markers, region_tags=tags)
 
 
 def test_validate_needs_free_and_dirichlet_nodes():
