@@ -43,50 +43,6 @@ def _as_points(x, dim=None):
     return x
 
 
-_SCREEN_MARGIN = 1e-8
-
-
-def _clearly_spd(mats):
-    """Mask of the matrices of the stack (..., d, d) whose symmetric parts
-    pass a closed-form Sylvester screen (d <= 3; none pass for larger d):
-    every diagonal entry positive, and each leading principal minor of
-    order k >= 2 above _SCREEN_MARGIN * trace^k.
-
-    A matrix that passes is SPD with lmin/lmax > _SCREEN_MARGIN, since
-    lmin >= det / trace^(d-1), so `eigvalsh` would pass it too.  Rounding
-    lets no other matrix through: given the positive diagonal and the m2
-    margin, an off-diagonal entry well above the trace makes det far
-    negative, and with every entry near or below the trace the minors move
-    by a few eps * trace^k, far below the margin.  A minor that overflows
-    fails the screen.
-    """
-    d = mats.shape[-1]
-    if d > 3:
-        return np.zeros(mats.shape[:-2], dtype=bool)
-
-    def sym(i, j):
-        """Entry (i, j) of the symmetric parts, as `check_spd` forms them."""
-        if i == j:
-            return mats[..., i, i]
-        return 0.5 * (mats[..., i, j] + mats[..., j, i])
-
-    a = sym(0, 0)
-    if d == 1:
-        return a > 0.0
-    b, e = sym(0, 1), sym(1, 1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        m2 = a * e - b * b
-        if d == 2:
-            trace = a + e
-            return (a > 0.0) & (e > 0.0) & (m2 > _SCREEN_MARGIN * trace ** 2)
-        c, f, i = sym(0, 2), sym(1, 2), sym(2, 2)
-        trace = a + e + i
-        det = m2 * i - a * f * f - e * c * c + 2.0 * b * c * f
-        return ((a > 0.0) & (e > 0.0) & (i > 0.0)
-                & (m2 > _SCREEN_MARGIN * trace ** 2)
-                & (det > _SCREEN_MARGIN * trace ** 3))
-
-
 _MAX_EXP = np.finfo(float).maxexp - 1     # 2^_MAX_EXP is finite
 
 
@@ -147,12 +103,54 @@ def _inv(mats):
     return inv
 
 
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
+def _pivots_positive(m, mu, d):
+    """Mask of the matrices whose LDL^T pivots of mu I - S are all positive,
+    S given by its entries m[i][j], i <= j (d <= 3): mu is above lmax(S)
+    up to the O(eps ||S||) backward error of the pivots.  A pivot that is
+    NaN is not positive."""
+    t00 = mu - m[0][0]
+    if d == 1:
+        return t00 > 0.0
+    d1 = (mu - m[1][1]) - m[0][1] * m[0][1] / t00
+    if d == 2:
+        return (t00 > 0.0) & (d1 > 0.0)
+    u = -m[1][2] - m[0][1] * m[0][2] / t00
+    d2 = (mu - m[2][2]) - m[0][2] * m[0][2] / t00 - u * u / d1
+    return (t00 > 0.0) & (d1 > 0.0) & (d2 > 0.0)
+
+
+def _clearly_spd(mats):
+    """Mask of the matrices of the stack (n, d, d) whose symmetric parts S
+    pass a closed-form screen (d <= 3; none pass for larger d): every
+    LDL^T pivot of S - 1e-8 trace(S) I is positive, on S scaled by
+    `_pow2_scale` (which moves no digit).
+
+    The computed pivots are exact for a matrix within O(eps trace S) of
+    the shifted one (Higham, Accuracy and Stability, Ch. 10), so a matrix
+    that passes has lmin > (1e-8 - O(eps)) trace S >= SPD_RTOL lmax, and
+    a trace <= 0 leaves a nonpositive shifted eigenvalue: nothing that
+    `eigvalsh` would refuse gets through.  The scaled entries are at most
+    about 1, so a pivot can only overflow to -inf; that, a NaN, or an
+    entry sum that overflows fails the screen.
+    """
+    d = mats.shape[-1]
+    if d > 3:
+        return np.zeros(len(mats), dtype=bool)
+    # the scaled entries of -S, so that mu I - (-S) is S shifted by mu
+    neg = -_pow2_scale([mats[:, i, j] for i in range(d) for j in range(i, d)])
+    m = [[None if j < i else mats[:, i, i] * neg if i == j
+          else (mats[:, i, j] + mats[:, j, i]) * (0.5 * neg)
+          for j in range(d)] for i in range(d)]
+    return _pivots_positive(m, 1e-8 * sum(m[i][i] for i in range(d)), d)
+
+
 def check_spd(mats, context="field evaluation"):
     """Raise ValueError unless every matrix is finite and symmetric with
     lmin > 0.
 
     The positivity threshold is relative: lmin > SPD_RTOL * lmax.  For
-    d <= 3 a closed-form Sylvester screen (`_clearly_spd`) clears the
+    d <= 3 a closed-form LDL^T screen (`_clearly_spd`) clears the
     matrices it proves SPD with lmin/lmax > 1e-8; only the others reach
     `eigvalsh`, so every decision and message is the one `eigvalsh` on
     every matrix would give.
@@ -258,11 +256,17 @@ class PiecewiseConstantPerElement(TensorField):
         self.table = {}
         for tag, mat in table.items():
             context = f"piecewise field, region {tag}"
+            try:
+                key = int(tag)
+            except (TypeError, ValueError, OverflowError):
+                key = None
+            if key != tag:
+                raise ValueError(f"{context}: tag {tag!r} is not an integer")
             mat = _spd_matrix(mat, dim, context)
             if self.table and len(mat) != self.dim:
                 raise ValueError(f"{context}: {len(mat)}x{len(mat)} matrix, "
                                  f"but earlier regions are {self.dim}D")
-            self.table[int(tag)] = mat
+            self.table[key] = mat
             self.dim = len(mat)
         if not self.table:
             raise ValueError("empty piecewise table")

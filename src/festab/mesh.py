@@ -655,19 +655,29 @@ def _invert_cumulative(w, lo, hi, cell, n):
         f"{_EQUI_MAX_NEWTON} iterations)")
 
 
-def _spacings(n, ratio):
-    """n positive spacings summing to 1 in geometric progression `ratio`."""
+def _graded_nodes(n, ratio):
+    """n + 1 increasing nodes from 0 to 1 whose n spacings form a
+    geometric progression `ratio`."""
     if ratio <= 0.0 or not np.isfinite(ratio):
         raise ValueError(f"grading ratio must be positive, got {ratio}")
     if ratio == 1.0:
-        return np.full(n, 1.0 / n)
-    with np.errstate(over="ignore"):
-        g = ratio ** np.arange(n)
-        total = g.sum()
-    if not np.isfinite(total):
-        raise ValueError(f"grading ratio {ratio} over {n} cells overflows "
-                         "the double range")
-    return g / total
+        g = np.full(n, 1.0 / n)
+    else:
+        with np.errstate(over="ignore"):
+            g = ratio ** np.arange(n)
+            total = g.sum()
+        if not np.isfinite(total):
+            raise ValueError(f"grading ratio {ratio} over {n} cells "
+                             "overflows the double range")
+        g = g / total
+    nodes = np.concatenate(([0.0], np.cumsum(g)))
+    nodes[-1] = 1.0
+    # below 1 the last cells, next to 1, can vanish in rounding, or a
+    # node round past 1
+    if not (np.diff(nodes) > 0.0).all():
+        raise ValueError(f"grading ratio {ratio} over {n} cells makes cells "
+                         "too narrow for double precision")
+    return nodes
 
 
 def gen_structured_2d(nx, ny, diagonal="right", ratio_x=1.0, ratio_y=1.0):
@@ -684,12 +694,8 @@ def gen_structured_2d(nx, ny, diagonal="right", ratio_x=1.0, ratio_y=1.0):
     if diagonal not in _SPLITS_2D:
         raise ValueError(f"unknown diagonal pattern {diagonal!r}")
 
-    xs = np.concatenate(([0.0], np.cumsum(_spacings(nx, ratio_x))))
-    ys = np.concatenate(([0.0], np.cumsum(_spacings(ny, ratio_y))))
-    xs[-1] = 1.0
-    ys[-1] = 1.0
-
-    X, Y = np.meshgrid(xs, ys, indexing="xy")
+    X, Y = np.meshgrid(_graded_nodes(nx, ratio_x), _graded_nodes(ny, ratio_y),
+                       indexing="xy")
     nodes = np.column_stack([X.ravel(), Y.ravel()])
     return SimplicialMesh(nodes, *_lattice((nx, ny), *_SPLITS_2D[diagonal]))
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .fields import _pow2_scale, check_spd
+from .fields import _pivots_positive, _pow2_scale, check_spd
 
 
 # ----------------------------------------------------------------------
@@ -206,19 +206,6 @@ def _closed_form_top(m, d):
     return q + 2.0 * p * np.cos(phi)
 
 
-def _pivots_positive(m, mu, d):
-    """Mask of the matrices whose LDL^T pivots of mu I - S are all positive,
-    S given by its entries m[i][j], i <= j (d = 2, 3): mu is above lmax(S)
-    up to the O(eps ||S||) backward error of the pivots."""
-    t00 = mu - m[0][0]
-    d1 = (mu - m[1][1]) - m[0][1] * m[0][1] / t00
-    if d == 2:
-        return (t00 > 0.0) & (d1 > 0.0)
-    u = -m[1][2] - m[0][1] * m[0][2] / t00
-    d2 = (mu - m[2][2]) - m[0][2] * m[0][2] / t00 - u * u / d1
-    return (t00 > 0.0) & (d1 > 0.0) & (d2 > 0.0)
-
-
 def _max_sandwich_eig(F, X):
     """Per-element largest eigenvalue of the symmetric part of
     F_K X_K F_K^T, for stacks (ne, d, d) of matrices F and X.  With F the
@@ -250,10 +237,9 @@ def _max_sandwich_eig(F, X):
     scale = _pow2_scale(entries)
     for x in entries:
         x *= scale
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lam = _closed_form_top(m, d)
-        ok = (_pivots_positive(m, lam * (1.0 + SCREEN_DELTA), d)
-              & ~_pivots_positive(m, lam * (1.0 - SCREEN_DELTA), d))
+    lam = _closed_form_top(m, d)
+    ok = (_pivots_positive(m, lam * (1.0 + SCREEN_DELTA), d)
+          & ~_pivots_positive(m, lam * (1.0 - SCREEN_DELTA), d))
     lam /= scale
     rest = np.flatnonzero(~ok)
     if len(rest):

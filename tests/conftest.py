@@ -270,7 +270,7 @@ def load_mesh_by_line(path):
 
 def check_spd_by_eigvalsh(mats, context="field evaluation"):
     """Oracle: `check_spd` with `eigvalsh` on every matrix (the check the
-    closed-form Sylvester screen of `check_spd` shortcuts)."""
+    closed-form LDL^T screen of `check_spd` shortcuts)."""
     mats = np.asarray(mats, dtype=float)
     if mats.ndim == 2:
         mats = mats[None]

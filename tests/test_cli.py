@@ -311,6 +311,10 @@ _BAD_INPUTS = {
     "grid-ratio-overflow": (
         None, ("analyze", "--grid", "3x3", "--ratio-x", "1e300"),
         "grading ratio 1e+300 over 3 cells overflows the double range"),
+    "grid-ratio-underflow": (
+        None, ("analyze", "--grid", "3x3", "--ratio-x", "1e-8"),
+        "grading ratio 1e-08 over 3 cells makes cells too narrow for double "
+        "precision"),
     "experiment-out-dir-is-a-file": (
         "[zd2d]\n", ("experiment", "{input}", "--out-dir", "{input}"),
         "File exists"),
@@ -375,6 +379,15 @@ def test_integrate_unstable_fail_is_reported_not_exit_code(capsys):
                  "--seed-eigvec"]) == 0
     out = capsys.readouterr().out
     assert out.startswith("FAIL:")
+
+
+def test_integrate_growth_fail_names_the_norm_and_step(capsys):
+    # the README example: past tau_max the seeded top mode grows at once
+    assert main(["integrate", "--grid", "8x8", "--field", "identity",
+                 "--tau-frac", "1.02", "--seed-eigvec", "--steps", "100"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("FAIL: l2 norm first grew at step 1 (tau=")
+    assert out.count("\n") == 1
 
 
 def test_integrate_explicit_tau(capsys):

@@ -283,6 +283,22 @@ def test_one_ordering_per_certified_solve(monkeypatch, kind):
     assert est.certified and len(calls) == 1
 
 
+@pytest.mark.parametrize("kind", ["lumped", "lumped_rowsum"])
+def test_pencil_keeps_the_given_order_when_its_band_is_narrower(kind):
+    # on the lattice-numbered 6^3 Kuhn cube the cancelled entries of A
+    # leave a graph whose RCM band is wider than the lattice numbering's
+    mesh = fs.gen_structured_3d(6, 6, 6)
+    Mt, A = pencil(mesh, fs.identity(3), kind)
+    pen = eigen_mod._Pencil(Mt, A)
+    est, _ = eigen_mod._top_eigpair(pen)
+    assert pen.bw == 31 and (pen.perm == np.arange(pen.n)).all()
+    rcm = eigen_mod.reverse_cuthill_mckee(A, symmetric_mode=True)
+    pos, (row, col) = np.argsort(rcm), A.nonzero()
+    assert np.abs(pos[row] - pos[col]).max() > 31
+    want = dense_lambda_max(Mt, A)
+    assert est.certified and abs(est.value - want) <= ORACLE_RTOL * want
+
+
 class _BandedMass(eigen_mod._Pencil):
     """A pencil that factors a diagonal Mtilde from its full band, as the
     engine did before it kept the diagonal alone."""

@@ -160,13 +160,10 @@ def test_run_small_1d_family(tmp_path):
     assert out.read_bytes() == out2.read_bytes()
 
 
-def test_run_aniso2d_family():
-    """The rotating-anisotropy family on its square grid and on the
-    metric-aligned mesh, full and row-sum lumped mass: every diagonal
-    ratio within [1, C*] for general 2D meshes (6 full, 3 lumped)."""
-    rows = fs.run_experiment(fs.ExperimentSpec("aniso2d"))
-    assert len(rows) == 4
-    assert {r.mesh_id for r in rows} == {"aniso2d-32x32", "aniso2d-aligned"}
+def assert_2d_rows_within_cstar(rows):
+    """Full and row-sum lumped rows, each with every value finite, no note
+    and its diagonal ratio within [1, C*] for general 2D meshes (6 full,
+    3 lumped)."""
     assert {r.mass_kind for r in rows} == {"full", "lumped_rowsum"}
     cstar = {"full": 6.0, "lumped_rowsum": 3.0}
     for r in rows:
@@ -174,6 +171,24 @@ def test_run_aniso2d_family():
         values = [r.lambda_max, r.tau_max_over_s2,
                   *r.tau_h_over_s2.values(), *r.ratio.values()]
         assert np.isfinite(values).all() and r.note == ""
+
+
+def test_run_aniso2d_family():
+    """The rotating-anisotropy family on its square grid and on the
+    metric-aligned mesh."""
+    rows = fs.run_experiment(fs.ExperimentSpec("aniso2d"))
+    assert len(rows) == 4
+    assert {r.mesh_id for r in rows} == {"aniso2d-32x32", "aniso2d-aligned"}
+    assert_2d_rows_within_cstar(rows)
+
+
+def test_run_zd2d_family():
+    """The Laplacian on the square, stretched and graded grids."""
+    rows = fs.run_experiment(fs.ExperimentSpec("zd2d"))
+    assert len(rows) == 6
+    assert {r.mesh_id for r in rows} == {"zd2d-32x32", "zd2d-4x256",
+                                         "zd2d-bl-4x16"}
+    assert_2d_rows_within_cstar(rows)
 
 
 def test_adapted_meshes_improve_the_oscillatory_step():

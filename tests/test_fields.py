@@ -142,6 +142,18 @@ _BAD_FIELD_VALUES = {
     "region-not-spd": (
         lambda: fs.PiecewiseConstantPerElement({0: 1.0, 2: -1.0}, dim=2),
         "piecewise field, region 2: matrix 0 not positive definite"),
+    "region-tag-not-integer": (
+        lambda: fs.PiecewiseConstantPerElement({1.5: np.eye(2),
+                                                1: 2.0 * np.eye(2)}),
+        "piecewise field, region 1.5: tag 1.5 is not an integer"),
+    "region-tag-nan": (
+        lambda: fs.PiecewiseConstantPerElement({math.nan: np.eye(2)}),
+        "piecewise field, region nan: tag nan is not an integer"),
+    # int("1") is 1: unchecked, both keys would name region 1
+    "region-tag-twice": (
+        lambda: fs.PiecewiseConstantPerElement({"1": np.eye(2),
+                                                1: 2.0 * np.eye(2)}),
+        "piecewise field, region 1: tag '1' is not an integer"),
     "empty-table": (
         lambda: fs.PiecewiseConstantPerElement({}),
         "empty piecewise table"),
@@ -320,7 +332,7 @@ def test_check_spd_catches_bad_matrices():
 
 
 # ---------------------------------------------------------------------------
-# closed-form Sylvester screen of check_spd
+# closed-form LDL^T screen of check_spd
 # ---------------------------------------------------------------------------
 
 def _rotated(rng, ev, count=1):
@@ -400,6 +412,41 @@ def test_screen_clears_only_matrices_eigvalsh_finds_well_conditioned(d):
         ev = np.linalg.eigvalsh(mats[cleared])
         assert (ev[:, 0] > 0.5e-8 * ev[:, -1]).all()
     assert 0 < _clearly_spd(rotated).sum() < len(rotated)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_screen_clears_spd_stacks_at_any_scale_and_nothing_else(
+        d, monkeypatch):
+    """SPD stacks with condition numbers up to 1e6, scaled by 2^1000, 1 or
+    2^-1000, pass `check_spd` with no matrix sent to `eigvalsh`.  At the
+    same scales the screen clears no indefinite matrix, no singular one
+    and none with trace <= 0."""
+    rng = np.random.default_rng(30 + d)
+    q, _ = np.linalg.qr(rng.standard_normal((2000, d, d)))
+
+    def rotated(ev):
+        return (q * ev[:, None, :]) @ np.swapaxes(q, 1, 2)
+
+    spd = rotated(10.0 ** rng.uniform(0.0, 6.0, (2000, d)))
+    # eigenvalues of at least 1e-6, so that 2^-1000 times them stays normal
+    ev = (rng.choice([-1.0, 1.0], (2000, d))
+          * 10.0 ** rng.uniform(-6.0, 0.0, (2000, d)))
+    ev[:, 0] = -np.abs(ev[:, 0])
+    indefinite = rotated(ev)
+    singular = rotated(np.where(np.arange(d) == 0, 0.0, np.abs(ev)))
+    ev[:, -1] = -ev[:, :-1].sum(axis=1)
+    zero_trace = rotated(ev)
+    flipped = -spd
+    stacks = []
+    real = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda a, *args: stacks.append(
+                            math.prod(np.shape(a)[:-2])) or real(a, *args))
+    for scale in (2.0 ** 1000, 1.0, 2.0 ** -1000):
+        fs.check_spd(scale * spd)
+        for mats in (indefinite, singular, zero_trace, flipped):
+            assert not _clearly_spd(scale * mats).any()
+    assert stacks and sum(stacks) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -209,6 +209,17 @@ def test_gen_structured_2d_errors():
         fs.gen_structured_2d(4, 4, ratio_y=-2.0)
 
 
+@pytest.mark.parametrize("n, ratio", [
+    (3, 1e-8), (3, 1e-20), (3, 1e-200),
+    # the rounded nodes end at 1 + 2^-52 before the last node, 1, which
+    # inverted the last column of cells
+    (7, 0.001202264434617413)])
+def test_grading_whose_cells_vanish_in_rounding_is_refused(n, ratio):
+    with pytest.raises(ValueError, match=f"^grading ratio {ratio} over {n} "
+                       "cells makes cells too narrow for double precision"):
+        fs.gen_structured_2d(n, 2, ratio_x=ratio)
+
+
 def test_gen_structured_3d_counts_and_volume():
     mesh = fs.gen_structured_3d(2, 3, 2)
     assert mesh.num_elements == 6 * 2 * 3 * 2
@@ -502,8 +513,10 @@ _NODES = "dim 1\nnodes 3\n0 1\n0.5 0\n1 1\n"
     ("dim 1\nnodes x\n", ":2: 'nodes' needs a non-negative integer"),
     ("dim 1\nnodes -2\n", ":2: 'nodes' needs a non-negative integer"),
     (_NODES + "elements 2.0\n", ":6: 'elements' needs a non-negative"),
+    ("dim 1\n", ": unexpected end of file, expected 'nodes <n>'"),
 ], ids=["huge-node-count", "short-element-block", "huge-dim",
-        "trailing-content", "text-count", "negative-count", "float-count"])
+        "trailing-content", "text-count", "negative-count", "float-count",
+        "ends-after-dim"])
 def test_load_mesh_refuses_bad_counts_and_trailing_content(tmp_path, text,
                                                            match):
     path = tmp_path / "bad.txt"

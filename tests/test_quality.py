@@ -127,6 +127,14 @@ def test_element_averages_rejects_bad_order():
             fs.element_averages(fs.InverseOf(field), grid, quad_order=order)
 
 
+def test_element_averages_rejects_a_field_of_another_dimension():
+    grid = fs.gen_structured_2d(2, 2)
+    for field in (fs.identity(3), fs.per1d()):
+        with pytest.raises(ValueError, match=f"^field dimension {field.dim} "
+                           "does not match mesh dimension 2"):
+            fs.element_averages(field, grid)
+
+
 def _region_mesh(d):
     """Grid on the unit interval/square/cube with region tag 1 on x > 1/2;
     element boundaries lie on x = 1/2."""
